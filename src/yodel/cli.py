@@ -117,7 +117,6 @@ def _cmd_run(args) -> int:
             f.write(sim.trace.text())
         with open(args.report, "w", encoding="utf-8") as f:
             f.write(sim.metrics.to_json())
-            f.write("\n")
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 3

@@ -2,8 +2,8 @@
 
 One half (provisioning) owns users, host placement and the infrastructure
 topology; the other half (flow management) owns the per-valley information
-bases, flows, channels and path computation. They share a process and talk
-over an in-process queue; nothing about their split is externally visible.
+bases, flows, channels and path computation. They share a process and call
+each other directly; nothing about their split is externally visible.
 
 Nodes reach the controller through typed request payloads and receive typed
 replies; path advertisements additionally carry a fully encoded control
@@ -15,7 +15,6 @@ ids come from monotone counters.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -80,11 +79,14 @@ class TopologyGraph:
     A link materializes only when both endpoints are registered and both
     currently declare each other; its latency is the smaller declared value.
     Earlier one-sided mentions stay pending until the far end confirms.
+    `adjacency` holds every confirmed link from both ends; `register` keeps
+    it current.
     """
 
     def __init__(self):
         self.nodes: dict[Yni, NodeInfo] = {}
         self.declared: dict[Yni, dict[Yni, int]] = {}
+        self.adjacency: dict[Yni, dict[Yni, int]] = {}
 
     def register(self, yni: Yni, role: str, domain: str,
                  neighbors: dict[Yni, int],
@@ -93,32 +95,14 @@ class TopologyGraph:
             raise UnknownNode(f"bad infrastructure role {role!r}")
         self.nodes[yni] = NodeInfo(yni, role, domain, dict(stats or {}))
         self.declared[yni] = dict(neighbors)
-
-    def deregister(self, yni: Yni) -> None:
-        self.nodes.pop(yni, None)
-        self.declared.pop(yni, None)
-
-    def links(self) -> dict[frozenset, int]:
-        out: dict[frozenset, int] = {}
-        for a, decl in self.declared.items():
-            if a not in self.nodes:
-                continue
-            for b, lat_a in decl.items():
-                if b not in self.nodes or a >= b:
-                    continue
-                lat_b = self.declared.get(b, {}).get(a)
-                if lat_b is None:
-                    continue  # pending until the far end declares back
-                out[frozenset((a, b))] = min(lat_a, lat_b)
-        return out
-
-    def neighbors(self, yni: Yni) -> dict[Yni, int]:
-        out = {}
-        for pair, lat in self.links().items():
-            if yni in pair:
-                (other,) = pair - {yni}
-                out[other] = lat
-        return out
+        for other in self.adjacency.get(yni, ()):
+            del self.adjacency[other][yni]
+        links = self.adjacency[yni] = {}
+        for other, lat in neighbors.items():
+            lat_back = self.declared.get(other, {}).get(yni)
+            if other == yni or lat_back is None:
+                continue  # a self-mention, or pending until declared back
+            links[other] = self.adjacency[other][yni] = min(lat, lat_back)
 
     def edges(self) -> list[NodeInfo]:
         return [n for _, n in sorted(self.nodes.items()) if n.role == "edge"]
@@ -140,14 +124,6 @@ def compute_path(graph: TopologyGraph, source: Yni,
         if c not in graph.nodes:
             raise UnknownNode(f"unknown consumer edge {c}")
 
-    adjacency: dict[Yni, list[tuple[Yni, int]]] = {n: [] for n in graph.nodes}
-    for pair, lat in graph.links().items():
-        a, b = sorted(pair)
-        adjacency[a].append((b, lat))
-        adjacency[b].append((a, lat))
-    for lst in adjacency.values():
-        lst.sort()
-
     dist: dict[Yni, tuple[int, int]] = {source: (0, 0)}
     parent: dict[Yni, Yni] = {}
     done: set[Yni] = set()
@@ -157,7 +133,7 @@ def compute_path(graph: TopologyGraph, source: Yni,
         if node in done:
             continue
         done.add(node)
-        for nb, edge_lat in adjacency[node]:
+        for nb, edge_lat in sorted(graph.adjacency[node].items()):
             cand = (hops + 1, lat + edge_lat)
             best = dist.get(nb)
             if best is None or cand < best:
@@ -343,8 +319,7 @@ class Controller:
         self.transport = transport
         self.clock = clock
         self.flows: dict[tuple[int, int, str], FlowObject] = {}
-        self.hosts: dict[Yni, tuple[str, Yni]] = {}  # host -> (user, edge)
-        self._queue: deque = deque()
+        self.placed: dict[Yni, int] = {}  # edge -> hosts placed there
 
     # -- plumbing ------------------------------------------------------------
 
@@ -352,22 +327,18 @@ class Controller:
         self.trace.emit(self.clock(), CONTROLLER_NODE, event, *fields)
 
     def handle(self, payload: object) -> None:
-        """Entry point for simulator-delivered requests; drains the internal
-        queue so provisioning-half and flow-half hand-offs stay in-process."""
-        self._queue.append(payload)
-        while self._queue:
-            item = self._queue.popleft()
-            if isinstance(item, NodeRegistration):
-                self.register_infrastructure_node(
-                    item.yni, item.role, item.domain, dict(item.neighbors),
-                    dict(item.stats))
-            elif isinstance(item, JoinRequest):
-                self.handle_edge_join(item)
-            elif isinstance(item, RemoveRole):
-                self.remove_edge_role(item.valley_id, item.namespace_id,
-                                      item.community, item.edge, item.role)
-            else:
-                raise TypeError(f"controller cannot handle {type(item).__name__}")
+        """Entry point for simulator-delivered requests."""
+        if isinstance(payload, NodeRegistration):
+            self.register_infrastructure_node(
+                payload.yni, payload.role, payload.domain,
+                dict(payload.neighbors), dict(payload.stats))
+        elif isinstance(payload, JoinRequest):
+            self.handle_edge_join(payload)
+        elif isinstance(payload, RemoveRole):
+            self.remove_edge_role(payload.valley_id, payload.namespace_id,
+                                  payload.community, payload.edge, payload.role)
+        else:
+            raise TypeError(f"controller cannot handle {type(payload).__name__}")
 
     # -- topology half ---------------------------------------------------------
 
@@ -375,10 +346,6 @@ class Controller:
                                      neighbors: dict[Yni, int],
                                      stats: Optional[dict[str, float]] = None) -> None:
         self.graph.register(yni, role, domain, neighbors, stats)
-        self.reconcile_all()
-
-    def handle_node_lost(self, yni: Yni) -> None:
-        self.graph.deregister(yni)
         self.reconcile_all()
 
     def provision_host(self, host: Yni, user: str,
@@ -395,20 +362,18 @@ class Controller:
         edges = self.graph.edges()
         if not edges:
             raise NoEligibleEdge("no edges registered")
-        placed: dict[Yni, int] = {}
-        for _, (_, e) in sorted(self.hosts.items()):
-            placed[e] = placed.get(e, 0) + 1
 
         def score(info: NodeInfo):
             est = self._domain_distance(info.yni, prefs.preferred_domain)
             meets = ((prefs.preferred_domain is None
                       or info.domain == prefs.preferred_domain)
                      and (prefs.max_latency is None or est <= prefs.max_latency))
-            remaining = info.stats.get("compute", 0.0) - placed.get(info.yni, 0)
+            remaining = (info.stats.get("compute", 0.0)
+                         - self.placed.get(info.yni, 0))
             return (0 if meets else 1, est, -remaining, info.yni)
 
         best = min(edges, key=score)
-        self.hosts[host] = (user, best.yni)
+        self.placed[best.yni] = self.placed.get(best.yni, 0) + 1
         self._emit("PROVISION", ("host", host), ("user", user), ("edge", best.yni))
         return best.yni
 
@@ -416,12 +381,6 @@ class Controller:
         """Shortest-path latency from a node to the nearest node of a domain."""
         if domain is None or self.graph.nodes[start].domain == domain:
             return 0
-        links = self.graph.links()
-        adjacency: dict[Yni, list[tuple[Yni, int]]] = {}
-        for pair, lat in links.items():
-            a, b = sorted(pair)
-            adjacency.setdefault(a, []).append((b, lat))
-            adjacency.setdefault(b, []).append((a, lat))
         dist = {start: 0}
         heap = [(0, start.to_bytes(), start)]
         while heap:
@@ -430,7 +389,7 @@ class Controller:
                 continue
             if self.graph.nodes[node].domain == domain:
                 return d
-            for nb, lat in sorted(adjacency.get(node, [])):
+            for nb, lat in sorted(self.graph.adjacency[node].items()):
                 nd = d + lat
                 if nd < dist.get(nb, float("inf")):
                     dist[nb] = nd

@@ -83,7 +83,10 @@ class TestRun:
         trace = out.read_text()
         assert trace.splitlines()[0].startswith("t=0 n=controller ev=PROVISION")
         assert " ev=DELIVER " in trace
-        report = json.loads(rep.read_text())
+        report_text = rep.read_text()
+        assert report_text.endswith("}\n")
+        assert not report_text.endswith("\n\n")
+        report = json.loads(report_text)
         assert report["deliveries"] == {"h2": 1}
         assert report["conservation"]["ok"] is True
 

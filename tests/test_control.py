@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yodel.codec import MessageKind, decode
 from yodel.control import (
@@ -50,35 +52,60 @@ class TestTopologyGraph:
     def test_link_needs_both_declarations(self):
         g = TopologyGraph()
         g.register(E1, "edge", "d1", {E2: 3})
-        assert g.links() == {}
+        assert g.adjacency[E1] == {}
         g.register(E2, "edge", "d1", {E1: 5})
-        assert g.links() == {frozenset((E1, E2)): 3}
+        assert g.adjacency == {E1: {E2: 3}, E2: {E1: 3}}
 
     def test_latency_is_min_of_declared(self):
         g = TopologyGraph()
         g.register(E1, "edge", "d1", {E2: 9})
         g.register(E2, "edge", "d1", {E1: 2})
-        assert g.links()[frozenset((E1, E2))] == 2
+        assert g.adjacency[E1][E2] == g.adjacency[E2][E1] == 2
 
     def test_reregistration_replaces_declarations(self):
         g = TopologyGraph()
         g.register(E1, "edge", "d1", {E2: 1})
         g.register(E2, "edge", "d1", {E1: 1})
         g.register(E1, "edge", "d1", {})  # dropped its neighbor
-        assert g.links() == {}
+        assert g.adjacency == {E1: {}, E2: {}}
 
     def test_unregistered_endpoint_stays_pending(self):
         g = TopologyGraph()
         g.register(E1, "edge", "d1", {E3: 1})
-        assert g.links() == {}
-        assert g.neighbors(E1) == {}
+        assert g.adjacency == {E1: {}}
 
-    def test_deregister_removes_links(self):
+    def test_far_side_withdrawal_removes_links(self):
         g = TopologyGraph()
         g.register(E1, "edge", "d1", {E2: 1})
         g.register(E2, "edge", "d1", {E1: 1})
-        g.deregister(E2)
-        assert g.links() == {}
+        g.register(E2, "edge", "d1", {})  # the far end drops the link
+        assert g.adjacency[E1] == {}
+        assert g.adjacency[E2] == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(0, 5),
+        st.dictionaries(st.integers(0, 7), st.integers(1, 9), max_size=5)),
+        max_size=20))
+    def test_adjacency_matches_link_rule(self, calls):
+        """Nodes 6 and 7 never register; node n may name itself."""
+        g = TopologyGraph()
+        for n, decl in calls:
+            g.register(nid(n), "edge", "d1",
+                       {nid(m): lat for m, lat in decl.items()})
+            assert g.adjacency == confirmed_links(g.declared)
+
+
+def confirmed_links(declared):
+    """Reference rule: a link between two registered nodes that declare each
+    other, at the smaller declared latency; nobody links to itself."""
+    out = {a: {} for a in declared}
+    for a, decl in declared.items():
+        for b, lat_a in decl.items():
+            lat_b = declared.get(b, {}).get(a)
+            if b != a and lat_b is not None:
+                out[a][b] = min(lat_a, lat_b)
+    return out
 
 
 class TestComputePath:
