@@ -82,19 +82,30 @@ class MessageKind(IntEnum):
 
 @dataclass(frozen=True)
 class PathTree:
-    """Delivery tree node; serialized preorder, children in stored order."""
+    """Delivery tree node; serialized preorder, children in stored order.
+
+    `members` is the set of node ids in this subtree, built from the
+    children's sets, so checking a new node for repeats costs one union.
+    """
 
     yni: Yni
     children: tuple["PathTree", ...] = ()
+    members: frozenset[Yni] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.children) > 255:
             raise InvariantViolation("path-tree fan-out above 255")
-        seen = set()
-        for node in self.walk():
-            if node.yni in seen:
-                raise InvariantViolation(f"repeated node in path tree: {node.yni}")
-            seen.add(node.yni)
+        members = frozenset((self.yni,)).union(
+            *(child.members for child in self.children))
+        if len(members) != 1 + sum(len(c.members) for c in self.children):
+            # a repeat; walk in preorder to name its second occurrence
+            seen = set()
+            for node in self.walk():
+                if node.yni in seen:
+                    raise InvariantViolation(
+                        f"repeated node in path tree: {node.yni}")
+                seen.add(node.yni)
+        object.__setattr__(self, "members", members)
 
     def walk(self) -> Iterator["PathTree"]:
         """Preorder traversal."""
@@ -111,7 +122,7 @@ class PathTree:
         return out
 
     def size(self) -> int:
-        return sum(1 for _ in self.walk())
+        return len(self.members)
 
     def serialize(self) -> bytes:
         parts = []

@@ -81,18 +81,29 @@ class TopologyGraph:
     Earlier one-sided mentions stay pending until the far end confirms.
     `adjacency` holds every confirmed link from both ends; `register` keeps
     it current.
+
+    Two results that depend only on the nodes and `adjacency` are cached:
+    the shortest-path tree from each source (`shortest_paths`) and the
+    distance of every node to each domain (`domain_distances`). `register`
+    drops both caches when the registering node is new, changes role or
+    domain, or ends with a different adjacency row. Links are symmetric,
+    so when that node's row is unchanged no other row changed either.
     """
 
     def __init__(self):
         self.nodes: dict[Yni, NodeInfo] = {}
         self.declared: dict[Yni, dict[Yni, int]] = {}
         self.adjacency: dict[Yni, dict[Yni, int]] = {}
+        self._paths: dict[Yni, tuple[set[Yni], dict[Yni, Yni]]] = {}
+        self._domain_dist: dict[str, dict[Yni, int]] = {}
 
     def register(self, yni: Yni, role: str, domain: str,
                  neighbors: dict[Yni, int],
                  stats: Optional[dict[str, float]] = None) -> None:
         if role not in ("edge", "connector"):
             raise UnknownNode(f"bad infrastructure role {role!r}")
+        old = self.nodes.get(yni)
+        old_links = self.adjacency.get(yni)
         self.nodes[yni] = NodeInfo(yni, role, domain, dict(stats or {}))
         self.declared[yni] = dict(neighbors)
         for other in self.adjacency.get(yni, ()):
@@ -103,19 +114,76 @@ class TopologyGraph:
             if other == yni or lat_back is None:
                 continue  # a self-mention, or pending until declared back
             links[other] = self.adjacency[other][yni] = min(lat, lat_back)
+        if (old is None or old.role != role or old.domain != domain
+                or links != old_links):
+            self._paths.clear()
+            self._domain_dist.clear()
 
     def edges(self) -> list[NodeInfo]:
         return [n for _, n in sorted(self.nodes.items()) if n.role == "edge"]
+
+    def shortest_paths(self, source: Yni) -> tuple[set[Yni], dict[Yni, Yni]]:
+        """(reached, parent) of the shortest-path tree from a source node.
+
+        Cost is (hop count, total latency); remaining ties collapse onto the
+        parent with the lowest node id. The result is cached; callers must
+        not modify it.
+        """
+        cached = self._paths.get(source)
+        if cached is not None:
+            return cached
+        dist: dict[Yni, tuple[int, int]] = {source: (0, 0)}
+        parent: dict[Yni, Yni] = {}
+        done: set[Yni] = set()
+        heap = [(0, 0, source.to_bytes(), source)]
+        while heap:
+            hops, lat, _, node = heapq.heappop(heap)
+            if node in done:
+                continue
+            done.add(node)
+            for nb, edge_lat in sorted(self.adjacency[node].items()):
+                cand = (hops + 1, lat + edge_lat)
+                best = dist.get(nb)
+                if best is None or cand < best:
+                    dist[nb] = cand
+                    parent[nb] = node
+                    heapq.heappush(heap, (cand[0], cand[1], nb.to_bytes(), nb))
+                elif cand == best and node < parent[nb]:
+                    parent[nb] = node
+        cached = self._paths[source] = (done, parent)
+        return cached
+
+    def domain_distances(self, domain: str) -> dict[Yni, int]:
+        """Shortest-path latency from every reachable node to the nearest
+        node of a domain: 0 inside it, absent when cut off. Cached like
+        `shortest_paths`; callers must not modify the result."""
+        cached = self._domain_dist.get(domain)
+        if cached is not None:
+            return cached
+        dist = {y: 0 for y, info in self.nodes.items() if info.domain == domain}
+        heap = [(0, y) for y in dist]
+        heapq.heapify(heap)
+        while heap:
+            d, node = heapq.heappop(heap)
+            if d > dist[node]:
+                continue
+            for nb, lat in self.adjacency[node].items():
+                nd = d + lat
+                if nb not in dist or nd < dist[nb]:
+                    dist[nb] = nd
+                    heapq.heappush(heap, (nd, nb))
+        self._domain_dist[domain] = dist
+        return dist
 
 
 def compute_path(graph: TopologyGraph, source: Yni,
                  consumers: Iterable[Yni]) -> PathTree:
     """Union of shortest paths from the source edge to every consumer edge.
 
-    Cost is (hop count, total latency); remaining ties collapse onto the
-    parent with the lowest node id, so the result is a function of the graph
-    alone, not of registration order. Children are stored in id order.
-    Raises UnreachableConsumer listing every cut-off edge.
+    Paths come from `graph.shortest_paths(source)`, so the result is a
+    function of the graph alone, not of registration order. Children are
+    stored in id order. Raises UnreachableConsumer listing every cut-off
+    edge.
     """
     targets = sorted(set(consumers) - {source})
     if source not in graph.nodes:
@@ -124,33 +192,15 @@ def compute_path(graph: TopologyGraph, source: Yni,
         if c not in graph.nodes:
             raise UnknownNode(f"unknown consumer edge {c}")
 
-    dist: dict[Yni, tuple[int, int]] = {source: (0, 0)}
-    parent: dict[Yni, Yni] = {}
-    done: set[Yni] = set()
-    heap = [(0, 0, source.to_bytes(), source)]
-    while heap:
-        hops, lat, _, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        done.add(node)
-        for nb, edge_lat in sorted(graph.adjacency[node].items()):
-            cand = (hops + 1, lat + edge_lat)
-            best = dist.get(nb)
-            if best is None or cand < best:
-                dist[nb] = cand
-                parent[nb] = node
-                heapq.heappush(heap, (cand[0], cand[1], nb.to_bytes(), nb))
-            elif cand == best and node < parent[nb]:
-                parent[nb] = node
-
-    missing = [c for c in targets if c not in done]
+    reached, parent = graph.shortest_paths(source)
+    missing = [c for c in targets if c not in reached]
     if missing:
         raise UnreachableConsumer(source, missing)
 
     needed: set[Yni] = {source}
     for c in targets:
         node = c
-        while node != source:
+        while node not in needed:
             needed.add(node)
             node = parent[node]
     children: dict[Yni, list[Yni]] = {n: [] for n in needed}
@@ -379,22 +429,9 @@ class Controller:
 
     def _domain_distance(self, start: Yni, domain: Optional[str]) -> float:
         """Shortest-path latency from a node to the nearest node of a domain."""
-        if domain is None or self.graph.nodes[start].domain == domain:
+        if domain is None:
             return 0
-        dist = {start: 0}
-        heap = [(0, start.to_bytes(), start)]
-        while heap:
-            d, _, node = heapq.heappop(heap)
-            if d > dist.get(node, float("inf")):
-                continue
-            if self.graph.nodes[node].domain == domain:
-                return d
-            for nb, lat in sorted(self.graph.adjacency[node].items()):
-                nd = d + lat
-                if nd < dist.get(nb, float("inf")):
-                    dist[nb] = nd
-                    heapq.heappush(heap, (nd, nb.to_bytes(), nb))
-        return float("inf")
+        return self.graph.domain_distances(domain).get(start, float("inf"))
 
     # -- flow half -------------------------------------------------------------
 

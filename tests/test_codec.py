@@ -174,6 +174,22 @@ def test_tree_construction_rejects_repeats_and_overflow():
         PathTree(A, kids)
 
 
+def test_tree_repeat_below_a_child_names_the_node():
+    with pytest.raises(InvariantViolation, match=f"repeated node in path tree: {A}$"):
+        PathTree(A, (PathTree(B, (PathTree(A),)),))
+    with pytest.raises(InvariantViolation, match=f"repeated node in path tree: {E}$"):
+        PathTree(A, (PathTree(B, (PathTree(E),)), PathTree(C, (PathTree(E),))))
+
+
+def test_decoded_tree_repeating_its_root_is_malformed():
+    # the grandchild repeats the root: A -> B -> A
+    tree = (A.to_bytes() + b"\x01" + B.to_bytes() + b"\x01"
+            + A.to_bytes() + b"\x00")
+    floating = bytes([0x06]) + len(tree).to_bytes(2, "big") + tree
+    with pytest.raises(MalformedFloating, match=f"repeated node in path tree: {A}$"):
+        decode(_with_floating(MessageKind.DATA_YSYNC, floating.hex()))
+
+
 def test_tree_serialization_round_trip():
     tree = PathTree(A, (PathTree(B, (PathTree(E),)), PathTree(C)))
     assert PathTree.deserialize(tree.serialize()) == tree
@@ -274,6 +290,13 @@ def test_mutated_encodings_never_crash_decoder(msg, data):
     except CodecError:
         return
     assert encode(again) == bytes(raw)
+
+
+@given(path_trees())
+@settings(max_examples=200, deadline=None)
+def test_tree_size_counts_every_node(tree):
+    assert tree.size() == sum(1 for _ in tree.walk())
+    assert tree.members == {node.yni for node in tree.walk()}
 
 
 @given(path_trees())

@@ -85,15 +85,39 @@ class TestTopologyGraph:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(
         st.integers(0, 5),
+        st.sampled_from(["d1", "d2"]),
         st.dictionaries(st.integers(0, 7), st.integers(1, 9), max_size=5)),
         max_size=20))
     def test_adjacency_matches_link_rule(self, calls):
-        """Nodes 6 and 7 never register; node n may name itself."""
-        g = TopologyGraph()
-        for n, decl in calls:
-            g.register(nid(n), "edge", "d1",
+        """Nodes 6 and 7 never register; node n may name itself.
+
+        After every registration, paths and domain distances from every
+        node match a graph registered afresh from the same declarations,
+        so no cached result outlives the topology it came from."""
+        ctrl, *_ = build_controller()
+        g = ctrl.graph
+        for n, domain, decl in calls:
+            g.register(nid(n), "edge", domain,
                        {nid(m): lat for m, lat in decl.items()})
             assert g.adjacency == confirmed_links(g.declared)
+            fresh, *_ = build_controller()
+            for y, declared in g.declared.items():
+                fresh.graph.register(y, "edge", g.nodes[y].domain, declared)
+            for y in g.nodes:
+                assert paths_from(g, y) == paths_from(fresh.graph, y)
+                for d in (None, "d1", "d2"):
+                    assert ctrl._domain_distance(y, d) \
+                        == fresh._domain_distance(y, d)
+
+
+def paths_from(graph, source):
+    """The tree to every registered node, cut-off nodes left out, plus the
+    cut-off list, as the controller's partial-tree fallback computes them."""
+    try:
+        return compute_path(graph, source, graph.nodes), ()
+    except UnreachableConsumer as exc:
+        rest = set(graph.nodes) - set(exc.cut_off)
+        return compute_path(graph, source, rest), exc.cut_off
 
 
 def confirmed_links(declared):

@@ -25,6 +25,7 @@ PAIRS = [
     ("failover.topo", "failover.scen"),
     ("twin.topo", "twin.scen"),
     ("split.topo", "split.scen"),
+    ("flap.topo", "flap.scen"),
 ]
 SEEDS = (0, 7)
 
