@@ -31,6 +31,7 @@ from .services import (
     ServiceModel,
     balance_consumers,
     next_producer_edge,
+    role_rows,
     roles_for_join,
 )
 from .trace import CONTROLLER_NODE, Metrics, Trace
@@ -135,9 +136,9 @@ class TopologyGraph:
         dist: dict[Yni, tuple[int, int]] = {source: (0, 0)}
         parent: dict[Yni, Yni] = {}
         done: set[Yni] = set()
-        heap = [(0, 0, source.to_bytes(), source)]
+        heap = [(0, 0, source)]
         while heap:
-            hops, lat, _, node = heapq.heappop(heap)
+            hops, lat, node = heapq.heappop(heap)
             if node in done:
                 continue
             done.add(node)
@@ -147,7 +148,7 @@ class TopologyGraph:
                 if best is None or cand < best:
                     dist[nb] = cand
                     parent[nb] = node
-                    heapq.heappush(heap, (cand[0], cand[1], nb.to_bytes(), nb))
+                    heapq.heappush(heap, (cand[0], cand[1], nb))
                 elif cand == best and node < parent[nb]:
                     parent[nb] = node
         cached = self._paths[source] = (done, parent)
@@ -600,8 +601,7 @@ class Controller:
     def remove_edge_role(self, valley_id: int, namespace_id: int,
                          community: str, edge: Yni, role: str) -> None:
         flow = self.flow(valley_id, namespace_id, community)
-        roles = ("producer", "consumer") if role == "member" else (role,)
-        for r in roles:
+        for r in role_rows(role):
             if r == "consumer":
                 self._remove_consumer_edge(flow, edge)
             else:

@@ -34,6 +34,7 @@ from .services import (
     anycast_filter,
     check_self_lock_allowed,
     next_local_producer,
+    role_rows,
     roles_for_join,
 )
 from .trace import Metrics, Trace
@@ -182,18 +183,21 @@ def _mode_from_q(randomized: bool, q: int) -> AnycastMode:
 # forwarding strategies
 
 
-@dataclass
+@dataclass(eq=False)
 class Strategy:
     kind: str                 # "unicast" | "local-multicast"
     covers: frozenset[Yni]
     underlay: str             # opaque underlay address token
     latency: int
-    available: bool = True
-    uses: int = 0
+    sorted_covers: tuple[Yni, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.sorted_covers = tuple(sorted(self.covers))
 
 
 class AcTable:
-    """Per-node neighbor table: which strategies can reach which neighbors."""
+    """Per-node neighbor table: which strategies can reach which neighbors.
+    A neighbor is routable exactly when it has a row."""
 
     def __init__(self):
         self.rows: dict[Yni, list[Strategy]] = {}
@@ -210,45 +214,32 @@ class AcTable:
         for m in covered:
             self.rows.setdefault(m, []).append(s)
 
-    def neighbors(self) -> set[Yni]:
-        return set(self.rows)
-
-    def split_coverable(self, required: Iterable[Yni]) -> tuple[set[Yni], set[Yni]]:
-        cov, uncov = set(), set()
-        for r in required:
-            strategies = self.rows.get(r, [])
-            (cov if any(s.available for s in strategies) else uncov).add(r)
-        return cov, uncov
-
     def plan(self, required: Iterable[Yni]) -> list[tuple[Strategy, frozenset[Yni]]]:
         """Greedy minimum-transmission cover of the required neighbor set.
 
-        Pick the available strategy covering the most uncovered neighbors;
-        ties go to the lower latency stat, then the lowest first-covered id.
-        Covered subsets are disjoint. Raises UncoverableNeighbor when some
-        required neighbor has no available strategy at all.
+        Pick the strategy covering the most uncovered neighbors; ties go to
+        the lower latency stat, then the lowest first-covered id, then kind,
+        then the sorted covered ids; strategies equal on all of these keep
+        their table order. Covered subsets are disjoint. Raises
+        UncoverableNeighbor when some required neighbor has no row.
         """
         uncovered = set(required)
-        _, uncoverable = self.split_coverable(uncovered)
-        if uncoverable:
-            raise UncoverableNeighbor(sorted(uncoverable))
+        missing = uncovered.difference(self.rows)
+        if missing:
+            raise UncoverableNeighbor(sorted(missing))
+        candidates = dict.fromkeys(
+            s for y in sorted(uncovered) for s in self.rows[y])
         plan: list[tuple[Strategy, frozenset[Yni]]] = []
         while uncovered:
-            candidates = []
-            seen: set[int] = set()
-            for neighbor in sorted(uncovered):
-                for s in self.rows[neighbor]:
-                    if not s.available or id(s) in seen:
-                        continue
-                    seen.add(id(s))
-                    gain = s.covers & uncovered
-                    candidates.append(
-                        ((-len(gain), s.latency, min(gain).to_bytes(), s.kind,
-                          tuple(sorted(y.to_bytes() for y in s.covers))),
-                         s, frozenset(gain)))
-            candidates.sort(key=lambda c: c[0])
-            _, strategy, gain = candidates[0]
-            strategy.uses += 1
+            best = None
+            for s in candidates:
+                gain = s.covers & uncovered
+                if gain:
+                    key = (-len(gain), s.latency, min(gain), s.kind,
+                           s.sorted_covers)
+                    if best is None or key < best[0]:
+                        best = key, s, gain
+            _, strategy, gain = best
             plan.append((strategy, gain))
             uncovered -= gain
         return plan
@@ -295,17 +286,18 @@ class Node:
     def strategic_send(self, pairs: list[tuple[Yni, YodelMessage]]) -> None:
         """Send one message per child using the fewest transmissions the
         strategy table allows; children with no route are dropped."""
-        if not pairs:
-            return
-        coverable, uncoverable = self.act.split_coverable(y for y, _ in pairs)
-        for child in sorted(uncoverable):
+        routed, unrouted = [], set()
+        for y, m in pairs:
+            if y in self.act.rows:
+                routed.append((y, m))
+            else:
+                unrouted.add(y)
+        for child in sorted(unrouted):
             self.drop("no_route", ("to", child))
-        pairs = [(y, m) for y, m in pairs if y in coverable]
-        if not pairs:
+        if not routed:
             return
-        plan = self.act.plan(y for y, _ in pairs)
-        for strategy, covered in plan:
-            batch = [(y, m) for y, m in pairs if y in covered]
+        for strategy, covered in self.act.plan(y for y, _ in routed):
+            batch = [(y, m) for y, m in routed if y in covered]
             self.env.transmit(self, batch,
                               mcast=strategy.kind == "local-multicast")
 
@@ -376,10 +368,8 @@ class HostNode(Node):
     def withdraw(self, valley_id: int, namespace_id: int, community: str,
                  role: str, app_id: int) -> None:
         key = (valley_id, community, app_id)
-        tables = {"producer": (self.prt,), "consumer": (self.crt,),
-                  "member": (self.prt, self.crt)}[role]
-        for table in tables:
-            table.pop(key, None)
+        for r in role_rows(role):
+            (self.prt if r == "producer" else self.crt).pop(key, None)
         self._to_edge(op_withdraw(role, community), valley_id=valley_id,
                       namespace_id=namespace_id, app_id=app_id)
 
@@ -537,9 +527,7 @@ class HostNode(Node):
         ttl = self._pending_ttl.pop(
             (f.valley_id, op["community"], op["role"], f.application_id), None)
         timer = None if ttl is None else self.env.now() + ttl
-        roles = {"producer": ("producer",), "consumer": ("consumer",),
-                 "member": ("producer", "consumer")}[op["role"]]
-        for r in roles:
+        for r in role_rows(op["role"]):
             table = self.prt if r == "producer" else self.crt
             key = (f.valley_id, op["community"], f.application_id)
             existing = table.get(key)
@@ -631,9 +619,8 @@ class EdgeNode(Node):
 
     # -- wiring ---------------------------------------------------------------
 
-    def attach_host(self, host_yni: Yni, latency: int, label: str) -> None:
+    def attach_host(self, host_yni: Yni) -> None:
         self.attached.add(host_yni)
-        self.act.add_neighbor(host_yni, latency, f"uni:{label}")
         if self.twin is not None:
             self.twin.host_connected(host_yni)
 
@@ -824,8 +811,7 @@ class EdgeNode(Node):
         row = None if fib is None else fib.rows.get((namespace_id, community))
         if row is None:
             return
-        roles = {"producer": ("producer",), "consumer": ("consumer",),
-                 "member": ("producer", "consumer")}[role]
+        roles = role_rows(role)
         if "consumer" in roles:
             row.consumer_apps.discard((host, app_id))
         if "producer" in roles:
@@ -994,8 +980,6 @@ class EdgeNode(Node):
         self.strategic_send(pop_path_root(carrier, self.yni))
 
     def _send_to_host(self, host: Yni, msg: YodelMessage) -> None:
-        if host not in self.act.rows:
-            self.act.add_neighbor(host, 1, f"uni:{host}")
         self.env.transmit(self, [(host, msg)])
 
     # -- twin hooks ------------------------------------------------------------

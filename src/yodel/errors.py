@@ -25,7 +25,6 @@ __all__ = [
     "UnknownValley",
     "UnknownNamespace",
     "UnknownCommunity",
-    "AuthFailed",
     "ControlError",
     "UnknownNode",
     "NoEligibleEdge",
@@ -109,10 +108,6 @@ class UnknownCommunity(ModelError):
     pass
 
 
-class AuthFailed(ModelError):
-    """Credential check failed during provisioning."""
-
-
 class ControlError(YodelError):
     """Base class for controller-side failures."""
 
@@ -156,11 +151,11 @@ class DataplaneError(YodelError):
 
 
 class UncoverableNeighbor(DataplaneError):
-    """Strategy selection found a required neighbor with no usable strategy."""
+    """Strategy selection found a required neighbor with no strategy row."""
 
     def __init__(self, neighbors):
         self.neighbors = tuple(neighbors)
-        super().__init__("no available strategy covers: "
+        super().__init__("no strategy covers: "
                          + ", ".join(str(y) for y in self.neighbors))
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "next_producer_edge",
     "balance_consumers",
     "anycast_filter",
+    "role_rows",
     "roles_for_join",
     "check_self_lock_allowed",
 ]
@@ -189,6 +190,12 @@ def anycast_filter(stage: str, candidates: Sequence[_T], mode: AnycastMode,
     return [c for c in candidates if rng.random() < mode.p_deliver]
 
 
+def role_rows(role: str) -> tuple[str, ...]:
+    """The table rows a role names: 'member' is producer then consumer.
+    No model check; joins go through roles_for_join."""
+    return ("producer", "consumer") if role == "member" else (role,)
+
+
 def roles_for_join(model: ServiceModel, role: str) -> frozenset[str]:
     """Map a requested role onto the table rows it registers.
 
@@ -198,10 +205,9 @@ def roles_for_join(model: ServiceModel, role: str) -> frozenset[str]:
     if model is ServiceModel.MMM:
         if role != "member":
             raise InvalidRole(f"{model.value} admits members only, not {role!r}")
-        return frozenset(("producer", "consumer"))
-    if role not in ("producer", "consumer"):
+    elif role not in ("producer", "consumer"):
         raise InvalidRole(f"{model.value} admits producer/consumer, not {role!r}")
-    return frozenset((role,))
+    return frozenset(role_rows(role))
 
 
 def check_self_lock_allowed(model: ServiceModel) -> None:

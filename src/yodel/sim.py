@@ -251,7 +251,7 @@ class Simulation:
             self._links[key] = cfg.host_link_latency
             self._up.add(key)
             host.attach(edge.yni, edge.domain)
-            edge.attach_host(yni, cfg.host_link_latency, spec.name)
+            edge.attach_host(yni)
         if self.edges and cfg.twin_period <= cfg.until:
             self.schedule(cfg.twin_period, self._sweep_twins)
         for cmd in self.scen.commands:

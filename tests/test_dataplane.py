@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yodel.codec import FloatingHeader, MessageKind, PathTree, YodelMessage
 from yodel.control import (
@@ -229,29 +231,91 @@ class TestAcTable:
             t.plan([H1, H2])
         assert e.value.neighbors == (H2,)
 
-    def test_unavailable_strategy_skipped(self):
+    def test_group_strategy_shared_by_member_rows(self):
         t = AcTable()
-        t.add_neighbor(H1, 1, "u")
-        t.rows[H1][0].available = False
-        cov, uncov = t.split_coverable([H1])
-        assert cov == set() and uncov == {H1}
-
-    def test_shared_group_uses_counter(self):
-        t = AcTable()
-        t.add_neighbor(H1, 1, "u")
-        t.add_neighbor(H2, 1, "u")
-        t.add_group([H1, H2], 1, "g")
-        t.plan([H1, H2])
-        t.plan([H1, H2])
-        group = [s for s in t.rows[H1] if s.kind == "local-multicast"][0]
-        assert group.uses == 2
-        assert group is [s for s in t.rows[H2]
-                         if s.kind == "local-multicast"][0]
+        for y in (H1, H2, H3):
+            t.add_neighbor(y, 1, "u")
+        t.add_group([H1, H2, H3], 1, "g")
+        (group,) = [s for s in t.rows[H1] if s.kind == "local-multicast"]
+        for y in (H2, H3):
+            assert [s for s in t.rows[y] if s.kind == "local-multicast"] \
+                == [group]
+        assert t.plan([H1, H2, H3]) == [(group, frozenset((H1, H2, H3)))]
 
     def test_group_needs_two_members(self):
         t = AcTable()
         with pytest.raises(ValueError):
             t.add_group([H1], 1, "g")
+
+
+def reference_plan(table: AcTable, required) -> list:
+    """The greedy cover as first written: every round re-collects the
+    candidates over the sorted uncovered ids, keys them by 10-byte strings
+    and sorts the whole list."""
+    uncovered = set(required)
+    missing = sorted(y for y in uncovered if y not in table.rows)
+    if missing:
+        raise UncoverableNeighbor(missing)
+    plan = []
+    while uncovered:
+        candidates = []
+        seen: set[int] = set()
+        for neighbor in sorted(uncovered):
+            for s in table.rows[neighbor]:
+                if id(s) in seen:
+                    continue
+                seen.add(id(s))
+                gain = s.covers & uncovered
+                candidates.append(
+                    ((-len(gain), s.latency, min(gain).to_bytes(), s.kind,
+                      tuple(sorted(y.to_bytes() for y in s.covers))),
+                     s, frozenset(gain)))
+        candidates.sort(key=lambda c: c[0])
+        _, strategy, gain = candidates[0]
+        plan.append((strategy, gain))
+        uncovered -= gain
+    return plan
+
+
+# ids that differ in the MAC half, the time half, or both
+_PLAN_IDS = [Yni(bytes([0, 0, 0, 0, 0, m]), t)
+             for m in (1, 2, 0xF0) for t in (0, 7, 2**32 - 1)]
+
+
+@st.composite
+def strategy_tables(draw):
+    """Rows for an AcTable over 2-7 neighbors, in insertion order: one or
+    two unicast rows each (latency 1-3) and up to five possibly overlapping
+    groups of 2-4 members; plus the required ids to plan for."""
+    neighbors = draw(st.lists(st.sampled_from(_PLAN_IDS), min_size=2,
+                              max_size=7, unique=True))
+    latency = st.integers(1, 3)
+    rows = [("unicast", (y,), draw(latency)) for y in neighbors
+            for _ in range(draw(st.integers(1, 2)))]
+    groups = draw(st.lists(
+        st.tuples(st.lists(st.sampled_from(neighbors), min_size=2,
+                           max_size=4, unique=True), latency),
+        max_size=5))
+    rows += [("local-multicast", tuple(members), lat) for members, lat in groups]
+    required = draw(st.lists(st.sampled_from(neighbors), unique=True))
+    return draw(st.permutations(rows)), required
+
+
+@given(strategy_tables())
+@settings(max_examples=400, deadline=None)
+def test_plan_matches_reference(case):
+    rows, required = case
+    table = AcTable()
+    for i, (kind, members, latency) in enumerate(rows):
+        if kind == "unicast":
+            table.add_neighbor(members[0], latency, f"u{i}")
+        else:
+            table.add_group(members, latency, f"g{i}")
+    got = table.plan(required)
+    want = reference_plan(table, required)
+    assert len(got) == len(want)
+    for (s, gain), (ref_s, ref_gain) in zip(got, want):
+        assert s is ref_s and gain == ref_gain
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +538,8 @@ def joined_edge(env, *, model=ServiceModel.SSM, randomized=False, q=65535,
     h1 = make_host(env, H1, "h1")
     h2 = make_host(env, H2, "h2", user="bob")
     h2.attach(E1, "d1")
-    edge.attach_host(H1, 1, "h1")
-    edge.attach_host(H2, 1, "h2")
+    edge.attach_host(H1)
+    edge.attach_host(H2)
     role1 = "member" if model is ServiceModel.MMM else "producer"
     role2 = "member" if model is ServiceModel.MMM else "consumer"
     h1.request_join(1, 1, "room", role1, app_id=1)
@@ -495,7 +559,7 @@ class TestEdgeJoins:
         env = FakeEnv()
         edge = make_edge(env)
         host = make_host(env)
-        edge.attach_host(H1, 1, "h1")
+        edge.attach_host(H1)
         host.request_join(1, 1, "room", "producer", app_id=1)
         assert len(env.rpcs) == 1
         req = env.rpcs[0][1]
@@ -519,7 +583,7 @@ class TestEdgeJoins:
         before = len(env.rpcs)
         h3 = make_host(env, H3, "h3", user="cara")
         h3.attach(E1, "d1")
-        edge.attach_host(H3, 1, "h3")
+        edge.attach_host(H3)
         h3.request_join(1, 1, "room", "consumer", app_id=1)
         assert len(env.rpcs) == before
         assert (1, "room", 1) in h3.crt
@@ -530,7 +594,7 @@ class TestEdgeJoins:
         edge, h1, h2 = joined_edge(env)
         h3 = make_host(env, H3, "h3", user="cara")
         h3.attach(E1, "d1")
-        edge.attach_host(H3, 1, "h3")
+        edge.attach_host(H3)
         h3.request_join(1, 1, "room", "producer", app_id=1)
         row = edge.fibs[1].rows[(1, "room")]
         assert row.producer_apps[(H3, 1)] is True
@@ -541,8 +605,8 @@ class TestEdgeJoins:
         edge = make_edge(env)
         h1 = make_host(env, H1, "h1")
         h2 = make_host(env, H2, "h2", user="bob")
-        edge.attach_host(H1, 1, "h1")
-        edge.attach_host(H2, 1, "h2")
+        edge.attach_host(H1)
+        edge.attach_host(H2)
         h1.request_join(1, 1, "room", "consumer", app_id=1)
         h2.request_join(1, 1, "room", "consumer", app_id=1)
         assert len(env.rpcs) == 1
@@ -555,7 +619,7 @@ class TestEdgeJoins:
         env = FakeEnv()
         edge = make_edge(env)
         h1 = make_host(env, H1, "h1")
-        edge.attach_host(H1, 1, "h1")
+        edge.attach_host(H1)
         h1.request_join(1, 1, "room", "producer", app_id=1)
         edge.on_controller(JoinReply(1, 1, "room", "producer", H1, 1, 100,
                                      True, ServiceModel.SSM, False, 65535))
@@ -568,7 +632,7 @@ class TestEdgeJoins:
         env = FakeEnv()
         edge = make_edge(env)
         h1 = make_host(env, H1, "h1")
-        edge.attach_host(H1, 1, "h1")
+        edge.attach_host(H1)
         h1.request_join(1, 1, "room", "producer", app_id=1)
         edge.on_controller(JoinReply(1, 1, "room", "producer", H1, 1, 100,
                                      True, ServiceModel.SSM, False, 65535))
@@ -591,7 +655,7 @@ class TestEdgeJoins:
         edge, h1, h2 = joined_edge(env)
         h3 = make_host(env, H3, "h3", user="cara")
         h3.attach(E1, "d1")
-        edge.attach_host(H3, 1, "h3")
+        edge.attach_host(H3)
         h3.request_join(1, 1, "room", "producer", app_id=1)
         assert h3.prt[(1, "room", 1)].locked
         h1.withdraw(1, 1, "room", "producer", 1)
@@ -878,7 +942,7 @@ def twin_world(env, **cfg):
     edge.twin = TwinManager(edge, TwinConfig(**cfg),
                             attached=lambda y: y not in env.down,
                             label_for=lambda y: labels.get(y, str(y)))
-    edge.attach_host(H3, 1, "h3")
+    edge.attach_host(H3)
     h3.request_join(1, 1, "room", "consumer", app_id=1)
     edge.twin.host_connected(H1)
     edge.twin.host_connected(H2)

@@ -17,6 +17,7 @@ from yodel.services import (
     check_self_lock_allowed,
     next_local_producer,
     next_producer_edge,
+    role_rows,
     roles_for_join,
 )
 from yodel.ynid import Yni
@@ -170,6 +171,19 @@ def test_roles_for_join():
         roles_for_join(ServiceModel.MMM, "producer")
     with pytest.raises(InvalidRole):
         roles_for_join(ServiceModel.SSM, "member")
+
+
+def test_role_rows_expands_member_without_a_model_check():
+    assert role_rows("member") == ("producer", "consumer")
+    assert role_rows("producer") == ("producer",)
+    assert role_rows("consumer") == ("consumer",)
+    for model in ServiceModel:
+        for role in ("producer", "consumer", "member"):
+            try:
+                rows = roles_for_join(model, role)
+            except InvalidRole:
+                continue
+            assert rows == frozenset(role_rows(role))
 
 
 def test_self_lock_is_an_anycast_right():

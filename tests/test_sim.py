@@ -75,6 +75,14 @@ at 40 report
         assert sim.metrics.proto_errors == 0
         assert sim.metrics.conservation["ok"] is True
 
+    def test_strategy_tables_hold_no_hosts(self):
+        # an edge reaches its hosts over the access line, never through
+        # strategic forwarding
+        sim = run_text(TWO_DOMAINS, scen(body=self.BODY))
+        hosts = {h.yni for h in sim.hosts.values()}
+        for edge in sim.edges.values():
+            assert edge.attached and not hosts & edge.act.rows.keys()
+
     def test_transmissions_count_overlay_data_hops_only(self):
         # the payload crosses the overlay twice: e1>c1 inside d1, then the
         # domain boundary c1>e2. Host access lines and control chatter are
