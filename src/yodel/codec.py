@@ -23,7 +23,7 @@ a CodecError subclass, and a successful decode re-encodes to the same bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterator, Optional
 
@@ -336,13 +336,12 @@ def pop_path_root(msg: YodelMessage, self_yni: Yni) -> list[tuple[Yni, YodelMess
         raise RootMismatch(f"no path tree to pop at {self_yni}")
     if tree.yni != self_yni:
         raise RootMismatch(f"path root is {tree.yni}, not {self_yni}")
-    out = []
-    for child in tree.children:
-        forwarded = replace(
-            msg,
-            sender=self_yni,
-            receiver=child.yni,
-            floating=replace(msg.floating, path_tree=child),
-        )
-        out.append((child.yni, forwarded))
-    return out
+    # constructors, not dataclasses.replace: this runs for every branch at
+    # every hop, and replace walks the field list on each call
+    kind, f, payload = msg.kind, msg.floating, msg.payload
+    return [(child.yni, YodelMessage(
+                kind, self_yni, child.yni,
+                FloatingHeader(f.valley_id, f.channel_id, f.namespace_id,
+                               f.application_id, f.metadata, child),
+                payload))
+            for child in tree.children]

@@ -40,15 +40,8 @@ _CONFIG_KEYS = {
 }
 
 
-def _serial_field(msg: YodelMessage) -> tuple[tuple[str, int], ...]:
-    """Serial of a data message as an extra trace field, when parseable."""
-    if msg.kind is MessageKind.CONTROL_YPP:
-        return ()
-    try:
-        serial, _ = parse_data_metadata(msg.kind, msg.floating.metadata)
-    except YodelError:
-        return ()
-    return (("serial", serial),)
+# Enum.name is a Python-level property; SEND and RECV lines read a plain dict
+_KIND_NAMES = {kind: kind.name for kind in MessageKind}
 
 
 @dataclass
@@ -150,8 +143,17 @@ class Simulation:
             intra = src.domain == dst.domain
             self.metrics.transmission(src.domain, intra,
                                       (src.label, dst.label))
-        self.trace.emit(self._now, src.label, "SEND", ("to", dst.label),
-                        ("k", msg.kind.name), *_serial_field(msg))
+        # the kind and, on parseable data, the serial: one tuple shared by
+        # this SEND line and the RECV line at the far end
+        kind = msg.kind
+        wire: tuple[tuple[str, object], ...] = (("k", _KIND_NAMES[kind]),)
+        if kind is not MessageKind.CONTROL_YPP:
+            try:
+                serial, _ = parse_data_metadata(kind, msg.floating.metadata)
+                wire += (("serial", serial),)
+            except YodelError:
+                pass
+        self.trace.emit(self._now, src.label, "SEND", ("to", dst.label), *wire)
         self.metrics.wire_sent(src.label, dst.label)
         key = frozenset((src.label, dst.label))
         if key not in self._up or src.label in self._crashed:
@@ -162,10 +164,11 @@ class Simulation:
             return
         latency = self._links[key]
         event = self.schedule(self._now + latency,
-                              lambda: self._arrive(src.label, dst, msg))
+                              lambda: self._arrive(src.label, dst, msg, wire))
         self._inflight[event] = (src.label, dst.label)
 
-    def _arrive(self, src_label: str, dst: Node, msg: YodelMessage) -> None:
+    def _arrive(self, src_label: str, dst: Node, msg: YodelMessage,
+                wire: tuple[tuple[str, object], ...]) -> None:
         self._inflight.pop(self._current_event, None)
         key = frozenset((src_label, dst.label))
         if key not in self._up or dst.label in self._crashed:
@@ -176,7 +179,7 @@ class Simulation:
             return
         self.metrics.wire_received(src_label, dst.label)
         self.trace.emit(self._now, dst.label, "RECV", ("from", src_label),
-                        ("k", msg.kind.name), *_serial_field(msg))
+                        *wire)
         dst.on_message(msg)
 
     def controller_rpc(self, src: Node, payload: object) -> None:

@@ -9,25 +9,25 @@ package-level guarantee, so nothing non-deterministic may reach emit().
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 __all__ = ["TraceRecord", "Trace", "Metrics", "CONTROLLER_NODE"]
 
 CONTROLLER_NODE = "controller"
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One trace event; a tuple, so building one per event stays cheap."""
+
     tick: int
     node: str
     event: str
     fields: tuple[tuple[str, str], ...] = ()
 
     def line(self) -> str:
-        parts = [f"t={self.tick}", f"n={self.node}", f"ev={self.event}"]
-        parts.extend(f"{k}={v}" for k, v in self.fields)
-        return " ".join(parts)
+        tick, node, event, fields = self
+        return " ".join([f"t={tick} n={node} ev={event}",
+                         *[f"{k}={v}" for k, v in fields]])
 
 
 class Trace:
@@ -36,7 +36,7 @@ class Trace:
 
     def emit(self, tick: int, node: str, event: str, *fields: tuple[str, object]) -> None:
         self.records.append(TraceRecord(
-            tick, node, event, tuple((k, str(v)) for k, v in fields)))
+            tick, node, event, tuple([(k, str(v)) for k, v in fields])))
 
     def lines(self) -> list[str]:
         return [r.line() for r in self.records]

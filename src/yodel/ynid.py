@@ -4,13 +4,14 @@ Every endpoint and infrastructure node carries a 10-byte id: a 6-byte
 pseudo-MAC followed by 4 bytes of Unix seconds (big-endian). The time half
 keeps ids unique when MAC values collide across tenants. All tie-breaking
 anywhere in the package orders ids by their 10-byte lexicographic value,
-which the dataclass field order reproduces.
+which the dataclass field order reproduces. Ids are hashed on every table
+lookup along a message's path, so each one computes its hash once.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import MalformedYni
 
@@ -20,18 +21,24 @@ _MAC_LEN = 6
 _TIME_MAX = 2**32 - 1
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Yni:
     """10-byte node id: pseudo-MAC plus creation time in Unix seconds."""
 
     mac: bytes
     epoch_seconds: int
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.mac) != _MAC_LEN:
             raise MalformedYni(f"mac must be {_MAC_LEN} bytes, got {len(self.mac)}")
         if not 0 <= self.epoch_seconds <= _TIME_MAX:
             raise MalformedYni(f"epoch_seconds out of 32-bit range: {self.epoch_seconds}")
+        # the value the generated dataclass hash gave, so set order is kept
+        object.__setattr__(self, "_hash", hash((self.mac, self.epoch_seconds)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def to_bytes(self) -> bytes:
         return self.mac + self.epoch_seconds.to_bytes(4, "big")

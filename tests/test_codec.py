@@ -1,6 +1,7 @@
 """Wire formats: golden vectors, kind rules, tree pop, decode robustness."""
 
 import pathlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -314,3 +315,25 @@ def test_recursive_pop_visits_every_edge_once(tree):
 
     pump(base)
     assert visited == tree.edges()
+
+
+@given(path_trees(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_pop_children_equal_replaced_copies(tree, data):
+    kind = data.draw(st.sampled_from([MessageKind.CONTROL_YPP,
+                                      MessageKind.DATA_YSYNC,
+                                      MessageKind.ANYCAST_DATA_YSYNC]))
+    floating = FloatingHeader(
+        valley_id=data.draw(st.integers(0, 2**32 - 1)),
+        channel_id=data.draw(st.integers(0, 2**64 - 1)),
+        namespace_id=data.draw(st.integers(0, 2**32 - 1)),
+        application_id=data.draw(st.integers(0, 2**32 - 1)),
+        metadata=data.draw(st.binary(max_size=16)),
+        path_tree=tree)
+    msg = YodelMessage(kind, data.draw(ynis), tree.yni, floating,
+                       data.draw(st.binary(max_size=32)))
+    out = pop_path_root(msg, tree.yni)
+    assert [dest for dest, _ in out] == [c.yni for c in tree.children]
+    for child, (dest, fwd) in zip(tree.children, out):
+        assert fwd == replace(msg, sender=tree.yni, receiver=child.yni,
+                              floating=replace(msg.floating, path_tree=child))

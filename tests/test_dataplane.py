@@ -1023,6 +1023,33 @@ class TestTwin:
         assert [m.payload for m in rec.buffer] == [b"m2", b"m3"]
         assert env.metrics.buffer_dropped == 2
 
+    @pytest.mark.parametrize("buffer_max, dropped, peaks, flushed", [
+        (0, 4, {}, []),
+        (1, 3, {"h2": 1}, [b"m3"]),
+        (None, 0, {"h2": 4}, [b"m0", b"m1", b"m2", b"m3"]),
+    ])
+    def test_buffer_bound_counts_and_flushes_newest(self, buffer_max, dropped,
+                                                    peaks, flushed):
+        env = FakeEnv()
+        edge, h1, h2, h3 = twin_world(env, buffer_max=buffer_max)
+        detect(env, edge, H2)
+        for i in range(4):
+            h1.send_data(1, "room", 1, f"m{i}".encode())
+        # a channel change while away rekeys what is buffered, in order
+        edge.on_controller(ChannelIdUpdate(1, 100, 300))
+        assert env.metrics.buffered_total == 4
+        assert env.metrics.buffer_dropped == dropped
+        assert env.metrics.buffer_peaks == peaks
+        buffered = edge.twin.records[H2].buffer
+        assert [m.payload for m in buffered] == flushed
+        assert all(m.floating.channel_id == 300 for m in buffered)
+        env.down.discard(H2)
+        h2.begin_reconnect()
+        assert [p for _, p in h2.inboxes.get(1, [])] == flushed
+        assert env.trace.count("TWIN_FLUSH", host="h2",
+                               count=str(len(flushed))) == 1
+        assert not edge.twin.records[H2].buffer
+
     def test_producer_loss_fails_over_to_locked_local(self):
         env = FakeEnv()
         edge, h1, h2, h3 = twin_world(env)
@@ -1059,7 +1086,7 @@ class TestTwin:
         row = edge.fibs[1].rows[(1, "room")]
         assert (H2, 1) in row.consumer_apps
         rec = edge.twin.records[H2]
-        assert not rec.active and rec.buffer == []
+        assert not rec.active and not rec.buffer
 
     def test_corrections_precede_flush(self):
         env = FakeEnv()

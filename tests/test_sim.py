@@ -3,6 +3,7 @@
 from yodel.errors import ScenarioError
 from yodel.scenario import load_world
 from yodel.sim import SimConfig, Simulation
+from yodel.trace import Trace, TraceRecord
 
 import pytest
 
@@ -109,6 +110,47 @@ at 40 report
         sim = run_text(TWO_DOMAINS, scen(body=self.BODY))
         # h1>e1 (1) + e1>c1 (1) + c1>e2 (2) + e2>h2 (1) = 5 ticks
         assert sim.metrics.latency_hist == {5: 1}
+
+
+class TestTraceFormat:
+    def test_line_without_fields_has_no_trailing_space(self):
+        assert TraceRecord(3, "e1", "FAULT").line() == "t=3 n=e1 ev=FAULT"
+
+    def test_fields_print_in_emission_order(self):
+        trace = Trace()
+        trace.emit(7, "c1", "SEND", ("to", "e2"), ("k", "DATA_YSYNC"),
+                   ("serial", 12))
+        rec, = trace.records
+        assert rec.fields == (("to", "e2"), ("k", "DATA_YSYNC"),
+                              ("serial", "12"))
+        assert rec.line() == "t=7 n=c1 ev=SEND to=e2 k=DATA_YSYNC serial=12"
+        assert trace.text() == rec.line() + "\n"
+
+    def test_empty_trace_renders_empty_text(self):
+        assert Trace().text() == ""
+
+    def test_select_matches_the_node(self):
+        trace = Trace()
+        trace.emit(1, "c1", "SEND", ("to", "e2"))
+        trace.emit(1, "e2", "SEND", ("to", "c1"))
+        trace.emit(2, "c1", "SEND", ("to", "e1"))
+        assert [r.tick for r in trace.select("SEND", n="c1")] == [1, 2]
+        assert trace.select("SEND", n="c1", to="e1") == [trace.records[2]]
+        assert trace.count("SEND", n="e1") == 0
+
+    def test_records_are_read_only(self):
+        rec = TraceRecord(1, "e1", "SEND", (("to", "c1"),))
+        with pytest.raises(AttributeError):
+            rec.tick = 2
+
+    def test_recv_repeats_the_send_kind_and_serial(self):
+        sim = run_text(TWO_DOMAINS, scen(body=TestBasicWorld.BODY))
+        send, = sim.trace.select("SEND", n="c1", to="e2", k="DATA_YSYNC")
+        recv, = sim.trace.select("RECV", n="e2", k="DATA_YSYNC")
+        assert send.fields[1:] == recv.fields[1:]
+        assert [k for k, _ in recv.fields] == ["from", "k", "serial"]
+        control = sim.trace.select("SEND", k="CONTROL_YPP")
+        assert control and all(len(r.fields) == 2 for r in control)
 
 
 class TestDeterminism:

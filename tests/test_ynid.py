@@ -90,3 +90,43 @@ def test_text_round_trip_is_a_bijection(raw):
 def test_distinct_bytes_render_distinct_text(a, b):
     ya, yb = Yni.from_bytes(a), Yni.from_bytes(b)
     assert (render_yni(ya) == render_yni(yb)) == (a == b)
+
+
+@given(st.binary(min_size=10, max_size=10), st.binary(min_size=10, max_size=10))
+@settings(max_examples=300)
+def test_cached_hash_agrees_with_the_ten_bytes(a, b):
+    ya, yb = Yni.from_bytes(a), Yni.from_bytes(b)
+    ra, rb = ya.to_bytes(), yb.to_bytes()
+    assert (ra, rb) == (a, b)
+    assert (ya == yb) == (ra == rb)
+    assert (ya < yb) == (ra < rb)
+    assert (ya > yb) == (ra > rb)
+    if ra == rb:
+        assert hash(ya) == hash(yb)
+    # built apart, equal ids are one key
+    twin = Yni(a[:6], int.from_bytes(a[6:], "big"))
+    assert twin is not ya and twin == ya and hash(twin) == hash(ya)
+    table = {ya: "first"}
+    table[twin] = "second"
+    assert table == {Yni.from_bytes(a): "second"}
+
+
+@pytest.mark.parametrize("name", ["mac", "epoch_seconds", "_hash"])
+def test_fields_and_cached_hash_are_read_only(name):
+    y = Yni(MAC, 1)
+    with pytest.raises(AttributeError):
+        setattr(y, name, getattr(y, name))
+    assert y == Yni(MAC, 1) and hash(y) == hash(Yni(MAC, 1))
+
+
+@given(st.binary(max_size=12).filter(lambda m: len(m) != 6),
+       st.integers(-2**40, 2**40))
+@settings(max_examples=200)
+def test_validation_still_rejects_bad_parts(mac, epoch):
+    with pytest.raises(MalformedYni):
+        Yni(mac, 0)
+    if not 0 <= epoch <= 2**32 - 1:
+        with pytest.raises(MalformedYni):
+            Yni(MAC, epoch)
+    else:
+        assert Yni(MAC, epoch).to_bytes()[6:] == epoch.to_bytes(4, "big")
