@@ -12,7 +12,6 @@ are purged along with the host's registrations.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -38,7 +37,7 @@ class TwinRecord:
     missed: int = 0
     active: bool = False
     replica: bytes = b"{}"
-    buffer: deque[YodelMessage] = field(default_factory=deque)
+    buffer: list[YodelMessage] = field(default_factory=list)
 
 
 class TwinManager:
@@ -126,7 +125,7 @@ class TwinManager:
         rec.buffer.append(msg)
         if self.config.buffer_max is not None \
                 and len(rec.buffer) > self.config.buffer_max:
-            rec.buffer.popleft()
+            rec.buffer.pop(0)
             self.edge.env.metrics.buffer_dropped += 1
         self.edge.env.metrics.buffered(self.label_for(rec.host),
                                        len(rec.buffer))
@@ -166,7 +165,7 @@ class TwinManager:
         # replayed traffic lands, then the buffer in arrival order, then the
         # ack that reopens the host's own sending
         self.edge.resync_host(host)
-        flushed, rec.buffer = rec.buffer, deque()
+        flushed, rec.buffer = rec.buffer, []
         for msg in flushed:
             self.edge._send_to_host(host, replace(msg, receiver=host))
         if was_active:

@@ -1,7 +1,7 @@
 """Wire formats: golden vectors, kind rules, tree pop, decode robustness."""
 
 import pathlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -323,14 +323,20 @@ def test_pop_children_equal_replaced_copies(tree, data):
     kind = data.draw(st.sampled_from([MessageKind.CONTROL_YPP,
                                       MessageKind.DATA_YSYNC,
                                       MessageKind.ANYCAST_DATA_YSYNC]))
-    floating = FloatingHeader(
+    header = dict(
         valley_id=data.draw(st.integers(0, 2**32 - 1)),
         channel_id=data.draw(st.integers(0, 2**64 - 1)),
         namespace_id=data.draw(st.integers(0, 2**32 - 1)),
         application_id=data.draw(st.integers(0, 2**32 - 1)),
         metadata=data.draw(st.binary(max_size=16)),
         path_tree=tree)
-    msg = YodelMessage(kind, data.draw(ynis), tree.yni, floating,
+    # pop_path_root passes these fields by position: a new or reordered
+    # field must be set here, and copied there
+    assert tuple(header) == tuple(f.name for f in fields(FloatingHeader))
+    assert [f.name for f in fields(YodelMessage)] == [
+        "kind", "sender", "receiver", "floating", "payload"]
+    msg = YodelMessage(kind, data.draw(ynis), tree.yni,
+                       FloatingHeader(**header),
                        data.draw(st.binary(max_size=32)))
     out = pop_path_root(msg, tree.yni)
     assert [dest for dest, _ in out] == [c.yni for c in tree.children]

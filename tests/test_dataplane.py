@@ -1086,7 +1086,7 @@ class TestTwin:
         row = edge.fibs[1].rows[(1, "room")]
         assert (H2, 1) in row.consumer_apps
         rec = edge.twin.records[H2]
-        assert not rec.active and not rec.buffer
+        assert not rec.active and rec.buffer == []
 
     def test_corrections_precede_flush(self):
         env = FakeEnv()

@@ -125,18 +125,7 @@ class TestTraceFormat:
                               ("serial", "12"))
         assert rec.line() == "t=7 n=c1 ev=SEND to=e2 k=DATA_YSYNC serial=12"
         assert trace.text() == rec.line() + "\n"
-
-    def test_empty_trace_renders_empty_text(self):
         assert Trace().text() == ""
-
-    def test_select_matches_the_node(self):
-        trace = Trace()
-        trace.emit(1, "c1", "SEND", ("to", "e2"))
-        trace.emit(1, "e2", "SEND", ("to", "c1"))
-        trace.emit(2, "c1", "SEND", ("to", "e1"))
-        assert [r.tick for r in trace.select("SEND", n="c1")] == [1, 2]
-        assert trace.select("SEND", n="c1", to="e1") == [trace.records[2]]
-        assert trace.count("SEND", n="e1") == 0
 
     def test_records_are_read_only(self):
         rec = TraceRecord(1, "e1", "SEND", (("to", "c1"),))
