@@ -196,12 +196,6 @@ class Directory:
         self.check_credentials(user)
         ns.authorized_users.add(user)
 
-    def revoke_access(self, admin: str, valley_name: str, ns_name: str, user: str) -> None:
-        ns = self.namespace(valley_name, ns_name)
-        if admin != ns.admin:
-            raise AccessDenied(f"{admin!r} does not administer namespace {ns_name!r}")
-        ns.authorized_users.discard(user)
-
     def authorize_access(self, user: str, valley_name: str, ns_name: str) -> bool:
         """May this user join communities under the namespace right now?"""
         valley = self.valley(valley_name)

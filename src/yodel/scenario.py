@@ -138,6 +138,7 @@ def parse_topology(text: str, path: str = "<topology>"):
     spec = TopologySpec()
     errors: list[ScenarioError] = []
     seen: set[str] = set()
+    linked: set[frozenset[str]] = set()
 
     def err(line, reason):
         errors.append(ScenarioError(path, line, reason))
@@ -195,6 +196,11 @@ def parse_topology(text: str, path: str = "<topology>"):
             if rest[0] == rest[1]:
                 err(line_no, "link endpoints must differ")
                 continue
+            pair = frozenset(rest[:2])
+            if pair in linked:
+                err(line_no, f"duplicate link {rest[0]!r} {rest[1]!r}")
+                continue
+            linked.add(pair)
             spec.links.append(LinkSpec(rest[0], rest[1], latency))
         elif kind == "mcastgroup":
             if len(rest) < 3:

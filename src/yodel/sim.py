@@ -23,7 +23,7 @@ from .errors import AccessDenied, ScenarioError, UnknownFlow, YodelError
 from .model import Directory, Visibility
 from .scenario import CommandSpec, ScenarioSpec, TopologySpec
 from .services import AnycastMode, ServiceModel, roles_for_join
-from .trace import Metrics, Trace
+from .trace import Link, Metrics, Trace
 from .twin import TwinConfig, TwinManager
 from .ynid import Yni, generate_yni
 
@@ -84,13 +84,13 @@ class Simulation:
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = 0
         self._rngs: dict[str, random.Random] = {}
-        self._inflight: dict[int, tuple[str, str]] = {}
+        self._inflight: dict[int, Link] = {}
         self.nodes: dict[str, Node] = {}        # label -> node (infra + hosts)
         self.by_yni: dict[Yni, Node] = {}
         self.edges: dict[str, EdgeNode] = {}
         self.hosts: dict[str, HostNode] = {}
-        self._links: dict[frozenset, int] = {}  # {label,label} -> latency
-        self._up: set[frozenset] = set()
+        # label -> far label -> the record of that direction of their wire
+        self.links: dict[str, dict[str, Link]] = {}
         self._crashed: set[str] = set()
         self._current_event = 0
         self._build()
@@ -122,7 +122,7 @@ class Simulation:
             return
         if mcast and pairs[0][1].kind is not MessageKind.CONTROL_YPP:
             # one underlay transmission covers the whole batch
-            self.metrics.transmission(src.domain, True, None)
+            self.metrics.transmission(src.domain, True)
         for dst_yni, msg in pairs:
             self._transmit_one(src, dst_yni, msg, mcast)
 
@@ -135,14 +135,18 @@ class Simulation:
                             ("to", str(dst_yni)))
             self.metrics.dropped(src.label, "unknown_destination")
             return
+        link = self.links[src.label].get(dst.label)
+        if link is None:
+            # no wire between the two: the copy is sent and lost
+            link = self.links[src.label][dst.label] = self.metrics.link(
+                src.label, dst.label, 0, up=False)
         if (not mcast and msg.kind is not MessageKind.CONTROL_YPP
                 and not isinstance(src, HostNode)
                 and not isinstance(dst, HostNode)):
             # transmission efficiency is measured on the overlay between
             # infrastructure nodes; host access lines don't count
-            intra = src.domain == dst.domain
-            self.metrics.transmission(src.domain, intra,
-                                      (src.label, dst.label))
+            self.metrics.transmission(src.domain, src.domain == dst.domain)
+            link.unicast += 1
         # the kind and, on parseable data, the serial: one tuple shared by
         # this SEND line and the RECV line at the far end
         kind = msg.kind
@@ -154,31 +158,28 @@ class Simulation:
             except YodelError:
                 pass
         self.trace.emit(self._now, src.label, "SEND", ("to", dst.label), *wire)
-        self.metrics.wire_sent(src.label, dst.label)
-        key = frozenset((src.label, dst.label))
-        if key not in self._up or src.label in self._crashed:
-            self.metrics.wire_lost(src.label, dst.label)
+        link.sent += 1
+        if not link.up or src.label in self._crashed:
+            link.lost += 1
             self.trace.emit(self._now, src.label, "DROP",
                             ("reason", "link_down"), ("to", dst.label))
             self.metrics.dropped(src.label, "link_down")
             return
-        latency = self._links[key]
-        event = self.schedule(self._now + latency,
-                              lambda: self._arrive(src.label, dst, msg, wire))
-        self._inflight[event] = (src.label, dst.label)
+        event = self.schedule(self._now + link.latency,
+                              lambda: self._arrive(link, src, dst, msg, wire))
+        self._inflight[event] = link
 
-    def _arrive(self, src_label: str, dst: Node, msg: YodelMessage,
+    def _arrive(self, link: Link, src: Node, dst: Node, msg: YodelMessage,
                 wire: tuple[tuple[str, object], ...]) -> None:
         self._inflight.pop(self._current_event, None)
-        key = frozenset((src_label, dst.label))
-        if key not in self._up or dst.label in self._crashed:
-            self.metrics.wire_lost(src_label, dst.label)
+        if not link.up or dst.label in self._crashed:
+            link.lost += 1
             self.trace.emit(self._now, dst.label, "DROP",
-                            ("reason", "link_down"), ("from", src_label))
+                            ("reason", "link_down"), ("from", src.label))
             self.metrics.dropped(dst.label, "link_down")
             return
-        self.metrics.wire_received(src_label, dst.label)
-        self.trace.emit(self._now, dst.label, "RECV", ("from", src_label),
+        link.received += 1
+        self.trace.emit(self._now, dst.label, "RECV", ("from", src.label),
                         *wire)
         dst.on_message(msg)
 
@@ -212,10 +213,9 @@ class Simulation:
                 node = ConnectorNode(spec.name, yni, spec.domain, self)
             self.nodes[spec.name] = node
             self.by_yni[yni] = node
+            self.links[spec.name] = {}
         for link in self.topo.links:
-            key = frozenset((link.a, link.b))
-            self._links[key] = link.latency
-            self._up.add(key)
+            self._connect(link.a, link.b, link.latency)
             a, b = self.nodes[link.a], self.nodes[link.b]
             a.act.add_neighbor(b.yni, link.latency, f"uni:{link.a}-{link.b}")
             b.act.add_neighbor(a.yni, link.latency, f"uni:{link.a}-{link.b}")
@@ -228,9 +228,8 @@ class Simulation:
                     self.nodes[member].act.add_group(others, 1, token)
         for spec in self.topo.nodes:
             node = self.nodes[spec.name]
-            neighbors = {
-                self.nodes[l.a if l.b == spec.name else l.b].yni: l.latency
-                for l in self.topo.links if spec.name in (l.a, l.b)}
+            neighbors = {self.nodes[other].yni: link.latency
+                         for other, link in self.links[spec.name].items()}
             self.controller.register_infrastructure_node(
                 node.yni, spec.role, spec.domain, neighbors, dict(spec.stats))
         twin_cfg = TwinConfig(cfg.twin_period, cfg.twin_miss_threshold,
@@ -247,12 +246,11 @@ class Simulation:
             self.nodes[spec.name] = host
             self.by_yni[yni] = host
             self.hosts[spec.name] = host
+            self.links[spec.name] = {}
             prefs = HostPrefs(spec.domain, spec.max_latency)
             edge_yni = self.controller.provision_host(yni, spec.user, prefs)
             edge = self.by_yni[edge_yni]
-            key = frozenset((spec.name, edge.label))
-            self._links[key] = cfg.host_link_latency
-            self._up.add(key)
+            self._connect(spec.name, edge.label, cfg.host_link_latency)
             host.attach(edge.yni, edge.domain)
             edge.attach_host(yni)
         if self.edges and cfg.twin_period <= cfg.until:
@@ -260,12 +258,21 @@ class Simulation:
         for cmd in self.scen.commands:
             self.schedule(cmd.tick, self._command_thunk(cmd))
 
+    def _connect(self, a: str, b: str, latency: int) -> None:
+        self.links[a][b] = self.metrics.link(a, b, latency)
+        self.links[b][a] = self.metrics.link(b, a, latency)
+
+    def _set_link(self, a: str, b: str, up: bool) -> None:
+        self.links[a][b].up = up
+        self.links[b][a].up = up
+
     def _host_attached(self, edge: EdgeNode):
         def check(host_yni: Yni) -> bool:
             node = self.by_yni.get(host_yni)
             if node is None or node.label in self._crashed:
                 return False
-            return frozenset((node.label, edge.label)) in self._up
+            link = self.links[edge.label].get(node.label)
+            return link is not None and link.up
         return check
 
     def label_of(self, yni: Yni) -> str:
@@ -291,9 +298,8 @@ class Simulation:
             self._now = tick
             self._current_event = seq
             fn()
-        leftover = [self._inflight[seq] for _, seq, _ in sorted(self._heap)
-                    if seq in self._inflight]
-        self.metrics.finalize_conservation(leftover)
+        # every copy still on a wire has its arrival left in the heap
+        self.metrics.finalize_conservation(self._inflight.values())
         return self
 
     # -- scenario commands -----------------------------------------------------
@@ -419,11 +425,7 @@ class Simulation:
     def _fault(self, a) -> None:
         mode = a[0]
         if mode in ("link-down", "link-up"):
-            key = frozenset((a[1], a[2]))
-            if mode == "link-down":
-                self._up.discard(key)
-            else:
-                self._up.add(key)
+            self._set_link(a[1], a[2], mode == "link-up")
             self.trace.emit(self._now, "scenario", "FAULT", ("kind", mode),
                             ("a", a[1]), ("b", a[2]))
             for label in (a[1], a[2]):
@@ -431,23 +433,18 @@ class Simulation:
         elif mode in ("host-down", "host-up"):
             host = self.hosts[a[1]]
             edge = self.by_yni[host.edge]
-            key = frozenset((a[1], edge.label))
             self.trace.emit(self._now, "scenario", "FAULT", ("kind", mode),
                             ("host", a[1]))
-            if mode == "host-down":
-                self._up.discard(key)
-            else:
-                self._up.add(key)
+            self._set_link(a[1], edge.label, mode == "host-up")
+            if mode == "host-up":
                 host.begin_reconnect()
         elif mode == "crash":
             label = a[1]
             self._crashed.add(label)
-            neighbors = []
-            for key in list(self._up):
-                if label in key:
-                    self._up.discard(key)
-                    other = next(iter(key - {label}))
-                    neighbors.append(other)
+            neighbors = [other for other, link in self.links[label].items()
+                         if link.up]
+            for other in neighbors:
+                self._set_link(label, other, False)
             self.trace.emit(self._now, "scenario", "FAULT", ("kind", mode),
                             ("node", label))
             for other in sorted(neighbors):
@@ -465,14 +462,10 @@ class Simulation:
             return
         node = self.nodes[label]
         spec = self.topo.node(label)
-        neighbors = {}
-        for link in self.topo.links:
-            if label not in (link.a, link.b):
-                continue
-            other = link.a if link.b == label else link.b
-            if frozenset((label, other)) in self._up \
-                    and other not in self._crashed:
-                neighbors[self.nodes[other].yni] = link.latency
+        neighbors = {self.nodes[other].yni: link.latency
+                     for other, link in self.links[label].items()
+                     if link.up and other not in self.hosts
+                     and other not in self._crashed}
         reg = NodeRegistration(node.yni, spec.role, spec.domain,
                                tuple(sorted(neighbors.items())),
                                spec.stats)

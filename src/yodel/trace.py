@@ -1,4 +1,5 @@
-"""Run observability: the structured text trace and the metrics report.
+"""Run observability: the structured text trace, the metrics report, and the
+per-direction link records the report renders.
 
 Trace lines are the replay-stable record of a run: one event per line,
 `t=<tick> n=<node> ev=<NAME>` followed by event fields in fixed authorship
@@ -9,9 +10,11 @@ package-level guarantee, so nothing non-deterministic may reach emit().
 from __future__ import annotations
 
 import json
+from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-__all__ = ["TraceRecord", "Trace", "Metrics", "CONTROLLER_NODE"]
+__all__ = ["TraceRecord", "Trace", "Link", "Metrics", "CONTROLLER_NODE"]
 
 CONTROLLER_NODE = "controller"
 
@@ -61,8 +64,17 @@ class Trace:
         return out
 
 
-def _link_key(a: str, b: str) -> str:
-    return f"{a}>{b}"
+@dataclass(eq=False, slots=True)
+class Link:
+    """One direction of a wire: its state, and what crossed it. Compared and
+    hashed by identity, so in-flight copies can be counted per record."""
+
+    latency: int
+    up: bool = True
+    sent: int = 0
+    received: int = 0
+    lost: int = 0
+    unicast: int = 0     # overlay data copies, for transmission efficiency
 
 
 class Metrics:
@@ -78,10 +90,7 @@ class Metrics:
         self.transmissions_total = 0
         self.transmissions_by_domain: dict[str, int] = {}
         self.transmissions_interdomain = 0
-        self.unicast_by_link: dict[str, int] = {}
-        self.link_sent: dict[str, int] = {}
-        self.link_received: dict[str, int] = {}
-        self.link_lost: dict[str, int] = {}
+        self.links: dict[str, Link] = {}   # "a>b" -> that direction's record
         self.buffer_peaks: dict[str, int] = {}
         self.buffered_total = 0
         self.buffer_dropped = 0
@@ -110,29 +119,26 @@ class Metrics:
 
     # -- transmissions -------------------------------------------------------
 
-    def transmission(self, domain: str, intra_domain: bool,
-                     unicast_link: tuple[str, str] | None) -> None:
+    def transmission(self, domain: str, intra_domain: bool) -> None:
         self.transmissions_total += 1
         if intra_domain:
             self.transmissions_by_domain[domain] = \
                 self.transmissions_by_domain.get(domain, 0) + 1
         else:
             self.transmissions_interdomain += 1
-        if unicast_link is not None:
-            key = _link_key(*unicast_link)
-            self.unicast_by_link[key] = self.unicast_by_link.get(key, 0) + 1
 
-    def wire_sent(self, src: str, dst: str) -> None:
-        key = _link_key(src, dst)
-        self.link_sent[key] = self.link_sent.get(key, 0) + 1
+    # -- links ---------------------------------------------------------------
 
-    def wire_received(self, src: str, dst: str) -> None:
-        key = _link_key(src, dst)
-        self.link_received[key] = self.link_received.get(key, 0) + 1
+    def link(self, src: str, dst: str, latency: int, up: bool = True) -> Link:
+        """The record for the src -> dst direction, reported as `src>dst`."""
+        link = Link(latency, up)
+        self.links[f"{src}>{dst}"] = link
+        return link
 
-    def wire_lost(self, src: str, dst: str) -> None:
-        key = _link_key(src, dst)
-        self.link_lost[key] = self.link_lost.get(key, 0) + 1
+    @property
+    def unicast_by_link(self) -> dict[str, int]:
+        return {key: link.unicast for key, link in sorted(self.links.items())
+                if link.unicast}
 
     # -- twins ---------------------------------------------------------------
 
@@ -153,24 +159,22 @@ class Metrics:
 
     # -- epilogue ------------------------------------------------------------
 
-    def finalize_conservation(self, in_flight: Iterable[tuple[str, str]]) -> None:
-        """sends == receives + in-flight + lost, per directed link."""
-        pending: dict[str, int] = {}
-        for src, dst in in_flight:
-            key = _link_key(src, dst)
-            pending[key] = pending.get(key, 0) + 1
+    def finalize_conservation(self, in_flight: Iterable[Link]) -> None:
+        """sends == receives + in-flight + lost, per directed link; links
+        nothing crossed are left out."""
+        pending = Counter(in_flight)
         per_link = {}
         ok = True
-        for key in sorted(set(self.link_sent) | set(self.link_received)
-                          | set(self.link_lost) | set(pending)):
-            sent = self.link_sent.get(key, 0)
+        for key, link in sorted(self.links.items()):
             entry = {
-                "sent": sent,
-                "received": self.link_received.get(key, 0),
-                "lost": self.link_lost.get(key, 0),
-                "in_flight": pending.get(key, 0),
+                "sent": link.sent,
+                "received": link.received,
+                "lost": link.lost,
+                "in_flight": pending.get(link, 0),
             }
-            entry["ok"] = sent == entry["received"] + entry["lost"] + entry["in_flight"]
+            if not any(entry.values()):
+                continue
+            entry["ok"] = link.sent == link.received + link.lost + entry["in_flight"]
             ok = ok and entry["ok"]
             per_link[key] = entry
         self.conservation = {"ok": ok, "links": per_link}
@@ -186,7 +190,7 @@ class Metrics:
                 "total": self.transmissions_total,
                 "by_domain": dict(sorted(self.transmissions_by_domain.items())),
                 "interdomain": self.transmissions_interdomain,
-                "unicast_by_link": dict(sorted(self.unicast_by_link.items())),
+                "unicast_by_link": self.unicast_by_link,
             },
             "buffer_peaks": dict(sorted(self.buffer_peaks.items())),
             "buffered_total": self.buffered_total,

@@ -76,8 +76,6 @@ def test_protected_namespace_needs_a_grant(directory):
     assert not directory.authorize_access("bob", "farm", "secrets")
     directory.grant_access("alice", "farm", "secrets", "bob")
     assert directory.authorize_access("bob", "farm", "secrets")
-    directory.revoke_access("alice", "farm", "secrets", "bob")
-    assert not directory.authorize_access("bob", "farm", "secrets")
 
 
 def test_visibility_is_mutable_by_admin_only(directory):

@@ -91,6 +91,15 @@ class TestParseTopology:
             "domain d\nnode n edge d\nnode n connector d\n")
         assert reasons(errors) == ["duplicate node name 'n'"]
 
+    def test_duplicate_link(self):
+        # either order names the same wire; the first latency stands
+        spec, errors = parse_topology(
+            "domain d\nnode a edge d\nnode b connector d\n"
+            "link a b 1\nlink b a 3\nlink a b 1\n")
+        assert reasons(errors) == ["duplicate link 'b' 'a'",
+                                   "duplicate link 'a' 'b'"]
+        assert [(l.a, l.b, l.latency) for l in spec.links] == [("a", "b", 1)]
+
     def test_host_clashing_with_node_name(self):
         _, errors = parse_topology("domain d\nnode n edge d\nhost n u\n")
         assert reasons(errors) == ["duplicate node name 'n'"]

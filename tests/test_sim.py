@@ -1,5 +1,6 @@
 """Whole-world runs: build from text, run, assert on traces and metrics."""
 
+from yodel.codec import MessageKind, YodelMessage
 from yodel.errors import ScenarioError
 from yodel.scenario import load_world
 from yodel.sim import SimConfig, Simulation
@@ -304,6 +305,15 @@ at 45 send h1 vale room 1 second
         assert sim.trace.count("RECV", n="c2", k="DATA_YSYNC") == 1
         assert sim.metrics.conservation["ok"] is True
 
+    def test_reregistration_declares_live_infrastructure_only(self):
+        # h1's access line to e1 is up, but hosts are not topology
+        sim = run_text(TRIANGLE, scen(body="at 20 fault link-down e1 c1\n",
+                                      until=30))
+        yni = {label: node.yni for label, node in sim.nodes.items()}
+        declared = sim.controller.graph.declared
+        assert declared[yni["e1"]] == {yni["c2"]: 2}
+        assert declared[yni["c1"]] == {yni["e2"]: 1}
+
     def test_conservation_names_the_lossy_link(self):
         body = """\
 at 2 join h1 vale chat room producer 1
@@ -317,6 +327,38 @@ at 21 send h1 vale room 1 into the void
         lossy = {k: v for k, v in cons["links"].items() if v["lost"]}
         assert any(k.startswith(("c1>", "e1>")) for k in lossy)
 
+
+class TestLinkCounters:
+    def test_copy_on_the_wire_at_the_horizon_is_in_flight(self):
+        # h1>e1 lands at 21, e1>c1 at 22; c1>e2 leaves at 22 and would land
+        # at 24, after the horizon
+        body = """\
+at 2 join h1 vale chat room producer 1
+at 2 join h2 vale chat room consumer 1
+at 20 send h1 vale room 1 still travelling
+"""
+        sim = run_text(TWO_DOMAINS, scen(body=body, until=22))
+        assert sim.metrics.unicast_by_link == {"c1>e2": 1, "e1>c1": 1}
+        assert sim.metrics.conservation["links"]["c1>e2"] == {
+            "sent": 1, "received": 0, "lost": 0, "in_flight": 1, "ok": True}
+        assert sim.metrics.conservation["ok"] is True
+
+    def test_send_between_unlinked_nodes_is_sent_then_lost(self):
+        topo, scen_spec, errors = load_world(TWO_DOMAINS, scen(until=10))
+        assert errors == []
+        sim = Simulation(topo, scen_spec, SimConfig.from_scenario(scen_spec, 1))
+        e1, e2 = sim.nodes["e1"], sim.nodes["e2"]
+        msg = YodelMessage(MessageKind.CONTROL_YPP, e1.yni, e2.yni)
+        sim.schedule(3, lambda: sim.transmit(e1, [(e2.yni, msg)]))
+        sim.run()
+        lines = sim.trace.lines()
+        i = lines.index("t=3 n=e1 ev=SEND to=e2 k=CONTROL_YPP")
+        assert lines[i + 1] == "t=3 n=e1 ev=DROP reason=link_down to=e2"
+        assert sim.trace.count("SEND", n="e1", to="e2") == 1
+        assert sim.metrics.drops == {"e1": {"link_down": 1}}
+        assert sim.metrics.conservation["links"]["e1>e2"] == {
+            "sent": 1, "received": 0, "lost": 1, "in_flight": 0, "ok": True}
+        assert "e2>e1" not in sim.metrics.conservation["links"]
 
 class TestTwinOverSim:
     BODY = """\
