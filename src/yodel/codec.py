@@ -127,7 +127,7 @@ class PathTree:
     def serialize(self) -> bytes:
         parts = []
         for node in self.walk():
-            parts.append(node.yni.to_bytes())
+            parts.append(node.yni)
             parts.append(bytes([len(node.children)]))
         return b"".join(parts)
 
@@ -254,8 +254,8 @@ class FixedHeader:
 
     def encode(self) -> bytes:
         return (bytes([self.kind])
-                + self.sender.to_bytes()
-                + self.receiver.to_bytes()
+                + self.sender
+                + self.receiver
                 + self.floating_len.to_bytes(2, "big")
                 + self.payload_len.to_bytes(4, "big"))
 

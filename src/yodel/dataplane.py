@@ -613,14 +613,12 @@ class EdgeNode(Node):
         super().__init__(label, yni, domain, env)
         self.fibs: dict[int, EdgeFib] = {}
         self.aft: dict[tuple[int, int], PathTree] = {}
-        self.attached: set[Yni] = set()
         self.twin = None  # TwinManager, wired by the simulator
         self._pending: dict[tuple[int, int, str, str], list[tuple[Yni, int]]] = {}
 
     # -- wiring ---------------------------------------------------------------
 
     def attach_host(self, host_yni: Yni) -> None:
-        self.attached.add(host_yni)
         if self.twin is not None:
             self.twin.host_connected(host_yni)
 

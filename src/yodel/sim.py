@@ -29,14 +29,17 @@ from .ynid import Yni, generate_yni
 
 __all__ = ["SimConfig", "Simulation", "build", "run_world"]
 
-_CONFIG_KEYS = {
-    "until": int,
-    "rpc_latency": int,
-    "host_link_latency": int,
-    "twin_period": int,
-    "twin_miss_threshold": int,
-    "twin_ttl": int,
-    "twin_buffer_max": int,
+# Every config value is an int; this maps each key to its least value
+# (None: no bound). A latency below 0 schedules events in the past, a twin
+# period below 1 reschedules the sweep at the same tick forever.
+_CONFIG_LEAST = {
+    "until": None,
+    "rpc_latency": 0,
+    "host_link_latency": 0,
+    "twin_period": 1,
+    "twin_miss_threshold": None,
+    "twin_ttl": None,
+    "twin_buffer_max": 0,
 }
 
 
@@ -59,13 +62,18 @@ class SimConfig:
     def from_scenario(cls, scen: ScenarioSpec, seed: int) -> "SimConfig":
         cfg = cls(seed=seed)
         for key, raw in scen.config.items():
-            if key not in _CONFIG_KEYS:
+            if key not in _CONFIG_LEAST:
                 raise ScenarioError("<scenario>", 0, f"unknown config key {key!r}")
             try:
-                setattr(cfg, key, _CONFIG_KEYS[key](raw))
+                value = int(raw)
             except ValueError:
                 raise ScenarioError("<scenario>", 0,
                                     f"config {key}: bad value {raw!r}") from None
+            least = _CONFIG_LEAST[key]
+            if least is not None and value < least:
+                raise ScenarioError("<scenario>", 0, f"config {key}: must be "
+                                    f"at least {least}, got {value}")
+            setattr(cfg, key, value)
         return cfg
 
 

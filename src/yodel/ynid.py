@@ -3,15 +3,15 @@
 Every endpoint and infrastructure node carries a 10-byte id: a 6-byte
 pseudo-MAC followed by 4 bytes of Unix seconds (big-endian). The time half
 keeps ids unique when MAC values collide across tenants. All tie-breaking
-anywhere in the package orders ids by their 10-byte lexicographic value,
-which the dataclass field order reproduces. Ids are hashed on every table
-lookup along a message's path, so each one computes its hash once.
+anywhere in the package orders ids by their 10-byte lexicographic value.
+An id is a `bytes` value holding exactly those ten bytes, so equality,
+ordering and hashing are the bytes' own, and the in-memory form is the
+wire form.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .errors import MalformedYni
 
@@ -21,33 +21,26 @@ _MAC_LEN = 6
 _TIME_MAX = 2**32 - 1
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Yni:
+class Yni(bytes):
     """10-byte node id: pseudo-MAC plus creation time in Unix seconds."""
 
-    mac: bytes
-    epoch_seconds: int
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.mac) != _MAC_LEN:
-            raise MalformedYni(f"mac must be {_MAC_LEN} bytes, got {len(self.mac)}")
-        if not 0 <= self.epoch_seconds <= _TIME_MAX:
-            raise MalformedYni(f"epoch_seconds out of 32-bit range: {self.epoch_seconds}")
-        # the value the generated dataclass hash gave, so set order is kept
-        object.__setattr__(self, "_hash", hash((self.mac, self.epoch_seconds)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, mac: bytes, epoch_seconds: int) -> "Yni":
+        if len(mac) != _MAC_LEN:
+            raise MalformedYni(f"mac must be {_MAC_LEN} bytes, got {len(mac)}")
+        if not 0 <= epoch_seconds <= _TIME_MAX:
+            raise MalformedYni(f"epoch_seconds out of 32-bit range: {epoch_seconds}")
+        return super().__new__(cls, bytes(mac) + epoch_seconds.to_bytes(4, "big"))
 
     def to_bytes(self) -> bytes:
-        return self.mac + self.epoch_seconds.to_bytes(4, "big")
+        return bytes(self)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Yni":
         if len(raw) != 10:
             raise MalformedYni(f"node id needs 10 bytes, got {len(raw)}")
-        return cls(bytes(raw[:_MAC_LEN]), int.from_bytes(raw[_MAC_LEN:], "big"))
+        return bytes.__new__(cls, raw)
 
     def __str__(self) -> str:
         return render_yni(self)
@@ -74,15 +67,12 @@ def generate_yni(mac_source: bytes | str | random.Random, now: int) -> Yni:
             raise MalformedYni(f"bad MAC text {mac_source!r}") from exc
     else:
         mac = bytes(mac_source)
-    if not 0 <= now <= _TIME_MAX:
-        raise MalformedYni(f"timestamp out of 32-bit range: {now}")
     return Yni(mac, now)
 
 
 def render_yni(y: Yni) -> str:
     """Canonical text: five colon-separated groups of four lowercase hex digits."""
-    raw = y.to_bytes()
-    return ":".join(raw[i:i + 2].hex() for i in range(0, 10, 2))
+    return y.hex(":", 2)
 
 
 def parse_yni(text: str) -> Yni:

@@ -1,8 +1,16 @@
 """Front-end behavior: exit codes, outputs, seed resolution, diffing."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
 
 from yodel.cli import main
+
+ROOT = pathlib.Path(__file__).parent.parent
 
 TOPO = """\
 domain d1
@@ -61,6 +69,13 @@ class TestValidate:
         t, s = write_world(tmp_path, scen="config warp 9\n" + SCEN)
         assert main(["validate", "--topology", t, "--scenario", s]) == 1
         assert "unknown config key 'warp'" in capsys.readouterr().out
+
+    def test_config_values_that_hang_or_rewind_are_rejected(
+            self, tmp_path, capsys):
+        for line in ("config twin_period 0", "config rpc_latency -1"):
+            t, s = write_world(tmp_path, scen=line + "\n" + SCEN)
+            assert main(["validate", "--topology", t, "--scenario", s]) == 1
+            assert "must be at least" in capsys.readouterr().out
 
     def test_missing_file(self, tmp_path, capsys):
         t, _ = write_world(tmp_path)
@@ -169,3 +184,27 @@ class TestRoundTrip:
         run_cli(tmp_path, "--seed", "8")
         capsys.readouterr()
         assert main(["diff", str(keep), str(out1)]) == 1
+
+
+class TestHashSeed:
+    # node ids are bytes, whose hash differs per process; no table order
+    # that reaches the output may follow it
+    @pytest.mark.parametrize("demo", ["twin", "flap"])
+    def test_output_does_not_depend_on_hash_seed(self, tmp_path, demo):
+        worlds = ROOT / "demos" / "worlds"
+        outputs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"trace{hash_seed}.txt"
+            rep = tmp_path / f"report{hash_seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")])))
+            subprocess.run(
+                [sys.executable, "-m", "yodel.cli", "run",
+                 "--topology", str(worlds / f"{demo}.topo"),
+                 "--scenario", str(worlds / f"{demo}.scen"),
+                 "--seed", "3", "--out", str(out), "--report", str(rep)],
+                env=env, check=True, capture_output=True, timeout=120)
+            outputs.append((out.read_bytes(), rep.read_bytes()))
+        assert outputs[0] == outputs[1]

@@ -83,7 +83,7 @@ at 40 report
         sim = run_text(TWO_DOMAINS, scen(body=self.BODY))
         hosts = {h.yni for h in sim.hosts.values()}
         for edge in sim.edges.values():
-            assert edge.attached and not hosts & edge.act.rows.keys()
+            assert edge.twin.records and not hosts & edge.act.rows.keys()
 
     def test_transmissions_count_overlay_data_hops_only(self):
         # the payload crosses the overlay twice: e1>c1 inside d1, then the
@@ -469,3 +469,24 @@ class TestScenarioErrors:
         assert errors == []
         with pytest.raises(ScenarioError, match="bad value"):
             SimConfig.from_scenario(scen_spec, 0)
+
+    # run() is never called with these values: a twin period of 0 never
+    # returns, a negative latency schedules events in the past
+    @pytest.mark.parametrize("key,value", [
+        ("twin_period", 0), ("twin_period", -5), ("rpc_latency", -1),
+        ("host_link_latency", -3), ("twin_buffer_max", -1)])
+    def test_config_value_below_its_least_rejected(self, key, value):
+        _, scen_spec, errors = load_world(
+            TWO_DOMAINS, f"config {key} {value}\n")
+        assert errors == []
+        with pytest.raises(ScenarioError, match=f"config {key}: must be at least"):
+            SimConfig.from_scenario(scen_spec, 0)
+
+    @pytest.mark.parametrize("key,value", [
+        ("twin_period", 1), ("rpc_latency", 0), ("host_link_latency", 0),
+        ("twin_buffer_max", 0)])
+    def test_config_least_value_accepted(self, key, value):
+        _, scen_spec, errors = load_world(
+            TWO_DOMAINS, f"config {key} {value}\n")
+        assert errors == []
+        assert getattr(SimConfig.from_scenario(scen_spec, 0), key) == value

@@ -14,21 +14,21 @@ MAC = bytes.fromhex("001b44113ab7")
 
 def test_generate_from_literal_mac_and_time():
     y = generate_yni(MAC, 1_700_000_000)
-    assert y.mac == MAC
-    assert y.epoch_seconds == 1_700_000_000
+    assert y.to_bytes()[:6] == MAC
+    assert int.from_bytes(y.to_bytes()[6:], "big") == 1_700_000_000
     assert y.to_bytes() == MAC + (1_700_000_000).to_bytes(4, "big")
 
 
 def test_generate_from_mac_text():
     y = generate_yni("00:1b:44:11:3a:b7", 0)
-    assert y.mac == MAC
+    assert y.to_bytes()[:6] == MAC
 
 
 def test_generate_from_seeded_source_is_reproducible():
     a = generate_yni(random.Random(7), 5)
     b = generate_yni(random.Random(7), 5)
     assert a == b
-    assert len(a.mac) == 6
+    assert len(a.to_bytes()) == 10
 
 
 def test_zero_time_renders_zero_suffix():
@@ -111,12 +111,21 @@ def test_cached_hash_agrees_with_the_ten_bytes(a, b):
     assert table == {Yni.from_bytes(a): "second"}
 
 
+# an id is its ten bytes: no attribute of it can be set
 @pytest.mark.parametrize("name", ["mac", "epoch_seconds", "_hash"])
 def test_fields_and_cached_hash_are_read_only(name):
     y = Yni(MAC, 1)
+    before = hash(y)
     with pytest.raises(AttributeError):
-        setattr(y, name, getattr(y, name))
-    assert y == Yni(MAC, 1) and hash(y) == hash(Yni(MAC, 1))
+        setattr(y, name, 0)
+    assert y == Yni(MAC, 1) and hash(y) == before == hash(Yni(MAC, 1))
+
+
+def test_comparison_and_hash_are_the_bytes_own():
+    for name in ("__eq__", "__lt__", "__hash__"):
+        assert getattr(Yni, name) is getattr(bytes, name)
+    y = Yni(MAC, 1)
+    assert y == MAC + b"\x00\x00\x00\x01" and type(y.to_bytes()) is bytes
 
 
 @given(st.binary(max_size=12).filter(lambda m: len(m) != 6),
