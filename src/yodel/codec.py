@@ -75,10 +75,6 @@ class MessageKind(IntEnum):
     def is_control(self) -> bool:
         return self is MessageKind.CONTROL_YPP
 
-    @property
-    def is_anycast(self) -> bool:
-        return self in (MessageKind.ANYCAST_DATA_YSYNC, MessageKind.ANYCAST_DATA_YPP)
-
 
 @dataclass(frozen=True)
 class PathTree:

@@ -241,7 +241,6 @@ class FlowObject:
     namespace_id: int
     community: str
     model: ServiceModel
-    initial_channel_id: int
     current_channel_id: int
     producer_edges: dict[Yni, bool] = field(default_factory=dict)  # yni -> active
     consumer_edges: set[Yni] = field(default_factory=set)
@@ -454,7 +453,7 @@ class Controller:
             ns = self.directory.namespace_by_id(valley_id, namespace_id)
             cid = self.directory.vib(valley_id).allocate_channel_id()
             record.flow = FlowObject(valley_id, namespace_id, community,
-                                     ns.service_model, cid, cid)
+                                     ns.service_model, cid)
             self.flows[self._flow_key(valley_id, namespace_id, community)] = record.flow
         return record.flow
 
@@ -653,20 +652,27 @@ class Controller:
 
     # -- paths -----------------------------------------------------------------
 
+    def _partial_tree(self, source: Yni, leaves: set[Yni]
+                      ) -> tuple[Optional[PathTree], tuple[Yni, ...]]:
+        """Strict computation first; on cut-off consumers, cover the
+        reachable remainder (None when there is none). Also returns the
+        cut-off consumers."""
+        try:
+            return compute_path(self.graph, source, leaves), ()
+        except UnreachableConsumer as exc:
+            rest = leaves - set(exc.cut_off)
+            tree = compute_path(self.graph, source, rest) if rest else None
+            return tree, exc.cut_off
+
     def _tree_or_partial(self, flow: FlowObject, source: Yni,
                          leaves: set[Yni]) -> Optional[PathTree]:
-        """Strict computation first; on cut-off consumers, log them and cover
-        the reachable remainder."""
-        try:
-            return compute_path(self.graph, source, leaves)
-        except UnreachableConsumer as exc:
+        """`_partial_tree`, logging any cut-off consumers."""
+        tree, cut = self._partial_tree(source, leaves)
+        if cut:
             self._emit("UNREACHABLE", ("valley", flow.valley_id),
                        ("community", flow.community), ("edge", source),
-                       ("cut", ",".join(str(c) for c in exc.cut_off)))
-            rest = leaves - set(exc.cut_off)
-            if not rest:
-                return None
-            return compute_path(self.graph, source, rest)
+                       ("cut", ",".join(str(c) for c in cut)))
+        return tree
 
     def _desired_trees(self, flow: FlowObject) -> list[tuple[int, Yni, set[Yni]]]:
         out = []
@@ -730,12 +736,9 @@ class Controller:
             leaves = flow.consumer_edges - {edge}
             if not leaves:
                 continue
-            try:
-                flow.precomputed[edge] = compute_path(self.graph, edge, leaves)
-            except UnreachableConsumer as exc:
-                rest = leaves - set(exc.cut_off)
-                if rest:
-                    flow.precomputed[edge] = compute_path(self.graph, edge, rest)
+            tree, _ = self._partial_tree(edge, leaves)
+            if tree is not None:
+                flow.precomputed[edge] = tree
 
     def reconcile_all(self) -> None:
         for key in sorted(self.flows):

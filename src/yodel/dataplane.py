@@ -6,6 +6,10 @@ consumer host tables plus the installed path table) and translate between
 point-to-point and transit message kinds. Connectors know nothing but their
 neighbors: they pop the in-message tree and pick forwarding strategies.
 
+Every node reads and rejects malformed data in one step, `Node._read_data`:
+it pops a sync message's tree root, parses the metadata once, and reports a
+mis-rooted tree or malformed metadata as one PROTO_ERROR.
+
 Host-to-edge signalling rides control messages whose metadata element starts
 with an op byte; the schemas live at the top of this module. Nodes never call
 each other directly — everything goes through the environment object, which
@@ -164,9 +168,19 @@ def data_metadata(serial: int, q: Optional[int] = None) -> bytes:
     return struct.pack(">IH", serial, q)
 
 
+_ANYCAST_KINDS = frozenset((MessageKind.ANYCAST_DATA_YPP,
+                            MessageKind.ANYCAST_DATA_YSYNC))
+
+# the push and sync kind of each data flavour: an edge turns a host's push
+# into a sync along its path tree, and a sync back into a push for its hosts
+_SYNC_OF_PUSH = {MessageKind.DATA_YPP: MessageKind.DATA_YSYNC,
+                 MessageKind.ANYCAST_DATA_YPP: MessageKind.ANYCAST_DATA_YSYNC}
+_PUSH_OF_SYNC = {sync: push for push, sync in _SYNC_OF_PUSH.items()}
+
+
 def parse_data_metadata(kind: MessageKind, meta: Optional[bytes]) -> tuple[int, Optional[int]]:
     try:
-        if kind.is_anycast:
+        if kind in _ANYCAST_KINDS:
             serial, q = struct.unpack(">IH", meta)
             return serial, q
         (serial,) = struct.unpack(">I", meta)
@@ -175,8 +189,8 @@ def parse_data_metadata(kind: MessageKind, meta: Optional[bytes]) -> tuple[int, 
         raise MalformedFloating(f"bad data metadata: {exc}") from None
 
 
-def _mode_from_q(randomized: bool, q: int) -> AnycastMode:
-    return AnycastMode(randomized, q / _Q_SCALE)
+def _mode_from_q(q: int) -> AnycastMode:
+    return AnycastMode(True, q / _Q_SCALE)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +201,6 @@ def _mode_from_q(randomized: bool, q: int) -> AnycastMode:
 class Strategy:
     kind: str                 # "unicast" | "local-multicast"
     covers: frozenset[Yni]
-    underlay: str             # opaque underlay address token
     latency: int
     sorted_covers: tuple[Yni, ...] = field(init=False, repr=False)
 
@@ -202,15 +215,15 @@ class AcTable:
     def __init__(self):
         self.rows: dict[Yni, list[Strategy]] = {}
 
-    def add_neighbor(self, yni: Yni, latency: int, token: str) -> None:
-        s = Strategy("unicast", frozenset((yni,)), token, latency)
+    def add_neighbor(self, yni: Yni, latency: int) -> None:
+        s = Strategy("unicast", frozenset((yni,)), latency)
         self.rows.setdefault(yni, []).append(s)
 
-    def add_group(self, members: Iterable[Yni], latency: int, token: str) -> None:
+    def add_group(self, members: Iterable[Yni], latency: int) -> None:
         covered = frozenset(members)
         if len(covered) < 2:
             raise ValueError("a local-multicast strategy must cover >= 2 neighbors")
-        s = Strategy("local-multicast", covered, token, latency)
+        s = Strategy("local-multicast", covered, latency)
         for m in covered:
             self.rows.setdefault(m, []).append(s)
 
@@ -282,6 +295,21 @@ class Node:
 
     def on_message(self, msg: YodelMessage) -> None:
         raise NotImplementedError
+
+    def _read_data(self, msg: YodelMessage) -> Optional[tuple[
+            int, Optional[AnycastMode], list[tuple[Yni, YodelMessage]]]]:
+        """The receive step for data: the send serial, the anycast mode
+        (None on plain kinds) and, on sync kinds, one message per child of
+        this node's tree root (else none). None once a mis-rooted tree or
+        malformed metadata is reported."""
+        try:
+            children = pop_path_root(msg, self.yni) \
+                if msg.kind in _PUSH_OF_SYNC else []
+            serial, q = parse_data_metadata(msg.kind, msg.floating.metadata)
+        except (RootMismatch, MalformedFloating) as exc:
+            self.proto_error(str(exc))
+            return None
+        return serial, None if q is None else _mode_from_q(q), children
 
     def strategic_send(self, pairs: list[tuple[Yni, YodelMessage]]) -> None:
         """Send one message per child using the fewest transmissions the
@@ -438,7 +466,7 @@ class HostNode(Node):
                 return
             self._handle_op(msg)
             return
-        if msg.kind in (MessageKind.DATA_YPP, MessageKind.ANYCAST_DATA_YPP):
+        if msg.kind in _SYNC_OF_PUSH:
             self._handle_data(msg)
             return
         self.drop("unhandled_kind", ("k", msg.kind.name))
@@ -450,10 +478,12 @@ class HostNode(Node):
         if community is None:
             self.drop("unknown_channel", ("channel", channel))
             return
-        serial, q = parse_data_metadata(msg.kind, msg.floating.metadata)
+        read = self._read_data(msg)
+        if read is None:
+            return
+        serial, mode, _ = read
         rows = self._live_consumer_rows(valley, community)
-        if msg.kind.is_anycast:
-            mode = _mode_from_q(True, q)
+        if mode is not None:
             rows = anycast_filter("host", rows, mode, self.env.rng(self.label))
         for row in rows:
             self._deliver_app(row.app_id, serial, msg.payload, community)
@@ -473,7 +503,7 @@ class HostNode(Node):
         rows = [r for r in self._live_consumer_rows(prow.valley_id, prow.community)
                 if r.app_id != exclude_app]
         if prow.randomized:
-            rows = anycast_filter("host", rows, _mode_from_q(True, prow.q),
+            rows = anycast_filter("host", rows, _mode_from_q(prow.q),
                                   self.env.rng(self.label))
         for row in rows:
             self._deliver_app(row.app_id, serial, payload, prow.community)
@@ -631,9 +661,9 @@ class EdgeNode(Node):
                     self.twin.on_sync_reply(msg.sender, msg.payload)
                 return
             self._handle_op(msg)
-        elif msg.kind in (MessageKind.DATA_YPP, MessageKind.ANYCAST_DATA_YPP):
+        elif msg.kind in _SYNC_OF_PUSH:
             self._handle_producer_data(msg)
-        elif msg.kind.is_sync:
+        elif msg.kind in _PUSH_OF_SYNC:
             self._handle_network_data(msg)
         else:
             self.drop("unhandled_kind", ("k", msg.kind.name))
@@ -686,12 +716,11 @@ class EdgeNode(Node):
         if "consumer" in roles:
             row.consumer_apps.add((host, app_id))
         if "producer" in roles:
-            admission = admit_producer(
+            lock_host = admit_producer(
                 row.model,
                 scope_has_active_edge=row.active or row.edge_locked,
                 edge_is_active=row.active,
                 edge_has_active_producer=bool(row.unlocked_producers()))
-            lock_host = admission.lock_host_row
             row.producer_apps[(host, app_id)] = lock_host
             if lock_host:
                 self.emit("LOCK", ("table", "ppt"), ("community", row.community),
@@ -904,55 +933,42 @@ class EdgeNode(Node):
         if all(row.producer_apps[k] for k in sender_apps):
             self.drop("producer_locked", ("host", sender))
             return
-        try:
-            _, q = parse_data_metadata(msg.kind, msg.floating.metadata)
-        except MalformedFloating as exc:
-            self.proto_error(str(exc))
+        read = self._read_data(msg)
+        if read is None:
             return
-        self._deliver_to_local_consumers(row, msg, exclude=sender, q=q)
+        self._deliver_to_local_consumers(row, msg, exclude=sender,
+                                         mode=read[1])
         tree = self.aft.get((valley, channel))
         if tree is not None:
             self._originate_sync(msg, tree)
 
     def _handle_network_data(self, msg: YodelMessage) -> None:
-        tree = msg.floating.path_tree
-        if tree is None or tree.yni != self.yni:
-            self.proto_error("tree rooted elsewhere")
+        read = self._read_data(msg)
+        if read is None:
             return
-        try:
-            children = pop_path_root(msg, self.yni)
-        except RootMismatch as exc:
-            self.proto_error(str(exc))
-            return
-        try:
-            _, q = parse_data_metadata(msg.kind, msg.floating.metadata)
-        except MalformedFloating as exc:
-            self.proto_error(str(exc))
-            return
+        _, mode, children = read
         valley = msg.floating.valley_id
         channel = msg.floating.channel_id
         fib = self.fibs.get(valley)
         row = None if fib is None else fib.row_for_channel(channel)
         if row is not None and "consumer" in row.roles:
-            local_kind = MessageKind.ANYCAST_DATA_YPP if msg.kind.is_anycast \
-                else MessageKind.DATA_YPP
-            local = YodelMessage(local_kind, msg.sender, self.yni,
+            local = YodelMessage(_PUSH_OF_SYNC[msg.kind], msg.sender, self.yni,
                                  FloatingHeader(valley_id=valley,
                                                 channel_id=channel,
                                                 metadata=msg.floating.metadata),
                                  msg.payload)
-            self._deliver_to_local_consumers(row, local, exclude=None, q=q)
+            self._deliver_to_local_consumers(row, local, exclude=None,
+                                             mode=mode)
         elif row is None and not children:
             self.drop("unknown_channel", ("channel", channel))
         self.strategic_send(children)
 
     def _deliver_to_local_consumers(self, row: FibRow, msg: YodelMessage,
                                     exclude: Optional[Yni],
-                                    q: Optional[int]) -> None:
+                                    mode: Optional[AnycastMode]) -> None:
         targets = [h for h in row.consumer_hosts()
                    if h != exclude and h not in row.locked_hosts]
-        if msg.kind.is_anycast:
-            mode = _mode_from_q(True, q or 0)
+        if mode is not None:
             targets = anycast_filter("edge", targets, mode,
                                      self.env.rng(self.label))
         pairs = []
@@ -967,14 +983,12 @@ class EdgeNode(Node):
             self._send_to_host(host, out)
 
     def _originate_sync(self, msg: YodelMessage, tree: PathTree) -> None:
-        sync_kind = MessageKind.ANYCAST_DATA_YSYNC if msg.kind.is_anycast \
-            else MessageKind.DATA_YSYNC
         floating = FloatingHeader(valley_id=msg.floating.valley_id,
                                   channel_id=msg.floating.channel_id,
                                   metadata=msg.floating.metadata,
                                   path_tree=tree)
-        carrier = YodelMessage(sync_kind, self.yni, self.yni, floating,
-                               msg.payload)
+        carrier = YodelMessage(_SYNC_OF_PUSH[msg.kind], self.yni, self.yni,
+                               floating, msg.payload)
         self.strategic_send(pop_path_root(carrier, self.yni))
 
     def _send_to_host(self, host: Yni, msg: YodelMessage) -> None:
@@ -1093,24 +1107,18 @@ class EdgeNode(Node):
 
 
 class ConnectorNode(Node):
-    """Transit node: no valley, namespace or channel state at all."""
+    """Transit node: no valley, namespace or channel state at all. It reads
+    and rejects malformed data in the same step as every other node."""
 
     def on_message(self, msg: YodelMessage) -> None:
-        if not msg.kind.is_sync:
+        if msg.kind not in _PUSH_OF_SYNC:
             self.drop("unhandled_kind", ("k", msg.kind.name))
             return
-        try:
-            children = pop_path_root(msg, self.yni)
-        except RootMismatch as exc:
-            self.proto_error(str(exc))
+        read = self._read_data(msg)
+        if read is None:
             return
-        if msg.kind.is_anycast:
-            try:
-                _, q = parse_data_metadata(msg.kind, msg.floating.metadata)
-            except MalformedFloating as exc:
-                self.proto_error(str(exc))
-                return
-            mode = _mode_from_q(True, q or 0)
+        _, mode, children = read
+        if mode is not None:
             children = anycast_filter("connector", children, mode,
                                       self.env.rng(self.label))
         self.strategic_send(children)

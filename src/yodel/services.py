@@ -25,7 +25,6 @@ __all__ = [
     "ServiceAttributes",
     "ServiceModel",
     "AnycastMode",
-    "ProducerAdmission",
     "admit_producer",
     "next_local_producer",
     "next_producer_edge",
@@ -105,32 +104,21 @@ class AnycastMode:
     p_deliver: float = 1.0
 
 
-@dataclass(frozen=True)
-class ProducerAdmission:
-    """Lock directives for a joining producer app."""
-
-    lock_host_row: bool
-    lock_edge_row: bool
-
-
 def admit_producer(model: ServiceModel, *,
                    scope_has_active_edge: bool,
                    edge_is_active: bool,
-                   edge_has_active_producer: bool) -> ProducerAdmission:
-    """Decide the lock state for a new producer app.
+                   edge_has_active_producer: bool) -> bool:
+    """Whether a new producer app's host row goes on hold.
 
     For the single-source family the scope is the flow (or, once partitioned,
-    the joining edge's partition): the first producer stays unlocked, every
-    later one goes on hold, and a producer edge that is not the scope's
-    active edge is locked wholesale. Multi-source variants never lock.
+    the joining edge's partition): the first producer stays unlocked and
+    every later one goes on hold. Whether a producer edge that is not the
+    scope's active edge is locked wholesale is the controller's decision,
+    carried in `JoinReply.lock_edge`. Multi-source variants never lock.
     """
-    if not model.single_source:
-        return ProducerAdmission(False, False)
-    if not scope_has_active_edge:
-        return ProducerAdmission(False, False)
-    if not edge_is_active:
-        return ProducerAdmission(True, True)
-    return ProducerAdmission(edge_has_active_producer, False)
+    if not model.single_source or not scope_has_active_edge:
+        return False
+    return not edge_is_active or edge_has_active_producer
 
 
 _T = TypeVar("_T")

@@ -225,15 +225,14 @@ class Simulation:
         for link in self.topo.links:
             self._connect(link.a, link.b, link.latency)
             a, b = self.nodes[link.a], self.nodes[link.b]
-            a.act.add_neighbor(b.yni, link.latency, f"uni:{link.a}-{link.b}")
-            b.act.add_neighbor(a.yni, link.latency, f"uni:{link.a}-{link.b}")
-        for i, group in enumerate(self.topo.groups):
-            token = f"mcast:{group.domain}:{i}"
+            a.act.add_neighbor(b.yni, link.latency)
+            b.act.add_neighbor(a.yni, link.latency)
+        for group in self.topo.groups:
             for member in group.members:
                 others = [self.nodes[m].yni for m in group.members
                           if m != member]
                 if len(others) >= 2:
-                    self.nodes[member].act.add_group(others, 1, token)
+                    self.nodes[member].act.add_group(others, 1)
         for spec in self.topo.nodes:
             node = self.nodes[spec.name]
             neighbors = {self.nodes[other].yni: link.latency

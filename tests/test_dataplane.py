@@ -176,7 +176,7 @@ class TestAcTable:
     def test_unicast_only_one_per_neighbor(self):
         t = AcTable()
         for y in (H1, H2, H3):
-            t.add_neighbor(y, 1, f"uni:{y}")
+            t.add_neighbor(y, 1)
         plan = t.plan([H1, H2, H3])
         assert len(plan) == 3
         assert all(s.kind == "unicast" for s, _ in plan)
@@ -184,8 +184,8 @@ class TestAcTable:
     def test_group_covers_in_one(self):
         t = AcTable()
         for y in (H1, H2, H3):
-            t.add_neighbor(y, 1, "u")
-        t.add_group([H1, H2, H3], 1, "g")
+            t.add_neighbor(y, 1)
+        t.add_group([H1, H2, H3], 1)
         plan = t.plan([H1, H2, H3])
         assert len(plan) == 1
         assert plan[0][0].kind == "local-multicast"
@@ -194,8 +194,8 @@ class TestAcTable:
     def test_greedy_mix(self):
         t = AcTable()
         for y in (H1, H2, H3):
-            t.add_neighbor(y, 1, "u")
-        t.add_group([H1, H2], 1, "g")
+            t.add_neighbor(y, 1)
+        t.add_group([H1, H2], 1)
         plan = t.plan([H1, H2, H3])
         kinds = sorted(s.kind for s, _ in plan)
         assert kinds == ["local-multicast", "unicast"]
@@ -205,9 +205,9 @@ class TestAcTable:
     def test_disjoint_coverage(self):
         t = AcTable()
         for y in (H1, H2, H3):
-            t.add_neighbor(y, 1, "u")
-        t.add_group([H1, H2], 1, "g1")
-        t.add_group([H2, H3], 1, "g2")
+            t.add_neighbor(y, 1)
+        t.add_group([H1, H2], 1)
+        t.add_group([H2, H3], 1)
         plan = t.plan([H1, H2, H3])
         seen = set()
         for _, covered in plan:
@@ -217,16 +217,16 @@ class TestAcTable:
 
     def test_latency_breaks_ties(self):
         t = AcTable()
-        t.add_neighbor(H1, 5, "slow")
+        t.add_neighbor(H1, 5)
         fast = AcTable()
-        fast.add_neighbor(H1, 5, "slow")
-        fast.add_neighbor(H1, 1, "fast")
+        fast.add_neighbor(H1, 5)
+        fast.add_neighbor(H1, 1)
         plan = fast.plan([H1])
-        assert plan[0][0].underlay == "fast"
+        assert plan[0][0].latency == 1
 
     def test_uncoverable_raises(self):
         t = AcTable()
-        t.add_neighbor(H1, 1, "u")
+        t.add_neighbor(H1, 1)
         with pytest.raises(UncoverableNeighbor) as e:
             t.plan([H1, H2])
         assert e.value.neighbors == (H2,)
@@ -234,8 +234,8 @@ class TestAcTable:
     def test_group_strategy_shared_by_member_rows(self):
         t = AcTable()
         for y in (H1, H2, H3):
-            t.add_neighbor(y, 1, "u")
-        t.add_group([H1, H2, H3], 1, "g")
+            t.add_neighbor(y, 1)
+        t.add_group([H1, H2, H3], 1)
         (group,) = [s for s in t.rows[H1] if s.kind == "local-multicast"]
         for y in (H2, H3):
             assert [s for s in t.rows[y] if s.kind == "local-multicast"] \
@@ -245,7 +245,7 @@ class TestAcTable:
     def test_group_needs_two_members(self):
         t = AcTable()
         with pytest.raises(ValueError):
-            t.add_group([H1], 1, "g")
+            t.add_group([H1], 1)
 
 
 def reference_plan(table: AcTable, required) -> list:
@@ -306,11 +306,11 @@ def strategy_tables(draw):
 def test_plan_matches_reference(case):
     rows, required = case
     table = AcTable()
-    for i, (kind, members, latency) in enumerate(rows):
+    for kind, members, latency in rows:
         if kind == "unicast":
-            table.add_neighbor(members[0], latency, f"u{i}")
+            table.add_neighbor(members[0], latency)
         else:
-            table.add_group(members, latency, f"g{i}")
+            table.add_group(members, latency)
     got = table.plan(required)
     want = reference_plan(table, required)
     assert len(got) == len(want)
@@ -740,7 +740,7 @@ class TestEdgeData:
         env = FakeEnv()
         edge, h1, h2 = joined_edge(env)
         edge.aft[(1, 100)] = PathTree(E1, (PathTree(X1),))
-        edge.act.add_neighbor(X1, 1, "u")
+        edge.act.add_neighbor(X1, 1)
         msg = YodelMessage(MessageKind.DATA_YPP, H1, E1,
                            FloatingHeader(valley_id=1, channel_id=100,
                                           metadata=data_metadata(1)),
@@ -754,7 +754,7 @@ class TestEdgeData:
     def test_network_sync_delivers_and_forwards(self):
         env = FakeEnv()
         edge, h1, h2 = joined_edge(env)
-        edge.act.add_neighbor(X1, 1, "u")
+        edge.act.add_neighbor(X1, 1)
         tree = PathTree(E1, (PathTree(X1),))
         msg = YodelMessage(MessageKind.DATA_YSYNC, C1, E1,
                            FloatingHeader(valley_id=1, channel_id=100,
@@ -780,7 +780,9 @@ class TestEdgeData:
                                           path_tree=tree),
                            b"p")
         edge.on_message(msg)
-        assert env.trace.count("PROTO_ERROR") == 1
+        # the codec's reason, as at a connector
+        assert env.trace.count("PROTO_ERROR",
+                               reason=f"path root is {X1}, not {E1}") == 1
         assert env.metrics.proto_errors == 1
 
     def test_pct_locked_host_not_delivered(self):
@@ -846,8 +848,8 @@ class TestConnectorNode:
     def test_pops_and_forwards_children(self):
         env = FakeEnv()
         conn = env.register(ConnectorNode("c1", C1, "d1", env))
-        conn.act.add_neighbor(X1, 1, "u")
-        conn.act.add_neighbor(X2, 1, "u")
+        conn.act.add_neighbor(X1, 1)
+        conn.act.add_neighbor(X2, 1)
         tree = PathTree(C1, (PathTree(X1), PathTree(X2)))
         msg = YodelMessage(MessageKind.DATA_YSYNC, E1, C1,
                            FloatingHeader(valley_id=1, channel_id=1,
@@ -862,9 +864,9 @@ class TestConnectorNode:
     def test_group_covers_both_children_in_one_transmission(self):
         env = FakeEnv()
         conn = env.register(ConnectorNode("c1", C1, "d1", env))
-        conn.act.add_neighbor(X1, 1, "u")
-        conn.act.add_neighbor(X2, 1, "u")
-        conn.act.add_group([X1, X2], 1, "g")
+        conn.act.add_neighbor(X1, 1)
+        conn.act.add_neighbor(X2, 1)
+        conn.act.add_group([X1, X2], 1)
         tree = PathTree(C1, (PathTree(X1), PathTree(X2)))
         msg = YodelMessage(MessageKind.DATA_YSYNC, E1, C1,
                            FloatingHeader(valley_id=1, channel_id=1,
@@ -878,7 +880,7 @@ class TestConnectorNode:
     def test_missing_route_drops_only_that_child(self):
         env = FakeEnv()
         conn = env.register(ConnectorNode("c1", C1, "d1", env))
-        conn.act.add_neighbor(X1, 1, "u")
+        conn.act.add_neighbor(X1, 1)
         tree = PathTree(C1, (PathTree(X1), PathTree(X2)))
         msg = YodelMessage(MessageKind.DATA_YSYNC, E1, C1,
                            FloatingHeader(valley_id=1, channel_id=1,
@@ -898,12 +900,14 @@ class TestConnectorNode:
                                           path_tree=PathTree(X1)),
                            b"p")
         conn.on_message(msg)
+        assert env.trace.count("PROTO_ERROR",
+                               reason=f"path root is {X1}, not {C1}") == 1
         assert env.metrics.proto_errors == 1
 
     def test_anycast_zero_share_forwards_nothing(self):
         env = FakeEnv()
         conn = env.register(ConnectorNode("c1", C1, "d1", env))
-        conn.act.add_neighbor(X1, 1, "u")
+        conn.act.add_neighbor(X1, 1)
         tree = PathTree(C1, (PathTree(X1),))
         msg = YodelMessage(MessageKind.ANYCAST_DATA_YSYNC, E1, C1,
                            FloatingHeader(valley_id=1, channel_id=1,
@@ -917,8 +921,8 @@ class TestConnectorNode:
     def test_anycast_full_share_forwards_all(self):
         env = FakeEnv()
         conn = env.register(ConnectorNode("c1", C1, "d1", env))
-        conn.act.add_neighbor(X1, 1, "u")
-        conn.act.add_neighbor(X2, 1, "u")
+        conn.act.add_neighbor(X1, 1)
+        conn.act.add_neighbor(X2, 1)
         tree = PathTree(C1, (PathTree(X1), PathTree(X2)))
         msg = YodelMessage(MessageKind.ANYCAST_DATA_YSYNC, E1, C1,
                            FloatingHeader(valley_id=1, channel_id=1,
@@ -927,6 +931,91 @@ class TestConnectorNode:
                            b"p")
         conn.on_message(msg)
         assert sorted(s[1] for s in env.sent) == sorted([X1, X2])
+
+
+# ---------------------------------------------------------------------------
+# the data receive step every node kind shares
+
+
+def _host_receiver(env):
+    host = make_host(env)
+    host.on_message(reply_msg("consumer"))
+    return host, E1, None
+
+
+def _edge_producer_receiver(env):
+    edge, _, _ = joined_edge(env)
+    edge.aft[(1, 100)] = PathTree(E1, (PathTree(X1),))
+    edge.act.add_neighbor(X1, 1)
+    return edge, H1, None
+
+
+def _edge_network_receiver(env):
+    edge, _, _ = joined_edge(env)
+    edge.act.add_neighbor(X1, 1)
+    return edge, C1, PathTree(E1, (PathTree(X1),))
+
+
+def _connector_receiver(env):
+    conn = env.register(ConnectorNode("c1", C1, "d1", env))
+    conn.act.add_neighbor(X1, 1)
+    return conn, E1, PathTree(C1, (PathTree(X1),))
+
+
+# (node, sender, path tree) that delivers or forwards a well-formed data
+# message; with a tree the message is of a sync kind, else of a push kind
+RECEIVERS = {
+    "host": _host_receiver,
+    "edge-from-host": _edge_producer_receiver,
+    "edge-from-network": _edge_network_receiver,
+    "connector": _connector_receiver,
+}
+
+
+def data_at(where, anycast, metadata):
+    """A fresh receiver, its environment and a data message addressed to
+    it with the given metadata."""
+    env = FakeEnv()
+    node, sender, tree = RECEIVERS[where](env)
+    if tree is None:
+        kind = MessageKind.ANYCAST_DATA_YPP if anycast else MessageKind.DATA_YPP
+    else:
+        kind = MessageKind.ANYCAST_DATA_YSYNC if anycast \
+            else MessageKind.DATA_YSYNC
+    msg = YodelMessage(kind, sender, node.yni,
+                       FloatingHeader(valley_id=1, channel_id=100,
+                                      metadata=metadata, path_tree=tree),
+                       b"p")
+    return env, node, msg
+
+
+@pytest.mark.parametrize("where", RECEIVERS)
+@pytest.mark.parametrize("anycast,metadata", [
+    (False, b"\x01"),              # serial cut short
+    (True, data_metadata(1)),      # delivery fraction missing
+], ids=["plain", "anycast"])
+def test_malformed_data_metadata_is_one_protocol_error(where, anycast,
+                                                       metadata):
+    env, node, msg = data_at(where, anycast, metadata)
+    before = len(env.sent)
+    node.on_message(msg)
+    assert env.trace.count("PROTO_ERROR") == 1
+    assert env.metrics.proto_errors == 1
+    assert env.trace.count("DELIVER") == 0
+    assert env.sent[before:] == []
+
+
+@pytest.mark.parametrize("where", RECEIVERS)
+@pytest.mark.parametrize("anycast,metadata", [
+    (False, data_metadata(1)),
+    (True, data_metadata(1, 65535)),
+], ids=["plain", "anycast"])
+def test_well_formed_data_is_delivered_or_forwarded(where, anycast, metadata):
+    env, node, msg = data_at(where, anycast, metadata)
+    before = len(env.sent)
+    node.on_message(msg)
+    assert env.trace.count("PROTO_ERROR") == 0
+    assert env.trace.count("DELIVER") + len(env.sent) - before > 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from yodel.services import (
     AnycastMode,
     ChannelSource,
     Multiplicity,
-    ProducerAdmission,
     ServiceModel,
     admit_producer,
     anycast_filter,
@@ -59,21 +58,21 @@ def test_anycast_family():
 def test_first_producer_in_scope_is_admitted_unlocked(model):
     got = admit_producer(model, scope_has_active_edge=False,
                          edge_is_active=False, edge_has_active_producer=False)
-    assert got == ProducerAdmission(False, False)
+    assert got is False
 
 
 @pytest.mark.parametrize("model", [ServiceModel.SSM, ServiceModel.AC])
 def test_second_producer_on_active_edge_locks_host_row_only(model):
     got = admit_producer(model, scope_has_active_edge=True,
                          edge_is_active=True, edge_has_active_producer=True)
-    assert got == ProducerAdmission(True, False)
+    assert got is True
 
 
 @pytest.mark.parametrize("model", [ServiceModel.SSM, ServiceModel.AC])
 def test_producer_via_new_edge_locks_host_and_edge(model):
     got = admit_producer(model, scope_has_active_edge=True,
                          edge_is_active=False, edge_has_active_producer=False)
-    assert got == ProducerAdmission(True, True)
+    assert got is True
 
 
 @pytest.mark.parametrize("model", [ServiceModel.MSM, ServiceModel.MSAC,
@@ -83,7 +82,7 @@ def test_multi_source_variants_never_lock(model):
         got = admit_producer(model, scope_has_active_edge=active_edge,
                              edge_is_active=active_edge,
                              edge_has_active_producer=active_edge)
-        assert got == ProducerAdmission(False, False)
+        assert got is False
 
 
 def test_failover_picks_lowest_host_then_app():
