@@ -162,12 +162,6 @@ class FloatingHeader:
     metadata: Optional[bytes] = None
     path_tree: Optional[PathTree] = None
 
-    def is_empty(self) -> bool:
-        """True when no element is present (zero-length on the wire)."""
-        return (self.valley_id is None and self.channel_id is None
-                and self.namespace_id is None and self.application_id is None
-                and self.metadata is None and self.path_tree is None)
-
     def encode(self) -> bytes:
         parts = []
 

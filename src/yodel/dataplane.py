@@ -272,6 +272,7 @@ class NodeEnv(Protocol):
     def transmit(self, src: "Node", pairs: list[tuple[Yni, YodelMessage]],
                  mcast: bool = False) -> None: ...
     def controller_rpc(self, src: "Node", payload: object) -> None: ...
+    def sync_hosts(self, edge: "EdgeNode", hosts: list[Yni]) -> None: ...
 
 
 class Node:
@@ -457,13 +458,6 @@ class HostNode(Node):
 
     def on_message(self, msg: YodelMessage) -> None:
         if msg.kind is MessageKind.CONTROL_YPP:
-            if msg.floating.is_empty():
-                # twin sync query; the reply carries the table dump as payload
-                reply = YodelMessage(MessageKind.CONTROL_YPP, self.yni,
-                                     self.edge, FloatingHeader(),
-                                     self.state_dump())
-                self.env.transmit(self, [(self.edge, reply)])
-                return
             self._handle_op(msg)
             return
         if msg.kind in _SYNC_OF_PUSH:
@@ -588,9 +582,12 @@ class HostNode(Node):
                 if v == valley_id and c == community:
                     row.channel_id = new
 
-    # -- twin support ---------------------------------------------------------
+    # -- table dump -----------------------------------------------------------
 
     def state_dump(self) -> bytes:
+        """The host's registration tables as JSON. No caller in the
+        package; bench/layers.py traces it by name, so it stays until that
+        entry goes."""
         def rows(table):
             return [{"valley": r.valley_id, "community": r.community,
                      "app": r.app_id, "channel": r.channel_id,
@@ -656,10 +653,6 @@ class EdgeNode(Node):
 
     def on_message(self, msg: YodelMessage) -> None:
         if msg.kind is MessageKind.CONTROL_YPP:
-            if msg.floating.is_empty():
-                if self.twin is not None:
-                    self.twin.on_sync_reply(msg.sender, msg.payload)
-                return
             self._handle_op(msg)
         elif msg.kind in _SYNC_OF_PUSH:
             self._handle_producer_data(msg)

@@ -13,6 +13,7 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional
 
 from .codec import MessageKind, YodelMessage
@@ -92,7 +93,8 @@ class Simulation:
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = 0
         self._rngs: dict[str, random.Random] = {}
-        self._inflight: dict[int, Link] = {}
+        # event -> the links whose copies it lands, while it is pending
+        self._inflight: dict[int, tuple[Link, ...]] = {}
         self.nodes: dict[str, Node] = {}        # label -> node (infra + hosts)
         self.by_yni: dict[Yni, Node] = {}
         self.edges: dict[str, EdgeNode] = {}
@@ -175,21 +177,61 @@ class Simulation:
             return
         event = self.schedule(self._now + link.latency,
                               lambda: self._arrive(link, src, dst, msg, wire))
-        self._inflight[event] = link
+        self._inflight[event] = (link,)
 
     def _arrive(self, link: Link, src: Node, dst: Node, msg: YodelMessage,
                 wire: tuple[tuple[str, object], ...]) -> None:
         self._inflight.pop(self._current_event, None)
+        if not self._lands(link, src, dst):
+            return
+        self.trace.emit(self._now, dst.label, "RECV", ("from", src.label),
+                        *wire)
+        dst.on_message(msg)
+
+    def _lands(self, link: Link, src: Node, dst: Node) -> bool:
+        """Count a copy reaching the far end of `link`: received, or lost
+        to a down link or a crashed receiver."""
         if not link.up or dst.label in self._crashed:
             link.lost += 1
             self.trace.emit(self._now, dst.label, "DROP",
                             ("reason", "link_down"), ("from", src.label))
             self.metrics.dropped(dst.label, "link_down")
-            return
+            return False
         link.received += 1
-        self.trace.emit(self._now, dst.label, "RECV", ("from", src.label),
-                        *wire)
-        dst.on_message(msg)
+        return True
+
+    def sync_hosts(self, edge: EdgeNode, hosts: list[Yni]) -> None:
+        """One twin sweep's keepalives from `edge`: one event carries the
+        queries to every host in `hosts`, one more carries the replies
+        back. Each copy counts on its link like any other message but gets
+        no SEND or RECV line."""
+        queries = [(edge, self.by_yni[host]) for host in hosts]
+        self._send_batch(queries, self._answer_sync)
+
+    def _send_batch(self, batch: list[tuple[Node, Node]],
+                    land: Callable[[list[tuple[Node, Node]]], None]) -> None:
+        """Send one copy per (src, dst) pair over their access line; one
+        event lands them all and hands the pairs that arrived to `land`."""
+        links = tuple(self.links[src.label][dst.label] for src, dst in batch)
+        for link in links:
+            link.sent += 1
+
+        def arrive():
+            self._inflight.pop(self._current_event, None)
+            land([(src, dst) for (src, dst), link in zip(batch, links)
+                  if self._lands(link, src, dst)])
+        event = self.schedule(self._now + self.config.host_link_latency,
+                              arrive)
+        self._inflight[event] = links
+
+    def _answer_sync(self, queried: list[tuple[Node, Node]]) -> None:
+        if queried:
+            self._send_batch([(host, edge) for edge, host in queried],
+                             self._refresh_twins)
+
+    def _refresh_twins(self, replied: list[tuple[Node, Node]]) -> None:
+        for host, edge in replied:
+            edge.twin.on_sync_reply(host.yni)
 
     def controller_rpc(self, src: Node, payload: object) -> None:
         if src.label in self._crashed:
@@ -306,7 +348,8 @@ class Simulation:
             self._current_event = seq
             fn()
         # every copy still on a wire has its arrival left in the heap
-        self.metrics.finalize_conservation(self._inflight.values())
+        self.metrics.finalize_conservation(
+            chain.from_iterable(self._inflight.values()))
         return self
 
     # -- scenario commands -----------------------------------------------------

@@ -1,13 +1,15 @@
 """Host resiliency: per-edge twin records that stand in for silent hosts.
 
-Each attached host gets a twin record holding a replica of its registration
-tables and a stand-in identity minted by the edge. A periodic sweep queries
-every attached host; after enough consecutive missed sweeps the record goes
-active, the edge swaps the stand-in into its consumer tables and buffers
-traffic. When the host announces its return the swap reverses, the buffer
-flushes in arrival order, and refreshed registration state follows before the
-host is allowed to send again. Records that stay active past their lifetime
-are purged along with the host's registrations.
+Each attached host gets a twin record: a miss count, a lifetime, a buffer and
+a stand-in identity minted by the edge. A periodic sweep sends one batched
+keepalive to every reachable host and counts the unreachable ones as missed;
+a reply resets the count and renews the lifetime. After enough consecutive
+missed sweeps the record goes active, the edge swaps the stand-in into its
+consumer tables and buffers traffic. When the host announces its return the
+swap reverses, refreshed registration state goes out, the buffer flushes in
+arrival order, and only then is the host allowed to send again. Records that
+stay active past their lifetime are purged along with the host's
+registrations.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from .codec import FloatingHeader, MessageKind, YodelMessage
+from .codec import YodelMessage
 from .ynid import Yni, generate_yni
 
 __all__ = ["TwinConfig", "TwinRecord", "TwinManager"]
@@ -36,7 +38,6 @@ class TwinRecord:
     expire_at: int
     missed: int = 0
     active: bool = False
-    replica: bytes = b"{}"
     buffer: list[YodelMessage] = field(default_factory=list)
 
 
@@ -81,31 +82,38 @@ class TwinManager:
                        ("alphorn", str(alphorn)))
 
     def sweep(self) -> None:
-        """One sync round: query reachable hosts, count the silent ones,
-        activate at the miss threshold, purge overdue active records."""
-        now = self.edge.env.now()
+        """One sync round: count the silent hosts, activate at the miss
+        threshold, purge overdue active records, then send one batched
+        keepalive to the reachable hosts."""
+        env = self.edge.env
+        now = env.now()
+        hosts: list[Yni] = []
+        missed = 0
         for host in sorted(self.records):
             rec = self.records.get(host)
             if rec is None:
                 continue
             if self.attached(host):
-                query = YodelMessage(MessageKind.CONTROL_YPP, self.edge.yni,
-                                     host, FloatingHeader())
-                self.edge.env.transmit(self.edge, [(host, query)])
+                hosts.append(host)
             else:
+                missed += 1
                 rec.missed += 1
                 if not rec.active and rec.missed >= self.config.miss_threshold:
                     self._activate(rec)
             if rec.active and rec.expire_at < now:
                 self._expire(rec)
+        if hosts or missed:
+            self.edge.emit("TWIN_SYNC", ("queried", len(hosts)),
+                           ("missed", missed))
+        if hosts:
+            env.sync_hosts(self.edge, hosts)
 
-    def on_sync_reply(self, host: Yni, payload: bytes) -> None:
+    def on_sync_reply(self, host: Yni) -> None:
         rec = self.records.get(host)
         if rec is None:
             return
         rec.missed = 0
         rec.expire_at = self.edge.env.now() + self.config.ttl
-        rec.replica = payload
 
     # -- activation ------------------------------------------------------------
 

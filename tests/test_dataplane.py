@@ -108,6 +108,11 @@ class FakeEnv:
     def controller_rpc(self, src, payload):
         self.rpcs.append((src.label, payload))
 
+    def sync_hosts(self, edge, hosts):
+        for host in hosts:
+            if host not in self.down:
+                edge.twin.on_sync_reply(host)
+
 
 # ---------------------------------------------------------------------------
 # op and metadata codecs
@@ -511,15 +516,17 @@ class TestHostNode:
         wire = [s for s in env.sent if s[2].kind is MessageKind.DATA_YPP]
         assert len(wire) == 1 and wire[0][2].payload == b"queued"
 
-    def test_sync_query_answered_with_dump(self):
+    def test_empty_control_message_is_a_proto_error(self):
         env = FakeEnv()
         host = make_host(env)
         host.on_message(reply_msg("producer"))
-        query = YodelMessage(MessageKind.CONTROL_YPP, E1, H1, FloatingHeader())
-        host.on_message(query)
-        _, dst, msg, _ = env.sent[-1]
-        assert dst == E1 and msg.floating.is_empty()
-        assert b'"prt"' in msg.payload
+        sent = len(env.sent)
+        host.on_message(YodelMessage(MessageKind.CONTROL_YPP, E1, H1,
+                                     FloatingHeader()))
+        assert env.metrics.proto_errors == 1
+        assert env.trace.count("PROTO_ERROR", n="h1",
+                               reason="empty op payload") == 1
+        assert len(env.sent) == sent
 
 
 # ---------------------------------------------------------------------------
@@ -1069,13 +1076,22 @@ class TestTwin:
         edge, h1, h2, h3 = twin_world(env, ttl=50)
         env.tick = 5
         edge.twin.sweep()
-        queries = [s for s in env.sent
-                   if s[2].kind is MessageKind.CONTROL_YPP
-                   and s[2].floating.is_empty() and s[0] == "e1"]
-        assert len(queries) == 3
+        assert env.trace.count("TWIN_SYNC", n="e1", queried="3",
+                               missed="0") == 1
         rec = edge.twin.records[H1]
         assert rec.expire_at == 55
-        assert b'"prt"' in rec.replica
+
+    def test_empty_control_message_at_edge_is_a_proto_error(self):
+        env = FakeEnv()
+        edge, h1, h2, h3 = twin_world(env, ttl=50)
+        env.tick = 20
+        edge.on_message(YodelMessage(MessageKind.CONTROL_YPP, H1, E1,
+                                     FloatingHeader()))
+        assert env.metrics.proto_errors == 1
+        assert env.trace.count("PROTO_ERROR", n="e1",
+                               reason="empty op payload") == 1
+        # not a keepalive reply: the record keeps its old lifetime
+        assert edge.twin.records[H1].expire_at == 50
 
     def test_missed_sweeps_activate(self):
         env = FakeEnv()

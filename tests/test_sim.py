@@ -411,6 +411,45 @@ at 140 send h1 vale room 1 back
         assert sim.trace.count("TWIN_FLUSH") == 0
 
 
+class TestTwinKeepalive:
+    """One batched keepalive per edge sweep: sweeps at ticks 5, 10, ...;
+    queries land at the hosts one tick later, replies at the edge after
+    another (host_link_latency 1)."""
+
+    def test_host_down_between_sweep_and_query_is_a_drop(self):
+        sim = run_text(TWO_DOMAINS, scen(body="at 11 fault host-down h2\n",
+                                         until=12))
+        assert "t=11 n=h2 ev=DROP reason=link_down from=e2" \
+            in sim.trace.lines()
+        assert sim.metrics.to_dict()["drops"] == {"h2": {"link_down": 1}}
+        assert sim.metrics.conservation["links"]["e2>h2"] == {
+            "sent": 2, "received": 1, "lost": 1, "in_flight": 0, "ok": True}
+        # the sweep at 5 was answered at 7; the one at 10 never arrived
+        h2 = sim.hosts["h2"].yni
+        assert sim.edges["e2"].twin.records[h2].expire_at == 7 + 50
+
+    def test_replies_on_the_wire_at_the_horizon_are_in_flight(self):
+        sim = run_text(TWO_DOMAINS, scen(until=11))
+        links = sim.metrics.conservation["links"]
+        for host, edge in (("h1", "e1"), ("h2", "e2")):
+            assert links[f"{edge}>{host}"] == {
+                "sent": 2, "received": 2, "lost": 0, "in_flight": 0,
+                "ok": True}
+            assert links[f"{host}>{edge}"] == {
+                "sent": 2, "received": 1, "lost": 0, "in_flight": 1,
+                "ok": True}
+        assert sim.metrics.conservation["ok"] is True
+        assert sim.trace.count("TWIN_SYNC", queried="1", missed="0") == 4
+
+    def test_zero_host_link_latency(self):
+        text = (scen(body=TestTwinOverSim.BODY, until=80)
+                + "config host_link_latency 0\n")
+        sim = run_text(TWO_DOMAINS, text)
+        assert sim.trace.count("TWIN_ACTIVE", n="e2") == 1
+        assert sim.metrics.deliveries == {"h2": 3}
+        assert sim.metrics.conservation["ok"] is True
+
+
 class TestPartitioning:
     def test_manual_split_localizes_traffic(self):
         body = """\
