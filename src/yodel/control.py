@@ -83,11 +83,12 @@ class TopologyGraph:
     `adjacency` holds every confirmed link from both ends; `register` keeps
     it current.
 
-    Two results that depend only on the nodes and `adjacency` are cached:
-    the shortest-path tree from each source (`shortest_paths`) and the
+    Three results that depend only on the nodes and `adjacency` are
+    cached: the shortest-path tree from each source (`shortest_paths`), the
+    path tree from a source to each set of targets (`path_tree`) and the
     distance of every node to each domain (`domain_distances`). `register`
-    drops both caches when the registering node is new, changes role or
-    domain, or ends with a different adjacency row. Links are symmetric,
+    drops all three caches when the registering node is new, changes role
+    or domain, or ends with a different adjacency row. Links are symmetric,
     so when that node's row is unchanged no other row changed either.
     """
 
@@ -96,6 +97,8 @@ class TopologyGraph:
         self.declared: dict[Yni, dict[Yni, int]] = {}
         self.adjacency: dict[Yni, dict[Yni, int]] = {}
         self._paths: dict[Yni, tuple[set[Yni], dict[Yni, Yni]]] = {}
+        self._trees: dict[tuple[Yni, frozenset[Yni]],
+                          PathTree | tuple[Yni, ...]] = {}
         self._domain_dist: dict[str, dict[Yni, int]] = {}
 
     def register(self, yni: Yni, role: str, domain: str,
@@ -118,6 +121,7 @@ class TopologyGraph:
         if (old is None or old.role != role or old.domain != domain
                 or links != old_links):
             self._paths.clear()
+            self._trees.clear()
             self._domain_dist.clear()
 
     def edges(self) -> list[NodeInfo]:
@@ -154,6 +158,36 @@ class TopologyGraph:
         cached = self._paths[source] = (done, parent)
         return cached
 
+    def path_tree(self, source: Yni, targets: frozenset[Yni]
+                  ) -> PathTree | tuple[Yni, ...]:
+        """The union of shortest paths from `source` to every target, or
+        the targets it cannot reach, in id order. Either is cached until
+        the graph changes."""
+        key = (source, targets)
+        cached = self._trees.get(key)
+        if cached is not None:
+            return cached
+        reached, parent = self.shortest_paths(source)
+        missing = tuple(c for c in sorted(targets) if c not in reached)
+        if missing:
+            self._trees[key] = missing
+            return missing
+        needed: set[Yni] = {source}
+        for c in targets:
+            node = c
+            while node not in needed:
+                needed.add(node)
+                node = parent[node]
+        children: dict[Yni, list[Yni]] = {n: [] for n in needed}
+        for node in needed - {source}:
+            children[parent[node]].append(node)
+
+        def build(node: Yni) -> PathTree:
+            return PathTree(node, tuple(build(c) for c in sorted(children[node])))
+
+        tree = self._trees[key] = build(source)
+        return tree
+
     def domain_distances(self, domain: str) -> dict[Yni, int]:
         """Shortest-path latency from every reachable node to the nearest
         node of a domain: 0 inside it, absent when cut off. Cached like
@@ -184,34 +218,18 @@ def compute_path(graph: TopologyGraph, source: Yni,
     Paths come from `graph.shortest_paths(source)`, so the result is a
     function of the graph alone, not of registration order. Children are
     stored in id order. Raises UnreachableConsumer listing every cut-off
-    edge.
+    edge. Results are memoised by `TopologyGraph.path_tree`.
     """
-    targets = sorted(set(consumers) - {source})
+    targets = frozenset(consumers) - {source}
     if source not in graph.nodes:
         raise UnknownNode(f"unknown source {source}")
-    for c in targets:
+    for c in sorted(targets):
         if c not in graph.nodes:
             raise UnknownNode(f"unknown consumer edge {c}")
-
-    reached, parent = graph.shortest_paths(source)
-    missing = [c for c in targets if c not in reached]
-    if missing:
-        raise UnreachableConsumer(source, missing)
-
-    needed: set[Yni] = {source}
-    for c in targets:
-        node = c
-        while node not in needed:
-            needed.add(node)
-            node = parent[node]
-    children: dict[Yni, list[Yni]] = {n: [] for n in needed}
-    for node in needed - {source}:
-        children[parent[node]].append(node)
-
-    def build(node: Yni) -> PathTree:
-        return PathTree(node, tuple(build(c) for c in sorted(children[node])))
-
-    return build(source)
+    tree = graph.path_tree(source, targets)
+    if isinstance(tree, tuple):
+        raise UnreachableConsumer(source, tree)
+    return tree
 
 
 # ---------------------------------------------------------------------------

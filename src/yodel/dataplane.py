@@ -208,16 +208,26 @@ class Strategy:
         self.sorted_covers = tuple(sorted(self.covers))
 
 
+# a route: the ids with no row, sorted, and one (multicast?, indices of the
+# covered children in input order) batch per chosen strategy
+_Route = tuple[tuple[Yni, ...], tuple[tuple[bool, tuple[int, ...]], ...]]
+
+
 class AcTable:
     """Per-node neighbor table: which strategies can reach which neighbors.
-    A neighbor is routable exactly when it has a row."""
+    A neighbor is routable exactly when it has a row.
+
+    `route` memoises its result per child tuple until the rows change. The
+    key holds neighbor ids only, so the memo keeps no per-flow state."""
 
     def __init__(self):
         self.rows: dict[Yni, list[Strategy]] = {}
+        self._routes: dict[tuple[Yni, ...], _Route] = {}
 
     def add_neighbor(self, yni: Yni, latency: int) -> None:
         s = Strategy("unicast", frozenset((yni,)), latency)
         self.rows.setdefault(yni, []).append(s)
+        self._routes.clear()
 
     def add_group(self, members: Iterable[Yni], latency: int) -> None:
         covered = frozenset(members)
@@ -226,6 +236,25 @@ class AcTable:
         s = Strategy("local-multicast", covered, latency)
         for m in covered:
             self.rows.setdefault(m, []).append(s)
+        self._routes.clear()
+
+    def route(self, children: tuple[Yni, ...]) -> _Route:
+        """How to send one copy to each of `children`: the ids with no row,
+        sorted and without repeats, and per strategy of `plan` over the
+        rest, whether it is a local multicast and the indices of the
+        children it covers, in input order."""
+        cached = self._routes.get(children)
+        if cached is not None:
+            return cached
+        rows = self.rows
+        unrouted = tuple(sorted({y for y in children if y not in rows}))
+        routed = [y for y in children if y in rows]
+        batches = tuple(
+            (strategy.kind == "local-multicast",
+             tuple(i for i, y in enumerate(children) if y in covered))
+            for strategy, covered in (self.plan(routed) if routed else ()))
+        cached = self._routes[children] = unrouted, batches
+        return cached
 
     def plan(self, required: Iterable[Yni]) -> list[tuple[Strategy, frozenset[Yni]]]:
         """Greedy minimum-transmission cover of the required neighbor set.
@@ -315,20 +344,11 @@ class Node:
     def strategic_send(self, pairs: list[tuple[Yni, YodelMessage]]) -> None:
         """Send one message per child using the fewest transmissions the
         strategy table allows; children with no route are dropped."""
-        routed, unrouted = [], set()
-        for y, m in pairs:
-            if y in self.act.rows:
-                routed.append((y, m))
-            else:
-                unrouted.add(y)
-        for child in sorted(unrouted):
+        unrouted, batches = self.act.route(tuple(y for y, _ in pairs))
+        for child in unrouted:
             self.drop("no_route", ("to", child))
-        if not routed:
-            return
-        for strategy, covered in self.act.plan(y for y, _ in routed):
-            batch = [(y, m) for y, m in routed if y in covered]
-            self.env.transmit(self, batch,
-                              mcast=strategy.kind == "local-multicast")
+        for mcast, indices in batches:
+            self.env.transmit(self, [pairs[i] for i in indices], mcast=mcast)
 
 
 # ---------------------------------------------------------------------------
@@ -972,8 +992,7 @@ class EdgeNode(Node):
                 self.twin.buffer_message(host, out)
             else:
                 pairs.append((host, out))
-        for host, out in pairs:
-            self._send_to_host(host, out)
+        self.env.transmit(self, pairs)
 
     def _originate_sync(self, msg: YodelMessage, tree: PathTree) -> None:
         floating = FloatingHeader(valley_id=msg.floating.valley_id,

@@ -13,6 +13,7 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Callable, Optional
 
@@ -101,6 +102,8 @@ class Simulation:
         self.hosts: dict[str, HostNode] = {}
         # label -> far label -> the record of that direction of their wire
         self.links: dict[str, dict[str, Link]] = {}
+        # sender label -> destination id -> what `_port` resolves it to
+        self._ports: dict[str, dict[Yni, tuple[Node, Link, bool]]] = {}
         self._crashed: set[str] = set()
         self._current_event = 0
         self._build()
@@ -126,58 +129,69 @@ class Simulation:
         heapq.heappush(self._heap, (tick, self._seq, fn))
         return self._seq
 
-    def transmit(self, src: Node, pairs, mcast: bool = False) -> None:
-        pairs = list(pairs)
+    def transmit(self, src: Node, pairs: list[tuple[Yni, YodelMessage]],
+                 mcast: bool = False) -> None:
         if not pairs:
             return
+        now, label, emit = self._now, src.label, self.trace.emit
         if mcast and pairs[0][1].kind is not MessageKind.CONTROL_YPP:
             # one underlay transmission covers the whole batch
             self.metrics.transmission(src.domain, True)
+        ports = self._ports[label]
+        crashed = label in self._crashed
         for dst_yni, msg in pairs:
-            self._transmit_one(src, dst_yni, msg, mcast)
+            port = ports.get(dst_yni) or self._port(src, dst_yni)
+            if port is None:
+                emit(now, label, "DROP", ("reason", "unknown_destination"),
+                     ("to", str(dst_yni)))
+                self.metrics.dropped(label, "unknown_destination")
+                continue
+            dst, link, overlay = port
+            kind = msg.kind
+            if overlay and not mcast and kind is not MessageKind.CONTROL_YPP:
+                self.metrics.transmission(src.domain, src.domain == dst.domain)
+                link.unicast += 1
+            # the kind and, on parseable data, the serial: one tuple shared
+            # by this SEND line and the RECV line at the far end
+            wire: tuple[tuple[str, object], ...] = (("k", _KIND_NAMES[kind]),)
+            if kind is not MessageKind.CONTROL_YPP:
+                try:
+                    serial, _ = parse_data_metadata(kind, msg.floating.metadata)
+                    wire += (("serial", serial),)
+                except YodelError:
+                    pass
+            emit(now, label, "SEND", ("to", dst.label), *wire)
+            link.sent += 1
+            if not link.up or crashed:
+                link.lost += 1
+                emit(now, label, "DROP", ("reason", "link_down"),
+                     ("to", dst.label))
+                self.metrics.dropped(label, "link_down")
+                continue
+            event = self.schedule(now + link.latency,
+                                  partial(self._arrive, link, src, dst, msg,
+                                          wire))
+            self._inflight[event] = (link,)
 
-    def _transmit_one(self, src: Node, dst_yni: Yni, msg: YodelMessage,
-                      mcast: bool) -> None:
+    def _port(self, src: Node, dst_yni: Yni
+              ) -> Optional[tuple[Node, Link, bool]]:
+        """The node `dst_yni` names, the record of the wire from `src` to
+        it, and whether both ends are infrastructure nodes; cached per
+        sender. None for an id no node has, which is never cached."""
         dst = self.by_yni.get(dst_yni)
         if dst is None:
-            self.trace.emit(self._now, src.label, "DROP",
-                            ("reason", "unknown_destination"),
-                            ("to", str(dst_yni)))
-            self.metrics.dropped(src.label, "unknown_destination")
-            return
+            return None
         link = self.links[src.label].get(dst.label)
         if link is None:
-            # no wire between the two: the copy is sent and lost
+            # no wire between the two: every copy is sent and lost
             link = self.links[src.label][dst.label] = self.metrics.link(
                 src.label, dst.label, 0, up=False)
-        if (not mcast and msg.kind is not MessageKind.CONTROL_YPP
-                and not isinstance(src, HostNode)
-                and not isinstance(dst, HostNode)):
-            # transmission efficiency is measured on the overlay between
-            # infrastructure nodes; host access lines don't count
-            self.metrics.transmission(src.domain, src.domain == dst.domain)
-            link.unicast += 1
-        # the kind and, on parseable data, the serial: one tuple shared by
-        # this SEND line and the RECV line at the far end
-        kind = msg.kind
-        wire: tuple[tuple[str, object], ...] = (("k", _KIND_NAMES[kind]),)
-        if kind is not MessageKind.CONTROL_YPP:
-            try:
-                serial, _ = parse_data_metadata(kind, msg.floating.metadata)
-                wire += (("serial", serial),)
-            except YodelError:
-                pass
-        self.trace.emit(self._now, src.label, "SEND", ("to", dst.label), *wire)
-        link.sent += 1
-        if not link.up or src.label in self._crashed:
-            link.lost += 1
-            self.trace.emit(self._now, src.label, "DROP",
-                            ("reason", "link_down"), ("to", dst.label))
-            self.metrics.dropped(src.label, "link_down")
-            return
-        event = self.schedule(self._now + link.latency,
-                              lambda: self._arrive(link, src, dst, msg, wire))
-        self._inflight[event] = (link,)
+        # transmission efficiency is measured on the overlay between
+        # infrastructure nodes; host access lines don't count
+        overlay = (not isinstance(src, HostNode)
+                   and not isinstance(dst, HostNode))
+        port = self._ports[src.label][dst_yni] = dst, link, overlay
+        return port
 
     def _arrive(self, link: Link, src: Node, dst: Node, msg: YodelMessage,
                 wire: tuple[tuple[str, object], ...]) -> None:
@@ -264,6 +278,7 @@ class Simulation:
             self.nodes[spec.name] = node
             self.by_yni[yni] = node
             self.links[spec.name] = {}
+            self._ports[spec.name] = {}
         for link in self.topo.links:
             self._connect(link.a, link.b, link.latency)
             a, b = self.nodes[link.a], self.nodes[link.b]
@@ -296,6 +311,7 @@ class Simulation:
             self.by_yni[yni] = host
             self.hosts[spec.name] = host
             self.links[spec.name] = {}
+            self._ports[spec.name] = {}
             prefs = HostPrefs(spec.domain, spec.max_latency)
             edge_yni = self.controller.provision_host(yni, spec.user, prefs)
             edge = self.by_yni[edge_yni]

@@ -200,6 +200,28 @@ class TestComputePath:
             compute_path(g, E1, [E2, E3, E4])
         assert sorted(exc.value.cut_off) == [E3, E4]
 
+    def test_result_is_reused_until_the_graph_changes(self):
+        g = TopologyGraph()
+        nodes = {E1: ("edge", "d"), C1: ("connector", "d"),
+                 E2: ("edge", "d"), E3: ("edge", "d")}
+        register_mesh(g, nodes, {(E1, C1): 1, (C1, E2): 1})
+        tree = compute_path(g, E1, [E2])
+        assert compute_path(g, E1, (E2, E1)) is tree
+        for _ in range(2):
+            with pytest.raises(UnreachableConsumer) as exc:
+                compute_path(g, E1, [E3, E2])
+            assert exc.value.cut_off == (E3,)
+        # a registration that changes nothing keeps the cached tree
+        g.register(E2, "edge", "d", {C1: 1})
+        assert compute_path(g, E1, [E2]) is tree
+        # a new link does not
+        g.register(E3, "edge", "d", {C1: 1})
+        g.register(C1, "connector", "d", {E1: 1, E2: 1, E3: 1})
+        new = compute_path(g, E1, [E2])
+        assert new is not tree and new == tree
+        assert compute_path(g, E1, [E3, E2]).edges() \
+            == [(E1, C1), (C1, E2), (C1, E3)]
+
 
 def build_controller(nodes=None, links=None):
     directory = Directory()

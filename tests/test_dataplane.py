@@ -252,6 +252,15 @@ class TestAcTable:
         with pytest.raises(ValueError):
             t.add_group([H1], 1)
 
+    def test_route_follows_table_changes(self):
+        t = AcTable()
+        t.add_neighbor(H1, 1)
+        assert t.route((H2, H1)) == ((H2,), ((False, (1,)),))
+        t.add_neighbor(H2, 1)
+        assert t.route((H2, H1)) == ((), ((False, (1,)), (False, (0,))))
+        t.add_group([H1, H2], 1)
+        assert t.route((H2, H1)) == ((), ((True, (0, 1)),))
+
 
 def reference_plan(table: AcTable, required) -> list:
     """The greedy cover as first written: every round re-collects the
@@ -306,21 +315,56 @@ def strategy_tables(draw):
     return draw(st.permutations(rows)), required
 
 
-@given(strategy_tables())
-@settings(max_examples=400, deadline=None)
-def test_plan_matches_reference(case):
-    rows, required = case
+def table_of(rows) -> AcTable:
     table = AcTable()
     for kind, members, latency in rows:
         if kind == "unicast":
             table.add_neighbor(members[0], latency)
         else:
             table.add_group(members, latency)
+    return table
+
+
+@given(strategy_tables())
+@settings(max_examples=400, deadline=None)
+def test_plan_matches_reference(case):
+    rows, required = case
+    table = table_of(rows)
     got = table.plan(required)
     want = reference_plan(table, required)
     assert len(got) == len(want)
     for (s, gain), (ref_s, ref_gain) in zip(got, want):
         assert s is ref_s and gain == ref_gain
+
+
+def reference_route(table: AcTable, children) -> tuple:
+    """The split `Node.strategic_send` made on every call before routes
+    were memoised: children with a row go to `plan`, each strategy's batch
+    keeps them in input order, and the rest are dropped in id order."""
+    routed, unrouted = [], set()
+    for i, y in enumerate(children):
+        if y in table.rows:
+            routed.append((i, y))
+        else:
+            unrouted.add(y)
+    batches = []
+    if routed:
+        for strategy, covered in table.plan(y for _, y in routed):
+            batches.append((strategy.kind == "local-multicast",
+                            tuple(i for i, y in routed if y in covered)))
+    return tuple(sorted(unrouted)), tuple(batches)
+
+
+@given(strategy_tables(), st.lists(st.sampled_from(_PLAN_IDS), max_size=8))
+@settings(max_examples=400, deadline=None)
+def test_route_matches_reference(case, children):
+    """Children are drawn from every test id, so some have no row and some
+    repeat; the second call reads the memo."""
+    table = table_of(case[0])
+    children = tuple(children)
+    want = reference_route(table, children)
+    assert table.route(children) == want
+    assert table.route(children) == want
 
 
 # ---------------------------------------------------------------------------

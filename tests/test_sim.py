@@ -1,10 +1,12 @@
 """Whole-world runs: build from text, run, assert on traces and metrics."""
 
-from yodel.codec import MessageKind, YodelMessage
+from yodel.codec import FloatingHeader, MessageKind, PathTree, YodelMessage
+from yodel.dataplane import data_metadata
 from yodel.errors import ScenarioError
 from yodel.scenario import load_world
 from yodel.sim import SimConfig, Simulation
 from yodel.trace import Trace, TraceRecord
+from yodel.ynid import Yni
 
 import pytest
 
@@ -359,6 +361,39 @@ at 20 send h1 vale room 1 still travelling
         assert sim.metrics.conservation["links"]["e1>e2"] == {
             "sent": 1, "received": 0, "lost": 1, "in_flight": 0, "ok": True}
         assert "e2>e1" not in sim.metrics.conservation["links"]
+
+    def test_one_batch_lands_each_copy_on_its_own_link(self):
+        # c1 reaches e1 in 1 tick and e2 in 2; the id between them is no node's
+        topo, scen_spec, errors = load_world(TWO_DOMAINS, scen(until=10))
+        assert errors == []
+        sim = Simulation(topo, scen_spec, SimConfig.from_scenario(scen_spec, 1))
+        c1, e1, e2 = sim.nodes["c1"], sim.nodes["e1"], sim.nodes["e2"]
+        stranger = Yni(b"\x0f" * 6, 0)
+
+        def copy(dst, serial):
+            return dst, YodelMessage(
+                MessageKind.DATA_YSYNC, c1.yni, dst,
+                FloatingHeader(valley_id=1, channel_id=9,
+                               metadata=data_metadata(serial),
+                               path_tree=PathTree(dst)))
+        batch = [copy(e1.yni, 41), copy(stranger, 42), copy(e2.yni, 43)]
+        sim.schedule(3, lambda: sim.transmit(c1, batch))
+        sim.run()
+        lines = [line for line in sim.trace.lines()
+                 if " n=c1 " in line or "from=c1" in line]
+        assert lines == [
+            "t=3 n=c1 ev=SEND to=e1 k=DATA_YSYNC serial=41",
+            f"t=3 n=c1 ev=DROP reason=unknown_destination to={stranger}",
+            "t=3 n=c1 ev=SEND to=e2 k=DATA_YSYNC serial=43",
+            "t=4 n=e1 ev=RECV from=c1 k=DATA_YSYNC serial=41",
+            "t=5 n=e2 ev=RECV from=c1 k=DATA_YSYNC serial=43",
+        ]
+        assert sim.metrics.drops["c1"] == {"unknown_destination": 1}
+        links = sim.metrics.conservation["links"]
+        for key in ("c1>e1", "c1>e2"):
+            assert links[key] == {"sent": 1, "received": 1, "lost": 0,
+                                  "in_flight": 0, "ok": True}
+        assert sim.metrics.conservation["ok"] is True
 
 class TestTwinOverSim:
     BODY = """\
