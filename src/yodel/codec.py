@@ -23,7 +23,7 @@ a CodecError subclass, and a successful decode re-encodes to the same bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import IntEnum
 from typing import Iterator, Optional
 
@@ -76,24 +76,31 @@ class MessageKind(IntEnum):
         return self is MessageKind.CONTROL_YPP
 
 
-@dataclass(frozen=True)
 class PathTree:
     """Delivery tree node; serialized preorder, children in stored order.
 
-    `members` is the set of node ids in this subtree, built from the
-    children's sets, so checking a new node for repeats costs one union.
+    Immutable, compared and hashed by `yni` and `children`. `members` is the
+    set of node ids in this subtree, built from the children's sets, so
+    checking a new node for repeats costs one union (a leaf needs none); it
+    takes no part in `==`, `hash` or `repr`. Written out by hand, with the
+    slots set through their own setters, because a tree is built node by
+    node for every advertisement the controller computes and every one an
+    edge decodes.
     """
 
-    yni: Yni
-    children: tuple["PathTree", ...] = ()
-    members: frozenset[Yni] = field(init=False, compare=False, repr=False)
+    __slots__ = ("yni", "children", "members")
 
-    def __post_init__(self):
-        if len(self.children) > 255:
+    def __init__(self, yni: Yni, children: tuple["PathTree", ...] = ()):
+        _set_yni(self, yni)
+        _set_children(self, children)
+        if not children:
+            _set_members(self, frozenset((yni,)))
+            return
+        if len(children) > 255:
             raise InvariantViolation("path-tree fan-out above 255")
-        members = frozenset((self.yni,)).union(
-            *(child.members for child in self.children))
-        if len(members) != 1 + sum(len(c.members) for c in self.children):
+        members = frozenset((yni,)).union(*[c.members for c in children])
+        _set_members(self, members)
+        if len(members) != 1 + sum([len(c.members) for c in children]):
             # a repeat; walk in preorder to name its second occurrence
             seen = set()
             for node in self.walk():
@@ -101,13 +108,32 @@ class PathTree:
                     raise InvariantViolation(
                         f"repeated node in path tree: {node.yni}")
                 seen.add(node.yni)
-        object.__setattr__(self, "members", members)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.yni == other.yni and self.children == other.children
+
+    def __hash__(self):
+        return hash((self.yni, self.children))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(yni={self.yni!r}, "
+                f"children={self.children!r})")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def walk(self) -> Iterator["PathTree"]:
         """Preorder traversal."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def edges(self) -> list[tuple[Yni, Yni]]:
         """Parent/child pairs in depth-first order, i.e. recursive pop order."""
@@ -123,8 +149,7 @@ class PathTree:
     def serialize(self) -> bytes:
         parts = []
         for node in self.walk():
-            parts.append(node.yni)
-            parts.append(bytes([len(node.children)]))
+            parts += (node.yni, _COUNTS[len(node.children)])
         return b"".join(parts)
 
     @classmethod
@@ -133,6 +158,14 @@ class PathTree:
         if used != len(raw):
             raise LengthMismatch("trailing bytes after path tree")
         return tree
+
+
+# the slots' own setters, which `PathTree.__setattr__` cannot block
+_set_yni = PathTree.yni.__set__
+_set_children = PathTree.children.__set__
+_set_members = PathTree.members.__set__
+# the child-count byte of a serialized tree node, by count
+_COUNTS = [bytes((n,)) for n in range(256)]
 
 
 def _read_tree(raw: bytes, off: int) -> tuple[PathTree, int]:

@@ -65,6 +65,38 @@ CONTROLLER_YNI = Yni(b"\x00" * 6, 0)
 # topology
 
 
+def _search(adjacency: dict[Yni, dict[Yni, int]], source: Yni
+            ) -> tuple[dict[Yni, tuple[int, int]], dict[Yni, Yni]]:
+    """(dist, parent) of the shortest-path tree from a source node; `dist`
+    holds exactly the nodes reached.
+
+    Cost is (hop count, total latency); remaining ties collapse onto the
+    parent with the lowest node id. Each neighbor is relaxed on its own and
+    heap entries are totally ordered, so the order a row is read in does not
+    matter.
+    """
+    dist: dict[Yni, tuple[int, int]] = {source: (0, 0)}
+    parent: dict[Yni, Yni] = {}
+    done: set[Yni] = set()
+    heap = [(0, 0, source)]
+    while heap:
+        hops, lat, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        done.add(node)
+        hops += 1
+        for nb, edge_lat in adjacency[node].items():
+            cand = (hops, lat + edge_lat)
+            best = dist.get(nb)
+            if best is None or cand < best:
+                dist[nb] = cand
+                parent[nb] = node
+                heapq.heappush(heap, (hops, cand[1], nb))
+            elif cand == best and node < parent[nb]:
+                parent[nb] = node
+    return dist, parent
+
+
 @dataclass
 class NodeInfo:
     yni: Yni
@@ -81,7 +113,7 @@ class TopologyGraph:
     currently declare each other; its latency is the smaller declared value.
     Earlier one-sided mentions stay pending until the far end confirms.
     `adjacency` holds every confirmed link from both ends; `register` keeps
-    it current.
+    it current and returns the links it changed.
 
     Three results that depend only on the nodes and `adjacency` are
     cached: the shortest-path tree from each source (`shortest_paths`), the
@@ -96,14 +128,19 @@ class TopologyGraph:
         self.nodes: dict[Yni, NodeInfo] = {}
         self.declared: dict[Yni, dict[Yni, int]] = {}
         self.adjacency: dict[Yni, dict[Yni, int]] = {}
-        self._paths: dict[Yni, tuple[set[Yni], dict[Yni, Yni]]] = {}
+        self._paths: dict[Yni, tuple[dict[Yni, tuple[int, int]],
+                                     dict[Yni, Yni]]] = {}
         self._trees: dict[tuple[Yni, frozenset[Yni]],
                           PathTree | tuple[Yni, ...]] = {}
         self._domain_dist: dict[str, dict[Yni, int]] = {}
 
     def register(self, yni: Yni, role: str, domain: str,
                  neighbors: dict[Yni, int],
-                 stats: Optional[dict[str, float]] = None) -> None:
+                 stats: Optional[dict[str, float]] = None
+                 ) -> tuple[list[tuple[Yni, Yni]], list[tuple[Yni, Yni, int]]]:
+        """Record a node's registration; returns the links it removed, as
+        (yni, other), and the links it added, as (yni, other, latency). A
+        latency change is one of each."""
         if role not in ("edge", "connector"):
             raise UnknownNode(f"bad infrastructure role {role!r}")
         old = self.nodes.get(yni)
@@ -123,39 +160,23 @@ class TopologyGraph:
             self._paths.clear()
             self._trees.clear()
             self._domain_dist.clear()
+        old_links = old_links or {}
+        removed = [(yni, other) for other, lat in old_links.items()
+                   if links.get(other) != lat]
+        added = [(yni, other, lat) for other, lat in links.items()
+                 if old_links.get(other) != lat]
+        return removed, added
 
     def edges(self) -> list[NodeInfo]:
         return [n for _, n in sorted(self.nodes.items()) if n.role == "edge"]
 
-    def shortest_paths(self, source: Yni) -> tuple[set[Yni], dict[Yni, Yni]]:
-        """(reached, parent) of the shortest-path tree from a source node.
-
-        Cost is (hop count, total latency); remaining ties collapse onto the
-        parent with the lowest node id. The result is cached; callers must
-        not modify it.
-        """
+    def shortest_paths(self, source: Yni
+                       ) -> tuple[dict[Yni, tuple[int, int]], dict[Yni, Yni]]:
+        """`_search` from a source node over the current links, cached;
+        callers must not modify the result."""
         cached = self._paths.get(source)
-        if cached is not None:
-            return cached
-        dist: dict[Yni, tuple[int, int]] = {source: (0, 0)}
-        parent: dict[Yni, Yni] = {}
-        done: set[Yni] = set()
-        heap = [(0, 0, source)]
-        while heap:
-            hops, lat, node = heapq.heappop(heap)
-            if node in done:
-                continue
-            done.add(node)
-            for nb, edge_lat in sorted(self.adjacency[node].items()):
-                cand = (hops + 1, lat + edge_lat)
-                best = dist.get(nb)
-                if best is None or cand < best:
-                    dist[nb] = cand
-                    parent[nb] = node
-                    heapq.heappush(heap, (cand[0], cand[1], nb))
-                elif cand == best and node < parent[nb]:
-                    parent[nb] = node
-        cached = self._paths[source] = (done, parent)
+        if cached is None:
+            cached = self._paths[source] = _search(self.adjacency, source)
         return cached
 
     def path_tree(self, source: Yni, targets: frozenset[Yni]
@@ -183,7 +204,11 @@ class TopologyGraph:
             children[parent[node]].append(node)
 
         def build(node: Yni) -> PathTree:
-            return PathTree(node, tuple(build(c) for c in sorted(children[node])))
+            kids = children[node]
+            if not kids:
+                return PathTree(node)
+            kids.sort()
+            return PathTree(node, tuple([build(c) for c in kids]))
 
         tree = self._trees[key] = build(source)
         return tree
@@ -209,6 +234,59 @@ class TopologyGraph:
                     heapq.heappush(heap, (nd, nb))
         self._domain_dist[domain] = dist
         return dist
+
+    def change_test(self, removed: list[tuple[Yni, Yni]],
+                    added: Optional[tuple[Yni, Yni, int]]
+                    ) -> Callable[[PathTree], bool]:
+        """Whether a path tree built before a registration can differ now.
+
+        `removed` and `added` are what `register` returned, with at most
+        one added link; the tree must have reached all its targets. A tree
+        keeps the lowest-id parent among equal-cost predecessors, so it is
+        unchanged when a link it does not use goes away (a link with both
+        ends among its members counts as used). It is also unchanged when a
+        link (a, b, l) comes whose paths cost strictly more than the tree's
+        own path to each of its nodes. The test for a tree from s with path
+        cost c(x) to node x is d(s, a) + (1, l) + d(b, x) <= c(x), or the
+        same with a and b swapped, with d searched from a and from b over
+        the current links minus the added one. `<=`, because an equal-cost
+        path can change the lowest-id parent. Two added links can make a
+        shortcut neither makes alone, so more than one is not handled here.
+        """
+        if added is not None:
+            a, b, lat = added
+            without = dict(self.adjacency)
+            without[a] = {n: l for n, l in without[a].items() if n != b}
+            without[b] = {n: l for n, l in without[b].items() if n != a}
+            from_a, _ = _search(without, a)
+            from_b, _ = _search(without, b)
+
+        def touches(tree: PathTree) -> bool:
+            members = tree.members
+            if any(x in members and y in members for x, y in removed):
+                return True
+            if added is None:
+                return False
+            # per direction: the cost from the tree's source across the new
+            # link, and the distances onward from its far end
+            ways = []
+            for near, far in ((from_a, from_b), (from_b, from_a)):
+                to_link = near.get(tree.yni)
+                if to_link is not None:
+                    ways.append((to_link[0] + 1, to_link[1] + lat, far))
+            stack = [(tree, 0, 0)]
+            while stack:
+                node, hops, dist = stack.pop()
+                for h, d, far in ways:
+                    rest = far.get(node.yni)
+                    if (rest is not None
+                            and (h + rest[0], d + rest[1]) <= (hops, dist)):
+                        return True
+                row = self.adjacency[node.yni]
+                stack += [(c, hops + 1, dist + row[c.yni]) for c in node.children]
+            return False
+
+        return touches
 
 
 def compute_path(graph: TopologyGraph, source: Yni,
@@ -266,6 +344,8 @@ class FlowObject:
     advertised: dict[tuple[Yni, int], PathTree] = field(default_factory=dict)
     precomputed: dict[Yni, PathTree] = field(default_factory=dict)
     retired_channel_ids: set[int] = field(default_factory=set)
+    # the last reconcile, its precompute included, left a consumer cut off
+    cut_off: bool = False
 
     def active_edges(self) -> list[Yni]:
         return sorted(e for e, active in self.producer_edges.items() if active)
@@ -413,8 +493,22 @@ class Controller:
     def register_infrastructure_node(self, yni: Yni, role: str, domain: str,
                                      neighbors: dict[Yni, int],
                                      stats: Optional[dict[str, float]] = None) -> None:
-        self.graph.register(yni, role, domain, neighbors, stats)
-        self.reconcile_all()
+        """Record the node, then reconcile, in flow order, each flow whose
+        trees its link change can touch (`TopologyGraph.change_test`), and
+        each flow with a cut-off consumer, whose UNREACHABLE lines so repeat
+        on every registration. A new node, or more than one added link,
+        touches every flow."""
+        new = yni not in self.graph.nodes
+        removed, added = self.graph.register(yni, role, domain, neighbors, stats)
+        every = new or len(added) > 1
+        touches = None if every else self.graph.change_test(
+            removed, added[0] if added else None)
+        for key in sorted(self.flows):
+            flow = self.flows[key]
+            if (every or flow.cut_off
+                    or any(map(touches, flow.advertised.values()))
+                    or any(map(touches, flow.precomputed.values()))):
+                self.reconcile(flow)
 
     def provision_host(self, host: Yni, user: str,
                        prefs: HostPrefs = HostPrefs()) -> Yni:
@@ -687,6 +781,7 @@ class Controller:
         """`_partial_tree`, logging any cut-off consumers."""
         tree, cut = self._partial_tree(source, leaves)
         if cut:
+            flow.cut_off = True
             self._emit("UNREACHABLE", ("valley", flow.valley_id),
                        ("community", flow.community), ("edge", source),
                        ("cut", ",".join(str(c) for c in cut)))
@@ -725,6 +820,7 @@ class Controller:
 
     def reconcile(self, flow: FlowObject) -> None:
         """Drive advertised state to match desired trees; withdraw the rest."""
+        flow.cut_off = False
         desired: dict[tuple[Yni, int], PathTree] = {}
         for channel_id, source, leaves in self._desired_trees(flow):
             tree = self._tree_or_partial(flow, source, leaves)
@@ -754,13 +850,11 @@ class Controller:
             leaves = flow.consumer_edges - {edge}
             if not leaves:
                 continue
-            tree, _ = self._partial_tree(edge, leaves)
+            tree, cut = self._partial_tree(edge, leaves)
+            if cut:
+                flow.cut_off = True
             if tree is not None:
                 flow.precomputed[edge] = tree
-
-    def reconcile_all(self) -> None:
-        for key in sorted(self.flows):
-            self.reconcile(self.flows[key])
 
     # -- derived views ---------------------------------------------------------
 

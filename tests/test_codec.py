@@ -171,8 +171,39 @@ def test_tree_construction_rejects_repeats_and_overflow():
     with pytest.raises(InvariantViolation):
         PathTree(A, (PathTree(A),))
     kids = tuple(PathTree(Yni(i.to_bytes(6, "big"), 0)) for i in range(256))
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="^path-tree fan-out above 255$"):
         PathTree(A, kids)
+    assert PathTree(A, kids[:255]).size() == 256
+
+
+def test_equal_trees_hash_equal():
+    one = PathTree(A, (PathTree(B, (PathTree(E),)), PathTree(C)))
+    two = PathTree(A, (PathTree(B, (PathTree(E),)), PathTree(C)))
+    assert one is not two and one == two and hash(one) == hash(two)
+    assert {one: 1}[two] == 1
+    assert one != PathTree(A, (PathTree(C), PathTree(B, (PathTree(E),))))
+    assert PathTree(A) != (A, ()) and PathTree(A) != A
+
+
+def test_members_take_no_part_in_equality_or_repr():
+    one, two = PathTree(A, (PathTree(B),)), PathTree(A, (PathTree(B),))
+    object.__setattr__(two, "members", frozenset())
+    assert one == two and hash(one) == hash(two)
+    assert repr(one) == repr(two) == (
+        f"PathTree(yni={A!r}, children=(PathTree(yni={B!r}, children=()),))")
+
+
+def test_tree_fields_cannot_be_assigned_or_deleted():
+    tree = PathTree(A, (PathTree(B),))
+    for name, value in (("yni", C), ("children", ()), ("members", frozenset()),
+                        ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(tree, name, value)
+    for name in ("yni", "children", "members"):
+        with pytest.raises(AttributeError):
+            delattr(tree, name)
+    assert tree == PathTree(A, (PathTree(B),))
+    assert tree.members == {A, B}
 
 
 def test_tree_repeat_below_a_child_names_the_node():

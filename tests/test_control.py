@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yodel.codec import MessageKind, decode
@@ -14,6 +14,7 @@ from yodel.control import (
     HostPrefs,
     JoinReply,
     JoinRequest,
+    NodeRegistration,
     PathAdvertisement,
     PathWithdraw,
     RemoveRole,
@@ -108,6 +109,42 @@ class TestTopologyGraph:
                 for d in (None, "d1", "d2"):
                     assert ctrl._domain_distance(y, d) \
                         == fresh._domain_distance(y, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)),
+    st.lists(st.integers(0, 2**16), min_size=n, max_size=n, unique=True),
+    st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    st.integers(1, 3), max_size=2 * n))))
+def test_shortest_path_parent_is_lowest_id_among_equal_cost(case):
+    """Against Bellman-Ford and a scan of every predecessor: each node's
+    parent is the lowest id among the neighbors it is reached through at
+    its least (hops, latency) cost, whatever order anything was built in."""
+    order, labels, pairs = case
+    ids = [nid(label) for label in labels]
+    links = {frozenset((ids[a], ids[b])): lat
+             for (a, b), lat in pairs.items() if a != b}
+    neigh = {y: {} for y in ids}
+    for pair, lat in links.items():
+        a, b = sorted(pair)
+        neigh[a][b] = neigh[b][a] = lat
+    g = TopologyGraph()
+    for i in order:
+        g.register(ids[i], "edge", "d", neigh[ids[i]])
+    for source in ids:
+        dist = {source: (0, 0)}
+        for _ in ids:
+            for pair, lat in links.items():
+                for u, v in itertools.permutations(pair):
+                    if u in dist:
+                        cand = (dist[u][0] + 1, dist[u][1] + lat)
+                        if v not in dist or cand < dist[v]:
+                            dist[v] = cand
+        parent = {x: min(p for p, lat in neigh[x].items() if p in dist
+                         and (dist[p][0] + 1, dist[p][1] + lat) == dist[x])
+                  for x in dist if x != source}
+        assert g.shortest_paths(source) == (dist, parent)
 
 
 def paths_from(graph, source):
@@ -223,16 +260,16 @@ class TestComputePath:
             == [(E1, C1), (C1, E2), (C1, E3)]
 
 
-def build_controller(nodes=None, links=None):
+def build_controller(nodes=None, links=None, cls=Controller):
     directory = Directory()
     directory.register_user("alice")
     valley = directory.create_valley("alice", "vale")
     trace = Trace()
     metrics = Metrics()
     sent = []
-    ctrl = Controller(directory, trace, metrics,
-                      transport=lambda dest, payload: sent.append((dest, payload)),
-                      clock=lambda: 0)
+    ctrl = cls(directory, trace, metrics,
+               transport=lambda dest, payload: sent.append((dest, payload)),
+               clock=lambda: 0)
     if nodes:
         register_mesh(ctrl.graph, nodes, links or {})
     return ctrl, directory, valley, trace, sent
@@ -532,3 +569,132 @@ class TestDerivedChannels:
         assert ctrl.channels(flow) == []
         join(ctrl, ns, E1, "consumer")  # same edge: still no distinct pair
         assert ctrl.channels(flow) == []
+
+
+class FullReconcile(Controller):
+    """Reference: every registration reconciles every flow, in flow order."""
+
+    def register_infrastructure_node(self, yni, role, domain, neighbors,
+                                     stats=None):
+        self.graph.register(yni, role, domain, neighbors, stats)
+        for key in sorted(self.flows):
+            self.reconcile(self.flows[key])
+
+
+# nodes 0-3 are edges and 4-8 connectors; each edge hangs off the ring of
+# connectors 4-6 to begin with, and 7 and 8 register only when a step first
+# names them, so they arrive as new nodes
+CHURN_NODES = [nid(0x50 + i) for i in range(9)]
+CHURN_EDGES = range(4)
+CHURN_LATE = (7, 8)
+CHURN_BASE = {(0, 4): 2, (1, 5): 2, (2, 6): 2, (3, 4): 2,
+              (4, 5): 1, (5, 6): 1, (6, 4): 1}
+# SSM holds second producers (precomputed trees), SLSM partitions, MSM
+# runs one tree per producer; two communities each
+CHURN_MODELS = (ServiceModel.SSM, ServiceModel.SLSM, ServiceModel.MSM)
+CHURN_FLOWS = [(m, c) for m in range(len(CHURN_MODELS)) for c in ("r1", "r2")]
+
+_node = st.integers(0, len(CHURN_NODES) - 1)
+_lat = st.integers(1, 3)
+_edge = st.sampled_from(CHURN_EDGES)
+_flow = st.integers(0, len(CHURN_FLOWS) - 1)
+_role = st.sampled_from(["producer", "consumer"])
+_join = st.tuples(st.just("join"), _edge, _flow, _role)
+churn_steps = st.lists(st.one_of(
+    _join,
+    st.tuples(st.just("leave"), _edge, _flow, _role),
+    # both ends declare the link, a first: one link added when b
+    # registers, or a latency change
+    st.tuples(st.just("link"), _node, _node, _lat),
+    # both ends drop it, a first: one link removed
+    st.tuples(st.just("unlink"), _node, _node),
+    # the node declares no neighbor: all its links removed
+    st.tuples(st.just("cut"), _node),
+    # each named neighbor declares the node, then the node declares them
+    # all and no other: several links added and removed at once
+    st.tuples(st.just("declare"), _node,
+              st.dictionaries(_node, _lat, max_size=4)),
+), min_size=1, max_size=30)
+# links beside the base ones, and the joins made before the first step
+churn_start = st.tuples(
+    st.dictionaries(st.tuples(st.integers(0, 6), _node), _lat, max_size=8),
+    st.lists(_join, min_size=4, max_size=16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(churn_start, churn_steps)
+# e0's tree reaches e2 over e0-c4-c6-e2 at (3 hops, latency 5); a link e2-e3
+# of latency 1 opens e0-c4-e3-e2 at the same cost through the lower id e3,
+# made from either end
+@example(({}, [("join", 0, 0, "producer"), ("join", 2, 0, "consumer")]),
+         [("link", 2, 3, 1)])
+@example(({}, [("join", 0, 0, "producer"), ("join", 2, 0, "consumer")]),
+         [("link", 3, 2, 1)])
+def test_registration_reconciles_as_if_every_flow_were(start, steps):
+    """Joins, withdrawals and registrations fed to the controller and to a
+    full-reconcile reference leave the same trace, the same messages sent
+    and the same advertised and precomputed trees after every step."""
+    sides = [build_controller(cls=cls) for cls in (Controller, FullReconcile)]
+    namespaces = [[directory.create_namespace("alice", valley.name, model.value,
+                                              Visibility.OPEN, model)
+                   for _, directory, valley, _, _ in sides]
+                  for model in CHURN_MODELS]
+
+    def same():
+        (real, _, _, real_trace, real_sent), (ref, _, _, ref_trace, ref_sent) \
+            = sides
+        assert real_trace.text() == ref_trace.text()
+        assert real_sent == ref_sent
+        assert real.flows.keys() == ref.flows.keys()
+        for key, flow in real.flows.items():
+            assert flow.advertised == ref.flows[key].advertised
+            assert flow.precomputed == ref.flows[key].precomputed
+
+    def register(i):
+        payload = NodeRegistration(
+            CHURN_NODES[i], "edge" if i in CHURN_EDGES else "connector", "d",
+            tuple((CHURN_NODES[m], lat) for m, lat in declared[i].items()))
+        for ctrl, *_ in sides:
+            ctrl.handle(payload)
+        same()
+
+    # the starting links; a declaration of a late node waits for it
+    links, joins = start
+    declared = {i: {} for i in range(len(CHURN_NODES))}
+    for (a, b), lat in {**CHURN_BASE, **links}.items():
+        if a != b:
+            declared[a][b] = lat
+            if b not in CHURN_LATE:
+                declared[b][a] = lat
+    for i in range(7):
+        register(i)
+    for verb, *args in joins + steps:
+        if verb in ("join", "leave"):
+            edge, f, role = args
+            model, community = CHURN_FLOWS[f]
+            for (ctrl, *_), ns in zip(sides, namespaces[model]):
+                if verb == "join":
+                    join(ctrl, ns, CHURN_NODES[edge], role, community=community)
+                elif (ns.valley_id, ns.id, community) in ctrl.flows:
+                    ctrl.handle(RemoveRole(CHURN_NODES[edge], ns.valley_id,
+                                           ns.id, community, role))
+            same()
+        elif verb == "cut":
+            declared[args[0]] = {}
+            register(args[0])
+        elif verb == "declare":
+            n, new = args[0], {m: lat for m, lat in args[1].items()
+                               if m != args[0]}
+            for m, lat in new.items():
+                declared[m][n] = lat
+                register(m)
+            declared[n] = new
+            register(n)
+        elif args[0] != args[1]:
+            a, b = args[:2]
+            for x, y in ((a, b), (b, a)):
+                if verb == "link":
+                    declared[x][y] = args[2]
+                else:
+                    declared[x].pop(y, None)
+                register(x)
