@@ -32,6 +32,7 @@ PAIRS = [
     ("twin.topo", "twin.scen"),
     ("split.topo", "split.scen"),
     ("flap.topo", "flap.scen"),
+    ("anycast.topo", "anycast.scen"),
 ]
 SEEDS = (0, 7)
 
