@@ -121,6 +121,10 @@ class PathTree:
         return (f"{type(self).__qualname__}(yni={self.yni!r}, "
                 f"children={self.children!r})")
 
+    def __reduce__(self):
+        # copy and pickle would restore the slots through __setattr__
+        return PathTree, (self.yni, self.children)
+
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 

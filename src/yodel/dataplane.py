@@ -10,10 +10,12 @@ Every node reads and rejects malformed data in one step, `Node._read_data`:
 it pops a sync message's tree root, parses the metadata once, and reports a
 mis-rooted tree or malformed metadata as one PROTO_ERROR.
 
-Host-to-edge signalling rides control messages whose metadata element starts
-with an op byte; the schemas live at the top of this module. Nodes never call
-each other directly — everything goes through the environment object, which
-models links, latencies and the controller RPC plane.
+Hosts and edges signal each other with ops, control messages whose metadata
+element starts with an op byte (schemas at the top of this module). Every op
+goes out through `Node.send_op` and is read in `Node._read_op`, which reports
+a malformed or unknown op as one PROTO_ERROR. Nodes never call each other
+directly — everything goes through the environment object, which models
+links, latencies and the controller RPC plane.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ from .codec import (
     YodelMessage,
     pop_path_root,
 )
-from .errors import MalformedFloating, RootMismatch, UncoverableNeighbor
+from .control import (ActivateProducerEdge, ChannelIdUpdate, JoinReply,
+                      JoinRequest, PathAdvertisement, PathWithdraw, RemoveRole)
+from .errors import (CodecError, MalformedFloating, RootMismatch,
+                     UncoverableNeighbor)
 from .services import (
     AnycastMode,
     ServiceModel,
@@ -45,10 +50,9 @@ from .trace import Metrics, Trace
 from .ynid import Yni
 
 __all__ = [
-    "OP_JOIN_REQUEST", "OP_JOIN_REPLY", "OP_WITHDRAW", "OP_LOCK_PRODUCER",
-    "OP_UNLOCK_PRODUCER", "OP_HELLO", "OP_HELLO_ACK", "OP_CHANNEL_UPDATE",
-    "OP_HOST_CONSUMER_LOCK",
-    "op_join_request", "op_join_reply", "op_withdraw", "op_producer_lock",
+    "OP_JOIN_REQUEST", "OP_JOIN_REPLY", "OP_WITHDRAW", "OP_UNLOCK_PRODUCER",
+    "OP_HELLO", "OP_HELLO_ACK", "OP_CHANNEL_UPDATE", "OP_HOST_CONSUMER_LOCK",
+    "op_join_request", "op_join_reply", "op_withdraw", "op_unlock_producer",
     "op_hello", "op_hello_ack", "op_channel_update", "op_host_consumer_lock",
     "parse_op", "data_metadata", "parse_data_metadata",
     "Strategy", "AcTable", "NodeEnv", "Node",
@@ -62,8 +66,7 @@ __all__ = [
 OP_JOIN_REQUEST = 0x01       # role(1) ttl(4, 0 = none) community(utf-8)
 OP_JOIN_REPLY = 0x02         # role(1) flags(1) model(1) q(2) community
 OP_WITHDRAW = 0x03           # role(1) community
-OP_LOCK_PRODUCER = 0x04      # community       (app id in the floating header)
-OP_UNLOCK_PRODUCER = 0x05    # community
+OP_UNLOCK_PRODUCER = 0x05    # community       (app id in the floating header)
 OP_HELLO = 0x06              # no fields
 OP_HELLO_ACK = 0x07          # no fields
 OP_CHANNEL_UPDATE = 0x08     # old_channel(8) community  (new id in floating)
@@ -96,9 +99,8 @@ def op_withdraw(role: str, community: str) -> bytes:
     return struct.pack(">BB", OP_WITHDRAW, _ROLE_BYTE[role]) + community.encode()
 
 
-def op_producer_lock(community: str, *, locked: bool) -> bytes:
-    op = OP_LOCK_PRODUCER if locked else OP_UNLOCK_PRODUCER
-    return struct.pack(">B", op) + community.encode()
+def op_unlock_producer(community: str) -> bytes:
+    return struct.pack(">B", OP_UNLOCK_PRODUCER) + community.encode()
 
 
 def op_hello() -> bytes:
@@ -139,9 +141,8 @@ def parse_op(data: bytes) -> dict:
             _, role = struct.unpack(">BB", data[:2])
             return {"op": op, "role": _BYTE_ROLE[role],
                     "community": data[2:].decode()}
-        if op in (OP_LOCK_PRODUCER, OP_UNLOCK_PRODUCER):
-            return {"op": op, "locked": op == OP_LOCK_PRODUCER,
-                    "community": data[1:].decode()}
+        if op == OP_UNLOCK_PRODUCER:
+            return {"op": op, "community": data[1:].decode()}
         if op in (OP_HELLO, OP_HELLO_ACK):
             return {"op": op}
         if op == OP_CHANNEL_UPDATE:
@@ -326,6 +327,25 @@ class Node:
     def on_message(self, msg: YodelMessage) -> None:
         raise NotImplementedError
 
+    def send_op(self, dest: Yni, op: bytes, valley_id: Optional[int] = None,
+                channel_id: Optional[int] = None,
+                namespace_id: Optional[int] = None,
+                app_id: Optional[int] = None) -> None:
+        """The send step for ops: one control message carrying `op`."""
+        msg = YodelMessage(MessageKind.CONTROL_YPP, self.yni, dest, FloatingHeader(
+            valley_id=valley_id, channel_id=channel_id,
+            namespace_id=namespace_id, application_id=app_id, metadata=op))
+        self.env.transmit(self, [(dest, msg)])
+
+    def _read_op(self, msg: YodelMessage) -> Optional[dict]:
+        """The receive step for ops: the parsed op, or None once a
+        malformed or unknown op is reported."""
+        try:
+            return parse_op(msg.floating.metadata or b"")
+        except MalformedFloating as exc:
+            self.proto_error(str(exc))
+            return None
+
     def _read_data(self, msg: YodelMessage) -> Optional[tuple[
             int, Optional[AnycastMode], list[tuple[Yni, YodelMessage]]]]:
         """The receive step for data: the send serial, the anycast mode
@@ -393,34 +413,23 @@ class HostNode(Node):
         self.edge = edge_yni
         self.domain = domain
 
-    def _to_edge(self, metadata: bytes, valley_id: Optional[int] = None,
-                 namespace_id: Optional[int] = None,
-                 app_id: Optional[int] = None,
-                 channel_id: Optional[int] = None) -> None:
-        msg = YodelMessage(MessageKind.CONTROL_YPP, self.yni, self.edge,
-                           FloatingHeader(valley_id=valley_id,
-                                          channel_id=channel_id,
-                                          namespace_id=namespace_id,
-                                          application_id=app_id,
-                                          metadata=metadata))
-        self.env.transmit(self, [(self.edge, msg)])
-
     # -- app operations -------------------------------------------------------
 
     def request_join(self, valley_id: int, namespace_id: int, community: str,
                      role: str, app_id: int, ttl: Optional[int] = None) -> None:
         self._pending_ttl[(valley_id, community, role, app_id)] = ttl
-        self._to_edge(op_join_request(role, community, ttl),
-                      valley_id=valley_id, namespace_id=namespace_id,
-                      app_id=app_id)
+        self.send_op(self.edge, op_join_request(role, community, ttl),
+                     valley_id=valley_id, namespace_id=namespace_id,
+                     app_id=app_id)
 
     def withdraw(self, valley_id: int, namespace_id: int, community: str,
                  role: str, app_id: int) -> None:
         key = (valley_id, community, app_id)
         for r in role_rows(role):
             (self.prt if r == "producer" else self.crt).pop(key, None)
-        self._to_edge(op_withdraw(role, community), valley_id=valley_id,
-                      namespace_id=namespace_id, app_id=app_id)
+        self.send_op(self.edge, op_withdraw(role, community),
+                     valley_id=valley_id, namespace_id=namespace_id,
+                     app_id=app_id)
 
     def send_data(self, valley_id: int, community: str, app_id: int,
                   payload: bytes) -> None:
@@ -463,8 +472,9 @@ class HostNode(Node):
         rows = [r for (v, c, _), r in self.crt.items()
                 if v == valley_id and c == community]
         all_locked = all(r.locked for r in rows)
-        self._to_edge(op_host_consumer_lock(community, locked=all_locked),
-                      valley_id=valley_id, channel_id=row.channel_id)
+        self.send_op(self.edge,
+                     op_host_consumer_lock(community, locked=all_locked),
+                     valley_id=valley_id, channel_id=row.channel_id)
 
     # -- reconnect ------------------------------------------------------------
 
@@ -472,7 +482,7 @@ class HostNode(Node):
         """Announce the return to the edge; data sends queue until the edge
         acknowledges, because lock state may have moved while away."""
         self.gated = True
-        self._to_edge(op_hello())
+        self.send_op(self.edge, op_hello())
 
     # -- receive path ---------------------------------------------------------
 
@@ -540,21 +550,18 @@ class HostNode(Node):
     # -- control ops ----------------------------------------------------------
 
     def _handle_op(self, msg: YodelMessage) -> None:
-        try:
-            op = parse_op(msg.floating.metadata or b"")
-        except MalformedFloating as exc:
-            self.proto_error(str(exc))
+        op = self._read_op(msg)
+        if op is None:
             return
         code = op["op"]
         f = msg.floating
         if code == OP_JOIN_REPLY:
             self._install_rows(f, op)
-        elif code in (OP_LOCK_PRODUCER, OP_UNLOCK_PRODUCER):
+        elif code == OP_UNLOCK_PRODUCER:
             row = self.prt.get((f.valley_id, op["community"], f.application_id))
             if row is not None:
-                row.locked = op["locked"]
-                self.emit("LOCK" if op["locked"] else "UNLOCK",
-                          ("table", "prt"), ("community", op["community"]),
+                row.locked = False
+                self.emit("UNLOCK", ("table", "prt"), ("community", op["community"]),
                           ("app", f.application_id))
         elif code == OP_CHANNEL_UPDATE:
             self._rekey_channel(f.valley_id, op["old_channel"], f.channel_id,
@@ -684,10 +691,8 @@ class EdgeNode(Node):
     # -- joins ----------------------------------------------------------------
 
     def _handle_op(self, msg: YodelMessage) -> None:
-        try:
-            op = parse_op(msg.floating.metadata or b"")
-        except MalformedFloating as exc:
-            self.proto_error(str(exc))
+        op = self._read_op(msg)
+        if op is None:
             return
         code = op["op"]
         f = msg.floating
@@ -712,18 +717,17 @@ class EdgeNode(Node):
         fib = self.fibs.setdefault(valley_id, EdgeFib())
         row = fib.rows.get((namespace_id, community))
         if row is not None and roles_for_join(row.model, role) <= row.roles:
-            self._admit_locally(row, valley_id, namespace_id, host, app_id, role)
+            self._admit_locally(row, valley_id, host, app_id, role)
             return
         key = (valley_id, namespace_id, community, role)
         waiters = self._pending.setdefault(key, [])
         waiters.append((host, app_id))
         if len(waiters) == 1:
-            from .control import JoinRequest
             self.env.controller_rpc(self, JoinRequest(
                 self.yni, valley_id, namespace_id, community, role, host, app_id))
 
-    def _admit_locally(self, row: FibRow, valley_id: int, namespace_id: int,
-                       host: Yni, app_id: int, role: str) -> None:
+    def _admit_locally(self, row: FibRow, valley_id: int, host: Yni,
+                       app_id: int, role: str) -> None:
         roles = roles_for_join(row.model, role)
         lock_host = False
         if "consumer" in roles:
@@ -738,29 +742,28 @@ class EdgeNode(Node):
             if lock_host:
                 self.emit("LOCK", ("table", "ppt"), ("community", row.community),
                           ("host", host), ("app", app_id))
-        reply = YodelMessage(
-            MessageKind.CONTROL_YPP, self.yni, host,
-            FloatingHeader(valley_id=valley_id, channel_id=row.channel_id,
-                           namespace_id=namespace_id, application_id=app_id,
-                           metadata=op_join_reply(
-                               role, row.community, lock_host=lock_host,
-                               model=row.model, randomized=row.randomized,
-                               q=row.q)))
-        self._send_to_host(host, reply)
+        self._send_join_reply(valley_id, row, host, app_id, role, lock_host)
+
+    def _send_join_reply(self, valley_id: int, row: FibRow, host: Yni,
+                         app_id: int, role: str, lock_host: bool) -> None:
+        self.send_op(host, op_join_reply(role, row.community,
+                                         lock_host=lock_host, model=row.model,
+                                         randomized=row.randomized, q=row.q),
+                     valley_id=valley_id, channel_id=row.channel_id,
+                     namespace_id=row.namespace_id, app_id=app_id)
 
     # -- controller plane ------------------------------------------------------
 
     def on_controller(self, payload: object) -> None:
-        from . import control as c
-        if isinstance(payload, c.JoinReply):
+        if isinstance(payload, JoinReply):
             self._on_join_reply(payload)
-        elif isinstance(payload, c.PathAdvertisement):
+        elif isinstance(payload, PathAdvertisement):
             self._on_path_advertisement(payload)
-        elif isinstance(payload, c.PathWithdraw):
+        elif isinstance(payload, PathWithdraw):
             self.aft.pop((payload.valley_id, payload.channel_id), None)
-        elif isinstance(payload, c.ActivateProducerEdge):
+        elif isinstance(payload, ActivateProducerEdge):
             self._on_activate(payload)
-        elif isinstance(payload, c.ChannelIdUpdate):
+        elif isinstance(payload, ChannelIdUpdate):
             self._on_channel_update(payload)
         else:
             self.drop("unhandled_rpc", ("k", type(payload).__name__))
@@ -787,12 +790,10 @@ class EdgeNode(Node):
             (reply.valley_id, reply.namespace_id, reply.community, reply.role),
             [])
         for host, app_id in waiters:
-            self._admit_locally(row, reply.valley_id, reply.namespace_id,
-                                host, app_id, reply.role)
+            self._admit_locally(row, reply.valley_id, host, app_id, reply.role)
 
     def _on_path_advertisement(self, adv) -> None:
         from .codec import decode
-        from .errors import CodecError
         try:
             msg = decode(adv.message)
         except CodecError as exc:
@@ -835,13 +836,10 @@ class EdgeNode(Node):
         hosts = sorted({h for h, _ in row.producer_apps}
                        | {h for h, _ in row.consumer_apps})
         for host in hosts:
-            msg = YodelMessage(
-                MessageKind.CONTROL_YPP, self.yni, host,
-                FloatingHeader(valley_id=upd.valley_id,
-                               channel_id=upd.new_channel_id,
-                               metadata=op_channel_update(upd.old_channel_id,
-                                                          row.community)))
-            self._send_to_host(host, msg)
+            self.send_op(host, op_channel_update(upd.old_channel_id,
+                                                 row.community),
+                         valley_id=upd.valley_id,
+                         channel_id=upd.new_channel_id)
 
     # -- role withdrawal and failover -----------------------------------------
 
@@ -878,19 +876,14 @@ class EdgeNode(Node):
         row.producer_apps[target] = False
         self.emit("UNLOCK", ("table", "ppt"), ("community", row.community),
                   ("host", host), ("app", app_id))
-        msg = YodelMessage(
-            MessageKind.CONTROL_YPP, self.yni, host,
-            FloatingHeader(valley_id=valley_id, channel_id=row.channel_id,
-                           application_id=app_id,
-                           metadata=op_producer_lock(row.community,
-                                                     locked=False)))
-        self._send_to_host(host, msg)
+        self.send_op(host, op_unlock_producer(row.community),
+                     valley_id=valley_id, channel_id=row.channel_id,
+                     app_id=app_id)
 
     def _maybe_release_roles(self, valley_id: int, namespace_id: int,
                              row: FibRow) -> None:
         """Drop edge-level registrations whose last host app is gone, telling
         the controller; delete the row once both sides are empty."""
-        from .control import RemoveRole
         released = []
         if row.model is ServiceModel.MMM:
             if not row.producer_apps and not row.consumer_apps \
@@ -1003,9 +996,6 @@ class EdgeNode(Node):
                                floating, msg.payload)
         self.strategic_send(pop_path_root(carrier, self.yni))
 
-    def _send_to_host(self, host: Yni, msg: YodelMessage) -> None:
-        self.env.transmit(self, [(host, msg)])
-
     # -- twin hooks ------------------------------------------------------------
 
     def swap_host_entries(self, old: Yni, new: Yni) -> list[tuple[int, FibRow]]:
@@ -1038,7 +1028,6 @@ class EdgeNode(Node):
         """The given host went unreachable: re-lock its unlocked producer app
         if any, then run the local failover chain; with no local candidate on
         an active row, resign the producer role so the controller can move."""
-        from .control import RemoveRole
         held = [k for k, locked in row.producer_apps.items()
                 if k[0] == host and not locked]
         for k in held:
@@ -1063,24 +1052,24 @@ class EdgeNode(Node):
     def resync_host(self, host: Yni) -> None:
         """Reconnect corrections: refresh every row the host appears in so
         its lock and channel state match the edge before anything else
-        reaches it."""
+        reaches it. On a many-to-many row one member refresh per app covers
+        both of its rows."""
         for valley_id, fib in sorted(self.fibs.items()):
-            for (ns, community), row in sorted(fib.rows.items()):
-                for (h, app_id), locked in sorted(row.producer_apps.items()):
-                    if h != host:
-                        continue
-                    self._send_refresh(valley_id, ns, row, host, app_id,
-                                       "producer", locked)
-                for (h, app_id) in sorted(row.consumer_apps):
-                    if h != host:
-                        continue
-                    self._send_refresh(valley_id, ns, row, host, app_id,
-                                       "consumer", False)
+            for _, row in sorted(fib.rows.items()):
+                mmm = row.model is ServiceModel.MMM
+                refresh = [("member" if mmm else "producer", app_id, locked)
+                           for (h, app_id), locked
+                           in sorted(row.producer_apps.items()) if h == host]
+                if not mmm:
+                    refresh += [("consumer", app_id, False)
+                                for h, app_id in sorted(row.consumer_apps)
+                                if h == host]
+                for role, app_id, locked in refresh:
+                    self._send_join_reply(valley_id, row, host, app_id, role,
+                                          locked)
 
     def send_hello_ack(self, host: Yni) -> None:
-        ack = YodelMessage(MessageKind.CONTROL_YPP, self.yni, host,
-                           FloatingHeader(metadata=op_hello_ack()))
-        self._send_to_host(host, ack)
+        self.send_op(host, op_hello_ack())
 
     def purge_host(self, host: Yni, alphorn: Yni) -> None:
         """Drop every registration held by the host or its stand-in; the
@@ -1097,21 +1086,6 @@ class EdgeNode(Node):
                 row.locked_hosts.discard(host)
                 row.locked_hosts.discard(alphorn)
                 self._maybe_release_roles(valley_id, key[0], row)
-
-    def _send_refresh(self, valley_id: int, namespace_id: int, row: FibRow,
-                      host: Yni, app_id: int, role: str, locked: bool) -> None:
-        if row.model is ServiceModel.MMM and role == "consumer":
-            return  # the member refresh covers both rows
-        send_role = "member" if row.model is ServiceModel.MMM else role
-        msg = YodelMessage(
-            MessageKind.CONTROL_YPP, self.yni, host,
-            FloatingHeader(valley_id=valley_id, channel_id=row.channel_id,
-                           namespace_id=namespace_id, application_id=app_id,
-                           metadata=op_join_reply(
-                               send_role, row.community, lock_host=locked,
-                               model=row.model, randomized=row.randomized,
-                               q=row.q)))
-        self._send_to_host(host, msg)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,12 @@ from itertools import chain
 from typing import Callable, Optional
 
 from .codec import MessageKind, YodelMessage
-from .control import Controller, HostPrefs, NodeRegistration
+from .control import Controller, HostPrefs
 from .dataplane import (ConnectorNode, EdgeNode, HostNode, Node,
                         parse_data_metadata)
 from .errors import AccessDenied, ScenarioError, UnknownFlow, YodelError
 from .model import Directory, Visibility
-from .scenario import CommandSpec, ScenarioSpec, TopologySpec
+from .scenario import CommandSpec, NodeSpec, ScenarioSpec, TopologySpec
 from .services import AnycastMode, ServiceModel, roles_for_join
 from .trace import Link, Metrics, Trace
 from .twin import TwinConfig, TwinManager
@@ -291,11 +291,7 @@ class Simulation:
                 if len(others) >= 2:
                     self.nodes[member].act.add_group(others, 1)
         for spec in self.topo.nodes:
-            node = self.nodes[spec.name]
-            neighbors = {self.nodes[other].yni: link.latency
-                         for other, link in self.links[spec.name].items()}
-            self.controller.register_infrastructure_node(
-                node.yni, spec.role, spec.domain, neighbors, dict(spec.stats))
+            self._declare(spec)
         twin_cfg = TwinConfig(cfg.twin_period, cfg.twin_miss_threshold,
                               cfg.twin_ttl, cfg.twin_buffer_max)
         for label in self.edges:
@@ -495,7 +491,7 @@ class Simulation:
             self.trace.emit(self._now, "scenario", "FAULT", ("kind", mode),
                             ("a", a[1]), ("b", a[2]))
             for label in (a[1], a[2]):
-                self.schedule(self._now + 1, self._reregister_thunk(label))
+                self.schedule(self._now + 1, partial(self._reregister, label))
         elif mode in ("host-down", "host-up"):
             host = self.hosts[a[1]]
             edge = self.by_yni[host.edge]
@@ -516,26 +512,23 @@ class Simulation:
             for other in sorted(neighbors):
                 if other in self.hosts or other in self._crashed:
                     continue
-                self.schedule(self._now + 1, self._reregister_thunk(other))
-
-    def _reregister_thunk(self, label: str):
-        return lambda: self._reregister(label)
+                self.schedule(self._now + 1, partial(self._reregister, other))
 
     def _reregister(self, label: str) -> None:
-        """Re-declare a node's live neighbor set; the controller's topology
-        view follows from matching declarations."""
         if label in self._crashed or label in self.hosts:
             return
-        node = self.nodes[label]
-        spec = self.topo.node(label)
+        self._declare(self.topo.node(label))
+
+    def _declare(self, spec: NodeSpec) -> None:
+        """Declare an infrastructure node's live neighbor set; the
+        controller's topology view follows from matching declarations."""
         neighbors = {self.nodes[other].yni: link.latency
-                     for other, link in self.links[label].items()
+                     for other, link in self.links[spec.name].items()
                      if link.up and other not in self.hosts
                      and other not in self._crashed}
-        reg = NodeRegistration(node.yni, spec.role, spec.domain,
-                               tuple(sorted(neighbors.items())),
-                               spec.stats)
-        self.controller.handle(reg)
+        self.controller.register_infrastructure_node(
+            self.nodes[spec.name].yni, spec.role, spec.domain, neighbors,
+            dict(spec.stats))
 
 
 def build(topo: TopologySpec, scen: ScenarioSpec,

@@ -174,8 +174,9 @@ class TwinManager:
         # ack that reopens the host's own sending
         self.edge.resync_host(host)
         flushed, rec.buffer = rec.buffer, []
-        for msg in flushed:
-            self.edge._send_to_host(host, replace(msg, receiver=host))
+        if flushed:
+            self.edge.env.transmit(self.edge, [
+                (host, replace(msg, receiver=host)) for msg in flushed])
         if was_active:
             self.edge.emit("TWIN_FLUSH", ("host", self.label_for(host)),
                            ("count", len(flushed)))

@@ -42,6 +42,10 @@ class Yni(bytes):
             raise MalformedYni(f"node id needs 10 bytes, got {len(raw)}")
         return bytes.__new__(cls, raw)
 
+    def __reduce__(self):
+        # the bytes protocol would call Yni(raw) with the ten bytes alone
+        return Yni.from_bytes, (bytes(self),)
+
     def __str__(self) -> str:
         return render_yni(self)
 

@@ -1,6 +1,8 @@
 """Wire formats: golden vectors, kind rules, tree pop, decode robustness."""
 
+import copy
 import pathlib
+import pickle
 from dataclasses import fields, replace
 
 import pytest
@@ -374,3 +376,23 @@ def test_pop_children_equal_replaced_copies(tree, data):
     for child, (dest, fwd) in zip(tree.children, out):
         assert fwd == replace(msg, sender=tree.yni, receiver=child.yni,
                               floating=replace(msg.floating, path_tree=child))
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))])
+def test_copy_and_pickle_keep_trees_messages_and_ids(clone):
+    tree = PathTree(A, (PathTree(B), PathTree(C, (PathTree(E),))))
+    msg = YodelMessage(MessageKind.DATA_YSYNC, SND, RCV,
+                       FloatingHeader(valley_id=1, channel_id=2,
+                                      metadata=b"\x00\x00\x00\x05",
+                                      path_tree=tree), b"payload")
+    got_tree = clone(tree)
+    assert got_tree == tree
+    assert got_tree.members == tree.members
+    assert all(type(node.yni) is Yni for node in got_tree.walk())
+    got_msg = clone(msg)
+    assert got_msg == msg
+    assert encode(got_msg) == encode(msg)
+    assert type(got_msg.sender) is Yni and type(got_msg.receiver) is Yni
+    assert all(type(node.yni) is Yni
+               for node in got_msg.floating.path_tree.walk())

@@ -26,7 +26,6 @@ from yodel.dataplane import (
     OP_HOST_CONSUMER_LOCK,
     OP_JOIN_REPLY,
     OP_JOIN_REQUEST,
-    OP_LOCK_PRODUCER,
     OP_UNLOCK_PRODUCER,
     OP_WITHDRAW,
     data_metadata,
@@ -36,7 +35,7 @@ from yodel.dataplane import (
     op_host_consumer_lock,
     op_join_reply,
     op_join_request,
-    op_producer_lock,
+    op_unlock_producer,
     op_withdraw,
     parse_data_metadata,
     parse_op,
@@ -141,8 +140,8 @@ class TestOps:
 
     def test_withdraw_and_locks(self):
         assert parse_op(op_withdraw("producer", "x"))["role"] == "producer"
-        assert parse_op(op_producer_lock("x", locked=True))["locked"] is True
-        assert parse_op(op_producer_lock("x", locked=False))["locked"] is False
+        assert parse_op(op_unlock_producer("x")) == {
+            "op": OP_UNLOCK_PRODUCER, "community": "x"}
         assert parse_op(op_hello())["op"] == OP_HELLO
         assert parse_op(op_hello_ack())["op"] == OP_HELLO_ACK
 
@@ -161,6 +160,9 @@ class TestOps:
             parse_op(b"")
         with pytest.raises(MalformedFloating):
             parse_op(b"\xee rest")
+        # 0x04 was a producer lock that no node sent
+        with pytest.raises(MalformedFloating, match="unknown op byte 0x04"):
+            parse_op(b"\x04room")
 
     def test_data_metadata(self):
         assert parse_data_metadata(MessageKind.DATA_YPP,

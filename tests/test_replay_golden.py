@@ -17,6 +17,7 @@ import sys
 
 import pytest
 
+from yodel import dataplane
 from yodel.scenario import load_world
 from yodel.sim import SimConfig, Simulation
 
@@ -88,6 +89,26 @@ def recorded() -> dict[tuple[str, str, int], tuple[str, str]]:
 def test_replay_matches_recorded_digests(topo_name, scen_name, seed):
     assert digests(topo_name, scen_name, seed) == \
         recorded()[(topo_name, scen_name, seed)]
+
+
+def test_golden_worlds_send_every_op(monkeypatch):
+    """The replay gate covers every op's send and receive code: across the
+    demo worlds, nodes read each op `dataplane` defines."""
+    parse = dataplane.parse_op
+    received = set()
+
+    def spy(data):
+        op = parse(data)
+        received.add(op["op"])
+        return op
+
+    monkeypatch.setattr(dataplane, "parse_op", spy)
+    for topo_name, scen_name in PAIRS:
+        for seed in SEEDS:
+            digests(topo_name, scen_name, seed)
+    defined = {getattr(dataplane, name) for name in dataplane.__all__
+               if name.startswith("OP_")}
+    assert sorted(received) == sorted(defined)
 
 
 @pytest.mark.parametrize("seed", BENCH_SEEDS)

@@ -1,5 +1,7 @@
 """Node-id value type: generation, canonical text, byte order."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -139,3 +141,13 @@ def test_validation_still_rejects_bad_parts(mac, epoch):
             Yni(MAC, epoch)
     else:
         assert Yni(MAC, epoch).to_bytes()[6:] == epoch.to_bytes(4, "big")
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda y: pickle.loads(pickle.dumps(y))])
+def test_copy_and_pickle_keep_a_yni(clone):
+    y = generate_yni(MAC, 1_700_000_000)
+    got = clone(y)
+    assert got == y
+    assert type(got) is Yni
+    assert str(got) == str(y)
