@@ -121,7 +121,7 @@ def _cmd_run(args) -> int:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 3
     delivered = sum(sim.metrics.deliveries.values())
-    print(f"seed={seed} ticks<={config.until} events={len(sim.trace.records)} "
+    print(f"seed={seed} ticks<={config.until} events={len(sim.trace)} "
           f"delivered={delivered} proto_errors={sim.metrics.proto_errors}")
     return 1 if sim.metrics.proto_errors else 0
 

@@ -190,14 +190,38 @@ def _read_tree(raw: bytes, off: int) -> tuple[PathTree, int]:
         raise MalformedFloating(str(exc)) from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FloatingHeader:
+    """The optional elements of a message. Built for every copy at every
+    hop, so `__init__` is written out by hand and sets the slots through
+    their own setters, as `PathTree` does; the dataclass still supplies
+    `==`, `hash`, `repr`, `fields` and `replace`."""
+
     valley_id: Optional[int] = None
     channel_id: Optional[int] = None
     namespace_id: Optional[int] = None
     application_id: Optional[int] = None
     metadata: Optional[bytes] = None
     path_tree: Optional[PathTree] = None
+
+    def __init__(self, valley_id: Optional[int] = None,
+                 channel_id: Optional[int] = None,
+                 namespace_id: Optional[int] = None,
+                 application_id: Optional[int] = None,
+                 metadata: Optional[bytes] = None,
+                 path_tree: Optional[PathTree] = None):
+        _set_valley(self, valley_id)
+        _set_channel(self, channel_id)
+        _set_namespace(self, namespace_id)
+        _set_application(self, application_id)
+        _set_metadata(self, metadata)
+        _set_path_tree(self, path_tree)
+
+    def __reduce__(self):
+        # copy and pickle would restore the slots through __setattr__
+        return FloatingHeader, (self.valley_id, self.channel_id,
+                                self.namespace_id, self.application_id,
+                                self.metadata, self.path_tree)
 
     def encode(self) -> bytes:
         parts = []
@@ -265,6 +289,14 @@ class FloatingHeader:
         return cls(valley, channel, namespace, application, metadata, tree)
 
 
+_set_valley = FloatingHeader.valley_id.__set__
+_set_channel = FloatingHeader.channel_id.__set__
+_set_namespace = FloatingHeader.namespace_id.__set__
+_set_application = FloatingHeader.application_id.__set__
+_set_metadata = FloatingHeader.metadata.__set__
+_set_path_tree = FloatingHeader.path_tree.__set__
+
+
 def _uint(value: int, size: int, what: str) -> bytes:
     if not 0 <= value < 1 << (8 * size):
         raise InvariantViolation(f"{what} out of range: {value}")
@@ -301,13 +333,37 @@ class FixedHeader:
                    int.from_bytes(raw[23:27], "big"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class YodelMessage:
+    """One message; written out like `FloatingHeader`, for the same reason.
+    A message built without a header gets a fresh empty one."""
+
     kind: MessageKind
     sender: Yni
     receiver: Yni
     floating: FloatingHeader = field(default_factory=FloatingHeader)
     payload: bytes = b""
+
+    def __init__(self, kind: MessageKind, sender: Yni, receiver: Yni,
+                 floating: Optional[FloatingHeader] = None,
+                 payload: bytes = b""):
+        _set_kind(self, kind)
+        _set_sender(self, sender)
+        _set_receiver(self, receiver)
+        _set_floating(self, FloatingHeader() if floating is None
+                      else floating)
+        _set_payload(self, payload)
+
+    def __reduce__(self):
+        return YodelMessage, (self.kind, self.sender, self.receiver,
+                              self.floating, self.payload)
+
+
+_set_kind = YodelMessage.kind.__set__
+_set_sender = YodelMessage.sender.__set__
+_set_receiver = YodelMessage.receiver.__set__
+_set_floating = YodelMessage.floating.__set__
+_set_payload = YodelMessage.payload.__set__
 
 
 def _check_kind_rules(msg: YodelMessage) -> None:

@@ -49,7 +49,6 @@ __all__ = [
     "JoinRequest",
     "JoinReply",
     "RemoveRole",
-    "NodeRegistration",
     "PathAdvertisement",
     "PathWithdraw",
     "ActivateProducerEdge",
@@ -376,15 +375,6 @@ class ChannelObject:
 
 
 @dataclass(frozen=True)
-class NodeRegistration:
-    yni: Yni
-    role: str
-    domain: str
-    neighbors: tuple[tuple[Yni, int], ...]
-    stats: tuple[tuple[str, float], ...] = ()
-
-
-@dataclass(frozen=True)
 class JoinRequest:
     edge: Yni
     valley_id: int
@@ -476,11 +466,7 @@ class Controller:
 
     def handle(self, payload: object) -> None:
         """Entry point for simulator-delivered requests."""
-        if isinstance(payload, NodeRegistration):
-            self.register_infrastructure_node(
-                payload.yni, payload.role, payload.domain,
-                dict(payload.neighbors), dict(payload.stats))
-        elif isinstance(payload, JoinRequest):
+        if isinstance(payload, JoinRequest):
             self.handle_edge_join(payload)
         elif isinstance(payload, RemoveRole):
             self.remove_edge_role(payload.valley_id, payload.namespace_id,

@@ -14,7 +14,6 @@ import heapq
 import random
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import Callable, Optional
 
 from .codec import MessageKind, YodelMessage
@@ -94,8 +93,6 @@ class Simulation:
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = 0
         self._rngs: dict[str, random.Random] = {}
-        # event -> the links whose copies it lands, while it is pending
-        self._inflight: dict[int, tuple[Link, ...]] = {}
         self.nodes: dict[str, Node] = {}        # label -> node (infra + hosts)
         self.by_yni: dict[Yni, Node] = {}
         self.edges: dict[str, EdgeNode] = {}
@@ -105,7 +102,6 @@ class Simulation:
         # sender label -> destination id -> what `_port` resolves it to
         self._ports: dict[str, dict[Yni, tuple[Node, Link, bool]]] = {}
         self._crashed: set[str] = set()
-        self._current_event = 0
         self._build()
 
     # -- environment services (the NodeEnv contract) ---------------------------
@@ -124,10 +120,9 @@ class Simulation:
         self._seq += 1
         return self._seq
 
-    def schedule(self, tick: int, fn: Callable[[], None]) -> int:
+    def schedule(self, tick: int, fn: Callable[[], None]) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (tick, self._seq, fn))
-        return self._seq
 
     def transmit(self, src: Node, pairs: list[tuple[Yni, YodelMessage]],
                  mcast: bool = False) -> None:
@@ -139,6 +134,10 @@ class Simulation:
             self.metrics.transmission(src.domain, True)
         ports = self._ports[label]
         crashed = label in self._crashed
+        # the kind and, on parseable data, the serial: one tuple shared by
+        # the SEND and RECV lines of every copy of one kind and metadata;
+        # copies popped from one parent share their metadata object
+        wire_kind = wire_metadata = wire = None
         for dst_yni, msg in pairs:
             port = ports.get(dst_yni) or self._port(src, dst_yni)
             if port is None:
@@ -151,15 +150,16 @@ class Simulation:
             if overlay and not mcast and kind is not MessageKind.CONTROL_YPP:
                 self.metrics.transmission(src.domain, src.domain == dst.domain)
                 link.unicast += 1
-            # the kind and, on parseable data, the serial: one tuple shared
-            # by this SEND line and the RECV line at the far end
-            wire: tuple[tuple[str, object], ...] = (("k", _KIND_NAMES[kind]),)
-            if kind is not MessageKind.CONTROL_YPP:
-                try:
-                    serial, _ = parse_data_metadata(kind, msg.floating.metadata)
-                    wire += (("serial", serial),)
-                except YodelError:
-                    pass
+            metadata = msg.floating.metadata
+            if kind is not wire_kind or metadata is not wire_metadata:
+                wire_kind, wire_metadata = kind, metadata
+                wire = (("k", _KIND_NAMES[kind]),)
+                if kind is not MessageKind.CONTROL_YPP:
+                    try:
+                        serial, _ = parse_data_metadata(kind, metadata)
+                        wire += (("serial", serial),)
+                    except YodelError:
+                        pass
             emit(now, label, "SEND", ("to", dst.label), *wire)
             link.sent += 1
             if not link.up or crashed:
@@ -168,10 +168,9 @@ class Simulation:
                      ("to", dst.label))
                 self.metrics.dropped(label, "link_down")
                 continue
-            event = self.schedule(now + link.latency,
-                                  partial(self._arrive, link, src, dst, msg,
-                                          wire))
-            self._inflight[event] = (link,)
+            link.in_flight += 1
+            self.schedule(now + link.latency,
+                          partial(self._arrive, link, src, dst, msg, wire))
 
     def _port(self, src: Node, dst_yni: Yni
               ) -> Optional[tuple[Node, Link, bool]]:
@@ -195,7 +194,6 @@ class Simulation:
 
     def _arrive(self, link: Link, src: Node, dst: Node, msg: YodelMessage,
                 wire: tuple[tuple[str, object], ...]) -> None:
-        self._inflight.pop(self._current_event, None)
         if not self._lands(link, src, dst):
             return
         self.trace.emit(self._now, dst.label, "RECV", ("from", src.label),
@@ -205,6 +203,7 @@ class Simulation:
     def _lands(self, link: Link, src: Node, dst: Node) -> bool:
         """Count a copy reaching the far end of `link`: received, or lost
         to a down link or a crashed receiver."""
+        link.in_flight -= 1
         if not link.up or dst.label in self._crashed:
             link.lost += 1
             self.trace.emit(self._now, dst.label, "DROP",
@@ -229,14 +228,12 @@ class Simulation:
         links = tuple(self.links[src.label][dst.label] for src, dst in batch)
         for link in links:
             link.sent += 1
+            link.in_flight += 1
 
         def arrive():
-            self._inflight.pop(self._current_event, None)
             land([(src, dst) for (src, dst), link in zip(batch, links)
                   if self._lands(link, src, dst)])
-        event = self.schedule(self._now + self.config.host_link_latency,
-                              arrive)
-        self._inflight[event] = links
+        self.schedule(self._now + self.config.host_link_latency, arrive)
 
     def _answer_sync(self, queried: list[tuple[Node, Node]]) -> None:
         if queried:
@@ -352,16 +349,13 @@ class Simulation:
 
     def run(self) -> "Simulation":
         while self._heap:
-            tick, seq, fn = self._heap[0]
+            tick, _, fn = self._heap[0]
             if tick > self.config.until:
                 break
             heapq.heappop(self._heap)
             self._now = tick
-            self._current_event = seq
             fn()
-        # every copy still on a wire has its arrival left in the heap
-        self.metrics.finalize_conservation(
-            chain.from_iterable(self._inflight.values()))
+        self.metrics.finalize_conservation()
         return self
 
     # -- scenario commands -----------------------------------------------------

@@ -10,9 +10,8 @@ package-level guarantee, so nothing non-deterministic may reach emit().
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 __all__ = ["TraceRecord", "Trace", "Link", "Metrics", "CONTROLLER_NODE"]
 
@@ -20,7 +19,7 @@ CONTROLLER_NODE = "controller"
 
 
 class TraceRecord(NamedTuple):
-    """One trace event; a tuple, so building one per event stays cheap."""
+    """One trace event, its field values as they print."""
 
     tick: int
     node: str
@@ -28,35 +27,60 @@ class TraceRecord(NamedTuple):
     fields: tuple[tuple[str, str], ...] = ()
 
     def line(self) -> str:
-        tick, node, event, fields = self
-        return " ".join([f"t={tick} n={node} ev={event}",
-                         *[f"{k}={v}" for k, v in fields]])
+        return _line(*self)
+
+
+def _line(tick: int, node: str, event: str,
+          fields: tuple[tuple[str, object], ...]) -> str:
+    # `!s`, not plain format(): an IntEnum formats as its number on 3.10
+    return " ".join([f"t={tick} n={node} ev={event}",
+                     *[f"{k}={v!s}" for k, v in fields]])
+
+
+def _record(tick: int, node: str, event: str,
+            fields: tuple[tuple[str, object], ...]) -> TraceRecord:
+    return TraceRecord(tick, node, event,
+                       tuple([(k, str(v)) for k, v in fields]))
 
 
 class Trace:
+    """Events as emitted: `(tick, node, event, fields)` tuples whose field
+    values are turned into text only when the trace is read. Every value
+    must therefore be immutable (str, int, bool, None or Yni)."""
+
     def __init__(self):
-        self.records: list[TraceRecord] = []
+        self._events: list[tuple[int, str, str,
+                                 tuple[tuple[str, object], ...]]] = []
 
     def emit(self, tick: int, node: str, event: str, *fields: tuple[str, object]) -> None:
-        self.records.append(TraceRecord(
-            tick, node, event, tuple([(k, str(v)) for k, v in fields])))
+        self._events.append((tick, node, event, fields))
+
+    def __len__(self) -> int:
+        return len(self._events)
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """Every event as a TraceRecord with printed field values, built
+        afresh on each read."""
+        return [_record(*e) for e in self._events]
 
     def lines(self) -> list[str]:
-        return [r.line() for r in self.records]
+        return [_line(*e) for e in self._events]
 
     def text(self) -> str:
-        return "\n".join(self.lines()) + ("\n" if self.records else "")
+        return "\n".join(self.lines()) + ("\n" if self._events else "")
 
     def count(self, event: str, **match: str) -> int:
-        return sum(1 for r in self.select(event, **match))
+        return len(self.select(event, **match))
 
     def select(self, event: str, **match: str) -> list[TraceRecord]:
-        """Records of one event whose fields equal `match`; the key `n`
-        matches the emitting node, mirroring the printed line format."""
+        """Records of one event whose printed fields equal `match`; the key
+        `n` matches the emitting node, mirroring the printed line format."""
         out = []
-        for r in self.records:
-            if r.event != event:
+        for e in self._events:
+            if e[2] != event:
                 continue
+            r = _record(*e)
             fields = dict(r.fields)
             fields["n"] = r.node
             if all(fields.get(k) == v for k, v in match.items()):
@@ -66,14 +90,15 @@ class Trace:
 
 @dataclass(eq=False, slots=True)
 class Link:
-    """One direction of a wire: its state, and what crossed it. Compared and
-    hashed by identity, so in-flight copies can be counted per record."""
+    """One direction of a wire: its state, and what crossed it. Compared by
+    identity: each record stands for one direction of one wire."""
 
     latency: int
     up: bool = True
     sent: int = 0
     received: int = 0
     lost: int = 0
+    in_flight: int = 0   # copies whose arrival is still scheduled
     unicast: int = 0     # overlay data copies, for transmission efficiency
 
 
@@ -159,10 +184,9 @@ class Metrics:
 
     # -- epilogue ------------------------------------------------------------
 
-    def finalize_conservation(self, in_flight: Iterable[Link]) -> None:
+    def finalize_conservation(self) -> None:
         """sends == receives + in-flight + lost, per directed link; links
         nothing crossed are left out."""
-        pending = Counter(in_flight)
         per_link = {}
         ok = True
         for key, link in sorted(self.links.items()):
@@ -170,7 +194,7 @@ class Metrics:
                 "sent": link.sent,
                 "received": link.received,
                 "lost": link.lost,
-                "in_flight": pending.get(link, 0),
+                "in_flight": link.in_flight,
             }
             if not any(entry.values()):
                 continue

@@ -3,7 +3,7 @@
 import copy
 import pathlib
 import pickle
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -396,3 +396,82 @@ def test_copy_and_pickle_keep_trees_messages_and_ids(clone):
     assert type(got_msg.sender) is Yni and type(got_msg.receiver) is Yni
     assert all(type(node.yni) is Yni
                for node in got_msg.floating.path_tree.walk())
+    for obj in (msg.floating, FloatingHeader(),
+                YodelMessage(MessageKind.CONTROL_YPP, SND, RCV)):
+        got = clone(obj)
+        assert got == obj and type(got) is type(obj)
+        assert repr(got) == repr(obj)
+
+
+# The message contract: what code outside the codec may rely on, whatever
+# way the two classes are written.
+
+HEADER = FloatingHeader(valley_id=1, channel_id=2, metadata=b"\x00\x00\x00\x05",
+                        path_tree=PathTree(A, (PathTree(B),)))
+MESSAGE = YodelMessage(MessageKind.DATA_YSYNC, SND, RCV, HEADER, b"payload")
+
+
+def test_messages_and_headers_compare_and_hash_by_value():
+    header = FloatingHeader(1, 2, None, None, b"\x00\x00\x00\x05",
+                            PathTree(A, (PathTree(B),)))
+    msg = YodelMessage(kind=MessageKind.DATA_YSYNC, sender=SND, receiver=RCV,
+                       floating=header, payload=b"payload")
+    for one, two in ((HEADER, header), (MESSAGE, msg)):
+        assert one is not two and one == two and hash(one) == hash(two)
+        assert {one: 1}[two] == 1
+    assert HEADER != FloatingHeader(valley_id=1)
+    assert HEADER != (1, 2, None, None, b"\x00\x00\x00\x05",
+                      HEADER.path_tree)
+    assert MESSAGE != YodelMessage(MessageKind.DATA_YSYNC, SND, RCV, HEADER)
+    assert MESSAGE != YodelMessage(MessageKind.DATA_YPP, SND, RCV, HEADER,
+                                   b"payload")
+    assert MESSAGE != (MessageKind.DATA_YSYNC, SND, RCV, HEADER, b"payload")
+
+
+def test_message_and_header_repr_name_every_field():
+    assert repr(HEADER) == (
+        f"FloatingHeader(valley_id=1, channel_id=2, namespace_id=None, "
+        f"application_id=None, metadata=b'\\x00\\x00\\x00\\x05', "
+        f"path_tree={HEADER.path_tree!r})")
+    assert repr(MESSAGE) == (
+        f"YodelMessage(kind={MessageKind.DATA_YSYNC!r}, sender={SND!r}, "
+        f"receiver={RCV!r}, floating={HEADER!r}, payload=b'payload')")
+
+
+def test_replace_and_fields_see_every_field():
+    assert [f.name for f in fields(FloatingHeader)] == [
+        "valley_id", "channel_id", "namespace_id", "application_id",
+        "metadata", "path_tree"]
+    assert [f.name for f in fields(YodelMessage)] == [
+        "kind", "sender", "receiver", "floating", "payload"]
+    header = replace(HEADER, path_tree=None, application_id=7)
+    assert header == FloatingHeader(1, 2, None, 7, b"\x00\x00\x00\x05")
+    msg = replace(MESSAGE, receiver=A, floating=header)
+    assert msg == YodelMessage(MessageKind.DATA_YSYNC, SND, A, header,
+                               b"payload")
+    assert replace(MESSAGE) == MESSAGE and replace(HEADER) == HEADER
+    with pytest.raises(TypeError):
+        replace(MESSAGE, path_tree=None)
+
+
+def test_a_message_without_a_header_gets_its_own_empty_one():
+    one = YodelMessage(MessageKind.CONTROL_YPP, SND, RCV)
+    two = YodelMessage(MessageKind.CONTROL_YPP, SND, RCV)
+    assert one.floating == FloatingHeader() and one.payload == b""
+    assert one.floating is not two.floating
+    assert FloatingHeader() == FloatingHeader(None, None, None, None, None,
+                                              None)
+    assert encode(one) == encode(YodelMessage(MessageKind.CONTROL_YPP, SND,
+                                              RCV, FloatingHeader(), b""))
+
+
+def test_messages_and_headers_cannot_be_assigned_or_deleted():
+    for obj, name, value in ((HEADER, "valley_id", 9),
+                             (HEADER, "path_tree", None),
+                             (MESSAGE, "payload", b""),
+                             (MESSAGE, "floating", FloatingHeader())):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, value)
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, name)
+    assert HEADER.valley_id == 1 and MESSAGE.payload == b"payload"

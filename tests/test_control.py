@@ -14,7 +14,6 @@ from yodel.control import (
     HostPrefs,
     JoinReply,
     JoinRequest,
-    NodeRegistration,
     PathAdvertisement,
     PathWithdraw,
     RemoveRole,
@@ -651,11 +650,10 @@ def test_registration_reconciles_as_if_every_flow_were(start, steps):
             assert flow.precomputed == ref.flows[key].precomputed
 
     def register(i):
-        payload = NodeRegistration(
-            CHURN_NODES[i], "edge" if i in CHURN_EDGES else "connector", "d",
-            tuple((CHURN_NODES[m], lat) for m, lat in declared[i].items()))
         for ctrl, *_ in sides:
-            ctrl.handle(payload)
+            ctrl.register_infrastructure_node(
+                CHURN_NODES[i], "edge" if i in CHURN_EDGES else "connector",
+                "d", {CHURN_NODES[m]: lat for m, lat in declared[i].items()})
         same()
 
     # the starting links; a declaration of a late node waits for it

@@ -135,6 +135,37 @@ class TestTraceFormat:
         with pytest.raises(AttributeError):
             rec.tick = 2
 
+    def test_values_print_as_str_when_read(self):
+        trace = Trace()
+        yni = Yni(b"\x0f" * 6, 3)
+        values = (7, yni, None, True, False, "txt")
+        trace.emit(4, "e1", "X", *zip("abcdef", values))
+        line = "t=4 n=e1 ev=X " + " ".join(
+            f"{k}={str(v)}" for k, v in zip("abcdef", values))
+        assert trace.lines() == [line]
+        rec, = trace.records
+        assert rec.fields == tuple((k, str(v)) for k, v in zip("abcdef", values))
+        assert rec.line() == line
+
+    def test_select_and_count_match_printed_values(self):
+        trace = Trace()
+        trace.emit(1, "e1", "SEND", ("to", "e2"), ("serial", 12))
+        trace.emit(2, "e2", "SEND", ("to", "e1"), ("serial", 13))
+        trace.emit(2, "e2", "RECV", ("from", "e1"), ("serial", 12))
+        assert trace.count("SEND") == 2
+        assert trace.count("SEND", serial="12") == 1
+        assert trace.count("SEND", serial=12) == 0
+        sent, = trace.select("SEND", n="e2")
+        assert sent == TraceRecord(2, "e2", "SEND",
+                                   (("to", "e1"), ("serial", "13")))
+        assert [r.event for r in trace.select("RECV", serial="12")] == ["RECV"]
+
+    def test_len_counts_lines(self):
+        sim = run_text(TWO_DOMAINS, scen(body=TestBasicWorld.BODY))
+        assert len(sim.trace) == len(sim.trace.lines()) \
+            == sim.trace.text().count("\n") > 0
+        assert len(Trace()) == 0
+
     def test_recv_repeats_the_send_kind_and_serial(self):
         sim = run_text(TWO_DOMAINS, scen(body=TestBasicWorld.BODY))
         send, = sim.trace.select("SEND", n="c1", to="e2", k="DATA_YSYNC")
@@ -143,6 +174,32 @@ class TestTraceFormat:
         assert [k for k, _ in recv.fields] == ["from", "k", "serial"]
         control = sim.trace.select("SEND", k="CONTROL_YPP")
         assert control and all(len(r.fields) == 2 for r in control)
+
+
+# what a field value may be: formatting waits until the trace is read, so
+# a value changed after emit would print wrong
+IMMUTABLE_FIELD_TYPES = (str, int, bool, type(None), Yni)
+
+
+def test_golden_worlds_emit_only_immutable_field_values(monkeypatch):
+    import test_replay_golden as golden
+    emit = Trace.emit
+    seen = set()
+
+    def audit(self, tick, node, event, *fields):
+        for key, value in fields:
+            assert type(value) in IMMUTABLE_FIELD_TYPES, (event, key, value)
+            seen.add(type(value))
+        emit(self, tick, node, event, *fields)
+
+    monkeypatch.setattr(Trace, "emit", audit)
+    for topo_name, scen_name in golden.PAIRS:
+        for seed in golden.SEEDS:
+            golden.digests(topo_name, scen_name, seed)
+    for workload in golden.BENCH_WORKLOADS:
+        for seed in golden.BENCH_SEEDS:
+            golden.bench_digests(workload, seed)
+    assert {str, int} <= seen
 
 
 class TestDeterminism:
@@ -444,6 +501,20 @@ at 140 send h1 vale room 1 back
         assert sim.trace.count("TWIN_CREATE", n="e2") == 2
         assert sim.metrics.deliveries == {"h2": 1}
         assert sim.trace.count("TWIN_FLUSH") == 0
+
+
+    def test_flush_on_the_wire_at_the_horizon_is_in_flight(self):
+        # h2 reconnects at 45; at 46 e2 swaps h2 back in and flushes the
+        # three buffered copies between two control replies, all landing
+        # at 47, after the horizon
+        sim = run_text(TWO_DOMAINS, scen(body=self.BODY, until=46))
+        assert sim.trace.count("TWIN_FLUSH", n="e2", count="3") == 1
+        e2_h2 = sim.metrics.conservation["links"]["e2>h2"]
+        assert e2_h2["in_flight"] == 5
+        assert e2_h2["sent"] == e2_h2["received"] + e2_h2["lost"] + 5
+        assert e2_h2["ok"] is True
+        assert sim.metrics.conservation["ok"] is True
+        assert sim.metrics.deliveries == {}
 
 
 class TestTwinKeepalive:
