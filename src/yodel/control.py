@@ -96,6 +96,17 @@ def _search(adjacency: dict[Yni, dict[Yni, int]], source: Yni
     return dist, parent
 
 
+def _build_tree(node: Yni, children: dict[Yni, list[Yni]]) -> PathTree:
+    """The subtree under `node` with its children in id order. A module
+    function rather than a closure, so building a tree leaves no reference
+    cycle behind for the collector."""
+    kids = children[node]
+    if not kids:
+        return PathTree(node)
+    kids.sort()
+    return PathTree(node, tuple([_build_tree(c, children) for c in kids]))
+
+
 @dataclass
 class NodeInfo:
     yni: Yni
@@ -121,6 +132,11 @@ class TopologyGraph:
     drops all three caches when the registering node is new, changes role
     or domain, or ends with a different adjacency row. Links are symmetric,
     so when that node's row is unchanged no other row changed either.
+
+    `placement` holds `Controller.provision_host`'s heaps, one per host
+    preference pair. Their keys read node stats, which the rule above
+    ignores, so every `register` drops them, even one that changes nothing
+    but stats.
     """
 
     def __init__(self):
@@ -132,6 +148,7 @@ class TopologyGraph:
         self._trees: dict[tuple[Yni, frozenset[Yni]],
                           PathTree | tuple[Yni, ...]] = {}
         self._domain_dist: dict[str, dict[Yni, int]] = {}
+        self.placement: dict[HostPrefs, list[tuple]] = {}
 
     def register(self, yni: Yni, role: str, domain: str,
                  neighbors: dict[Yni, int],
@@ -144,6 +161,7 @@ class TopologyGraph:
             raise UnknownNode(f"bad infrastructure role {role!r}")
         old = self.nodes.get(yni)
         old_links = self.adjacency.get(yni)
+        self.placement.clear()
         self.nodes[yni] = NodeInfo(yni, role, domain, dict(stats or {}))
         self.declared[yni] = dict(neighbors)
         for other in self.adjacency.get(yni, ()):
@@ -165,9 +183,6 @@ class TopologyGraph:
         added = [(yni, other, lat) for other, lat in links.items()
                  if old_links.get(other) != lat]
         return removed, added
-
-    def edges(self) -> list[NodeInfo]:
-        return [n for _, n in sorted(self.nodes.items()) if n.role == "edge"]
 
     def shortest_paths(self, source: Yni
                        ) -> tuple[dict[Yni, tuple[int, int]], dict[Yni, Yni]]:
@@ -201,15 +216,7 @@ class TopologyGraph:
         children: dict[Yni, list[Yni]] = {n: [] for n in needed}
         for node in needed - {source}:
             children[parent[node]].append(node)
-
-        def build(node: Yni) -> PathTree:
-            kids = children[node]
-            if not kids:
-                return PathTree(node)
-            kids.sort()
-            return PathTree(node, tuple([build(c) for c in kids]))
-
-        tree = self._trees[key] = build(source)
+        tree = self._trees[key] = _build_tree(source, children)
         return tree
 
     def domain_distances(self, domain: str) -> dict[Yni, int]:
@@ -498,32 +505,50 @@ class Controller:
 
     def provision_host(self, host: Yni, user: str,
                        prefs: HostPrefs = HostPrefs()) -> Yni:
-        """Place a host on the best edge.
+        """Place a host on the edge with the least `_placement_key`.
 
-        Score per candidate edge, lexicographically minimized:
-        (misses preferences, latency estimate to the preferred domain,
-        negated remaining capacity, node id). Capacity is the edge's compute
-        stat minus hosts already placed there.
+        The edges wait in a min-heap per preference pair, kept in
+        `graph.placement`: built for the pair's first host and dropped by
+        every `TopologyGraph.register`. In between, the only part of a key
+        that moves is the remaining capacity, and it only falls as hosts are
+        placed, so a key can only grow. The top entry is scored again: if
+        its key grew (a host with other preferences went there), it goes
+        back with the new key and the next top is tried; if not, no edge
+        can beat it. The winner goes back keyed for the next host.
         """
         self.directory.check_credentials(user)
         self.metrics.provision_visit()
-        edges = self.graph.edges()
-        if not edges:
+        graph = self.graph
+        heap = graph.placement.get(prefs)
+        if heap is None:
+            heap = graph.placement[prefs] = [
+                self._placement_key(info, prefs)
+                for info in graph.nodes.values() if info.role == "edge"]
+            heapq.heapify(heap)
+        if not heap:
             raise NoEligibleEdge("no edges registered")
+        while True:
+            info = graph.nodes[heap[0][-1]]
+            key = self._placement_key(info, prefs)
+            if not key > heap[0]:  # `<=` would never hold for a NaN compute
+                break
+            heapq.heapreplace(heap, key)
+        self.placed[info.yni] = self.placed.get(info.yni, 0) + 1
+        heapq.heapreplace(heap, self._placement_key(info, prefs))
+        self._emit("PROVISION", ("host", host), ("user", user), ("edge", info.yni))
+        return info.yni
 
-        def score(info: NodeInfo):
-            est = self._domain_distance(info.yni, prefs.preferred_domain)
-            meets = ((prefs.preferred_domain is None
-                      or info.domain == prefs.preferred_domain)
-                     and (prefs.max_latency is None or est <= prefs.max_latency))
-            remaining = (info.stats.get("compute", 0.0)
-                         - self.placed.get(info.yni, 0))
-            return (0 if meets else 1, est, -remaining, info.yni)
-
-        best = min(edges, key=score)
-        self.placed[best.yni] = self.placed.get(best.yni, 0) + 1
-        self._emit("PROVISION", ("host", host), ("user", user), ("edge", best.yni))
-        return best.yni
+    def _placement_key(self, info: NodeInfo, prefs: HostPrefs) -> tuple:
+        """An edge's placement key, lexicographically minimized: (misses
+        preferences, latency estimate to the preferred domain, negated
+        remaining capacity, node id). Capacity is the edge's compute stat
+        minus hosts already placed there."""
+        est = self._domain_distance(info.yni, prefs.preferred_domain)
+        meets = ((prefs.preferred_domain is None
+                  or info.domain == prefs.preferred_domain)
+                 and (prefs.max_latency is None or est <= prefs.max_latency))
+        remaining = info.stats.get("compute", 0.0) - self.placed.get(info.yni, 0)
+        return (0 if meets else 1, est, -remaining, info.yni)
 
     def _domain_distance(self, start: Yni, domain: Optional[str]) -> float:
         """Shortest-path latency from a node to the nearest node of a domain."""

@@ -1,5 +1,7 @@
 """Controller behavior: topology view, path trees, provisioning, flows."""
 
+import gc
+import heapq
 import itertools
 
 import pytest
@@ -169,6 +171,18 @@ def confirmed_links(declared):
 
 
 class TestComputePath:
+    def test_path_tree_leaves_no_garbage_cycle(self):
+        g = TopologyGraph()
+        register_mesh(g, STAR_NODES, STAR_LINKS)
+        gc.collect()
+        gc.disable()
+        try:
+            tree = g.path_tree(E1, frozenset({E2, E3}))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert tree.edges() == [(E1, C1), (C1, E2), (C1, E3)]
+
     def test_chain(self):
         g = TopologyGraph()
         register_mesh(g, {E1: ("edge", "d"), C1: ("connector", "d"),
@@ -545,6 +559,165 @@ class TestProvisioning:
             got = ctrl.provision_host(host, "alice", prefs)
             assert got == expect
             placed[got] = placed.get(got, 0) + 1
+
+    def test_placement_under_other_preferences_is_seen(self):
+        nodes = {E1: ("edge", "d1", {"compute": 2}),
+                 E2: ("edge", "d1", {"compute": 1.5})}
+        ctrl, *_ = build_controller(nodes, {(E1, E2): 1})
+        near = HostPrefs(preferred_domain="d1", max_latency=5)
+        assert ctrl.provision_host(H1, "alice", near) == E1  # 1 vs 1.5 left
+        assert ctrl.provision_host(H2, "alice") == E2        # 1 vs 0.5 left
+        # E2 tops the first pair's heap with the 1.5 it had then
+        assert ctrl.provision_host(nid(0xF3), "alice", near) == E1
+
+    def test_stats_only_reregistration_changes_the_next_pick(self):
+        nodes = {E1: ("edge", "d1", {"compute": 1}),
+                 E2: ("edge", "d1", {"compute": 3})}
+        ctrl, *_ = build_controller(nodes, {(E1, E2): 1})
+        assert ctrl.provision_host(H1, "alice") == E2
+        # same role, domain and neighbors; only the capacity grows
+        ctrl.graph.register(E1, "edge", "d1", {E2: 1}, {"compute": 9})
+        assert ctrl.provision_host(H2, "alice") == E1
+
+    def test_large_world_scores_each_edge_once_per_preference_pair(
+            self, monkeypatch):
+        """16 domains, each of 3 chained connectors with 32 edges of
+        compute 4 hung off them, joined in a ring; 2 048 hosts each prefer
+        their own domain. A scan of every edge per host scores 1 048 576
+        times. The heaps score each edge once per preference pair, then
+        twice per host: the check of the top entry and its re-push."""
+        domains, connectors, edges, hosts_per_edge = 16, 3, 32, 4
+        nodes, links = {}, {}
+        for d in range(domains):
+            conn = [nid(0x10000 + 0x100 * d + c) for c in range(connectors)]
+            for c, y in enumerate(conn):
+                nodes[y] = ("connector", f"d{d}")
+                if c:
+                    links[(conn[c - 1], y)] = 1
+            for e in range(edges):
+                y = nid(0x20000 + 0x100 * d + e)
+                nodes[y] = ("edge", f"d{d}", {"compute": hosts_per_edge})
+                links[(y, conn[e % connectors])] = 1
+            links[(conn[-1], nid(0x10000 + 0x100 * ((d + 1) % domains)))] = 3
+        ctrl, *_ = build_controller(nodes, links)
+        calls = 0
+        score = Controller._placement_key
+
+        def counted(self, info, prefs):
+            nonlocal calls
+            calls += 1
+            return score(self, info, prefs)
+
+        monkeypatch.setattr(Controller, "_placement_key", counted)
+        hosts = domains * edges * hosts_per_edge
+        for h in range(hosts):
+            prefs = HostPrefs(preferred_domain=f"d{h % domains}")
+            edge = ctrl.provision_host(nid(0x30000 + h), "alice", prefs)
+            assert ctrl.graph.nodes[edge].domain == prefs.preferred_domain
+        assert set(ctrl.placed.values()) == {hosts_per_edge}
+        pairs, all_edges = domains, domains * edges
+        assert calls <= pairs * all_edges + 2 * hosts
+
+
+def nearest(graph, start, domain):
+    """Reference latency from a node to the closest node of a domain: a
+    search from the node itself, over the current links."""
+    if domain is None:
+        return 0
+    dist = {start: 0}
+    heap = [(0, start)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if graph.nodes[node].domain == domain:
+            return d
+        if d > dist[node]:
+            continue
+        for nb, lat in graph.adjacency[node].items():
+            if nb not in dist or d + lat < dist[nb]:
+                dist[nb] = d + lat
+                heapq.heappush(heap, (d + lat, nb))
+    return float("inf")
+
+
+def scan_pick(graph, placed, prefs):
+    """Reference placement: the least score over every registered edge."""
+    def score(info):
+        est = nearest(graph, info.yni, prefs.preferred_domain)
+        meets = (prefs.preferred_domain in (None, info.domain)
+                 and (prefs.max_latency is None or est <= prefs.max_latency))
+        remaining = info.stats.get("compute", 0.0) - placed.get(info.yni, 0)
+        return (0 if meets else 1, est, -remaining, info.yni)
+    edges = [info for info in graph.nodes.values() if info.role == "edge"]
+    return min(edges, key=score).yni if edges else None
+
+
+# the first four register before anything else; the last two arrive as
+# new nodes when a later step first names them
+PLACE_NODES = [nid(0x70 + i) for i in range(6)]
+PLACE_FIRST = 4
+_compute = st.one_of(st.none(), st.integers(0, 3),
+                     st.sampled_from([0.5, 1.25, 2.75]))
+
+
+@st.composite
+def placement_steps(draw):
+    """Registrations (new nodes, link changes, new roles), stats-only
+    re-registrations and runs of placements, over 1 to 4 domains."""
+    domains = [f"d{i}" for i in range(draw(st.integers(1, 4)))]
+    node = st.integers(0, len(PLACE_NODES) - 1)
+
+    def register(i):
+        return st.tuples(
+            st.just("register"), i, st.sampled_from(["edge", "connector"]),
+            st.sampled_from(domains),
+            st.dictionaries(node, st.integers(1, 3), max_size=3), _compute)
+
+    restat = st.tuples(st.just("stats"), node, _compute)
+    # a few preference pairs, so one pair's hosts often land on the edge
+    # at the top of another pair's heap
+    pairs = draw(st.lists(st.tuples(
+        st.sampled_from([None, "nowhere"] + domains),
+        st.one_of(st.none(), st.integers(0, 6))), min_size=1, max_size=3))
+    place = st.tuples(st.just("place"),
+                      st.lists(st.sampled_from(pairs), min_size=1, max_size=6))
+    start = [draw(register(st.just(i))) for i in range(PLACE_FIRST)]
+    return start + draw(st.lists(st.one_of(register(node), restat, place),
+                                 max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(placement_steps())
+def test_placement_matches_a_scan_of_every_edge(steps):
+    """The placement heaps pick what a scan of every edge picks, however
+    placements and registrations made straight on the graph interleave."""
+    ctrl, *_ = build_controller()
+    g = ctrl.graph
+    placed = {}
+    hosts = map(nid, itertools.count(0xE00))
+    for op, *args in steps:
+        if op == "register":
+            i, role, domain, decl, compute = args
+            stats = None if compute is None else {"compute": compute}
+            g.register(PLACE_NODES[i], role, domain,
+                       {PLACE_NODES[m]: lat for m, lat in decl.items()}, stats)
+        elif op == "stats":
+            i, compute = args
+            y = PLACE_NODES[i]
+            if y in g.nodes:
+                stats = {} if compute is None else {"compute": compute}
+                g.register(y, g.nodes[y].role, g.nodes[y].domain,
+                           g.declared[y], stats)
+        else:
+            for pair in args[0]:
+                prefs = HostPrefs(*pair)
+                host = next(hosts)
+                expect = scan_pick(g, placed, prefs)
+                if expect is None:
+                    with pytest.raises(NoEligibleEdge):
+                        ctrl.provision_host(host, "alice", prefs)
+                    continue
+                assert ctrl.provision_host(host, "alice", prefs) == expect
+                placed[expect] = placed.get(expect, 0) + 1
 
 
 class TestDerivedChannels:

@@ -202,6 +202,24 @@ def test_golden_worlds_emit_only_immutable_field_values(monkeypatch):
     assert {str, int} <= seen
 
 
+def test_run_leaves_no_garbage_cycle():
+    """A run frees what it drops by reference counting alone: the flap demo
+    reroutes trees on every link change, and none leaves a cycle behind."""
+    import gc
+    import test_replay_golden as golden
+    topo, scen, errors = load_world((golden.WORLDS / "flap.topo").read_text(),
+                                    (golden.WORLDS / "flap.scen").read_text())
+    assert errors == []
+    sim = Simulation(topo, scen, SimConfig.from_scenario(scen, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        sim.run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestDeterminism:
     BODY = TestBasicWorld.BODY
 
