@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .codec import FloatingHeader, MessageKind, PathTree, YodelMessage, encode
-from .errors import (
-    AccessDenied,
-    NoEligibleEdge,
-    UnknownFlow,
-    UnknownNode,
-    UnreachableConsumer,
-)
+from .errors import AccessDenied, NoEligibleEdge, UnknownFlow, UnknownNode
 from .model import Directory, NamespaceRecord
 from .services import (
     ServiceModel,
@@ -125,13 +119,12 @@ class TopologyGraph:
     `adjacency` holds every confirmed link from both ends; `register` keeps
     it current and returns the links it changed.
 
-    Three results that depend only on the nodes and `adjacency` are
-    cached: the shortest-path tree from each source (`shortest_paths`), the
-    path tree from a source to each set of targets (`path_tree`) and the
+    Two results that depend only on the nodes and `adjacency` are cached:
+    the shortest-path tree from each source (`shortest_paths`) and the
     distance of every node to each domain (`domain_distances`). `register`
-    drops all three caches when the registering node is new, changes role
-    or domain, or ends with a different adjacency row. Links are symmetric,
-    so when that node's row is unchanged no other row changed either.
+    drops both caches when the registering node is new, changes role or
+    domain, or ends with a different adjacency row. Links are symmetric, so
+    when that node's row is unchanged no other row changed either.
 
     `placement` holds `Controller.provision_host`'s heaps, one per host
     preference pair. Their keys read node stats, which the rule above
@@ -145,8 +138,6 @@ class TopologyGraph:
         self.adjacency: dict[Yni, dict[Yni, int]] = {}
         self._paths: dict[Yni, tuple[dict[Yni, tuple[int, int]],
                                      dict[Yni, Yni]]] = {}
-        self._trees: dict[tuple[Yni, frozenset[Yni]],
-                          PathTree | tuple[Yni, ...]] = {}
         self._domain_dist: dict[str, dict[Yni, int]] = {}
         self.placement: dict[HostPrefs, list[tuple]] = {}
 
@@ -175,7 +166,6 @@ class TopologyGraph:
         if (old is None or old.role != role or old.domain != domain
                 or links != old_links):
             self._paths.clear()
-            self._trees.clear()
             self._domain_dist.clear()
         old_links = old_links or {}
         removed = [(yni, other) for other, lat in old_links.items()
@@ -192,32 +182,6 @@ class TopologyGraph:
         if cached is None:
             cached = self._paths[source] = _search(self.adjacency, source)
         return cached
-
-    def path_tree(self, source: Yni, targets: frozenset[Yni]
-                  ) -> PathTree | tuple[Yni, ...]:
-        """The union of shortest paths from `source` to every target, or
-        the targets it cannot reach, in id order. Either is cached until
-        the graph changes."""
-        key = (source, targets)
-        cached = self._trees.get(key)
-        if cached is not None:
-            return cached
-        reached, parent = self.shortest_paths(source)
-        missing = tuple(c for c in sorted(targets) if c not in reached)
-        if missing:
-            self._trees[key] = missing
-            return missing
-        needed: set[Yni] = {source}
-        for c in targets:
-            node = c
-            while node not in needed:
-                needed.add(node)
-                node = parent[node]
-        children: dict[Yni, list[Yni]] = {n: [] for n in needed}
-        for node in needed - {source}:
-            children[parent[node]].append(node)
-        tree = self._trees[key] = _build_tree(source, children)
-        return tree
 
     def domain_distances(self, domain: str) -> dict[Yni, int]:
         """Shortest-path latency from every reachable node to the nearest
@@ -295,25 +259,36 @@ class TopologyGraph:
         return touches
 
 
-def compute_path(graph: TopologyGraph, source: Yni,
-                 consumers: Iterable[Yni]) -> PathTree:
-    """Union of shortest paths from the source edge to every consumer edge.
+def compute_path(graph: TopologyGraph, source: Yni, consumers: Iterable[Yni]
+                 ) -> tuple[Optional[PathTree], tuple[Yni, ...]]:
+    """(tree, cut): the union of shortest paths from the source edge to
+    every consumer edge it reaches (None when it reaches none), and the
+    consumer edges it cannot reach, in id order.
 
     Paths come from `graph.shortest_paths(source)`, so the result is a
     function of the graph alone, not of registration order. Children are
-    stored in id order. Raises UnreachableConsumer listing every cut-off
-    edge. Results are memoised by `TopologyGraph.path_tree`.
+    stored in id order. The source is never a consumer of its own tree.
     """
-    targets = frozenset(consumers) - {source}
     if source not in graph.nodes:
         raise UnknownNode(f"unknown source {source}")
-    for c in sorted(targets):
-        if c not in graph.nodes:
-            raise UnknownNode(f"unknown consumer edge {c}")
-    tree = graph.path_tree(source, targets)
-    if isinstance(tree, tuple):
-        raise UnreachableConsumer(source, tree)
-    return tree
+    reached, parent = graph.shortest_paths(source)
+    children: dict[Yni, list[Yni]] = {source: []}
+    cut = []
+    for c in sorted(set(consumers) - {source}):
+        if c not in reached:
+            if c not in graph.nodes:
+                raise UnknownNode(f"unknown consumer edge {c}")
+            cut.append(c)
+            continue
+        # add the path up to the first node already in the tree
+        node, below = c, []
+        while node not in children:
+            children[node] = below
+            below = [node]
+            node = parent[node]
+        children[node] += below
+    tree = _build_tree(source, children) if len(children) > 1 else None
+    return tree, tuple(cut)
 
 
 # ---------------------------------------------------------------------------
@@ -775,22 +750,10 @@ class Controller:
 
     # -- paths -----------------------------------------------------------------
 
-    def _partial_tree(self, source: Yni, leaves: set[Yni]
-                      ) -> tuple[Optional[PathTree], tuple[Yni, ...]]:
-        """Strict computation first; on cut-off consumers, cover the
-        reachable remainder (None when there is none). Also returns the
-        cut-off consumers."""
-        try:
-            return compute_path(self.graph, source, leaves), ()
-        except UnreachableConsumer as exc:
-            rest = leaves - set(exc.cut_off)
-            tree = compute_path(self.graph, source, rest) if rest else None
-            return tree, exc.cut_off
-
     def _tree_or_partial(self, flow: FlowObject, source: Yni,
                          leaves: set[Yni]) -> Optional[PathTree]:
-        """`_partial_tree`, logging any cut-off consumers."""
-        tree, cut = self._partial_tree(source, leaves)
+        """`compute_path`, logging any cut-off consumers."""
+        tree, cut = compute_path(self.graph, source, leaves)
         if cut:
             flow.cut_off = True
             self._emit("UNREACHABLE", ("valley", flow.valley_id),
@@ -861,7 +824,7 @@ class Controller:
             leaves = flow.consumer_edges - {edge}
             if not leaves:
                 continue
-            tree, cut = self._partial_tree(edge, leaves)
+            tree, cut = compute_path(self.graph, edge, leaves)
             if cut:
                 flow.cut_off = True
             if tree is not None:

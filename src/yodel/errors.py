@@ -28,7 +28,6 @@ __all__ = [
     "ControlError",
     "UnknownNode",
     "NoEligibleEdge",
-    "UnreachableConsumer",
     "UnknownFlow",
     "ServiceError",
     "ServiceForbidsSelfLock",
@@ -118,16 +117,6 @@ class UnknownNode(ControlError):
 
 class NoEligibleEdge(ControlError):
     """Provisioning found no edge satisfying the request."""
-
-
-class UnreachableConsumer(ControlError):
-    """Path computation could not reach every consumer edge."""
-
-    def __init__(self, source, cut_off):
-        self.source = source
-        self.cut_off = tuple(cut_off)
-        super().__init__(f"unreachable consumer edges from {source}: "
-                         + ", ".join(str(y) for y in self.cut_off))
 
 
 class UnknownFlow(ControlError):

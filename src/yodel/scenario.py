@@ -7,7 +7,7 @@ instead of stopping, so a validate run reports everything at once.
 Topology lines:
 
     domain <name>
-    node <name> edge|connector <domain> [<key>=<number> ...]
+    node <name> edge|connector <domain> [<key>=<finite number> ...]
     link <a> <b> <latency>
     mcastgroup <domain> <node> <node> [<node> ...]
     host <name> <user> [domain=<name>] [max_latency=<ticks>]
@@ -40,6 +40,7 @@ Commands:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -172,11 +173,17 @@ def parse_topology(text: str, path: str = "<topology>"):
                     bad = True
                     break
                 try:
-                    stats.append((kv[0], float(kv[1])))
+                    value = float(kv[1])
                 except ValueError:
                     err(line_no, f"stat {kv[0]!r} is not a number")
                     bad = True
                     break
+                if not math.isfinite(value):
+                    # placement compares stats; nan has no order
+                    err(line_no, f"stat {kv[0]!r} is not finite")
+                    bad = True
+                    break
+                stats.append((kv[0], value))
             if bad:
                 continue
             seen.add(name)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from yodel.codec import MessageKind, decode
+from yodel.codec import MessageKind, PathTree, decode
 from yodel.control import (
     ActivateProducerEdge,
     ChannelIdUpdate,
@@ -22,7 +22,7 @@ from yodel.control import (
     TopologyGraph,
     compute_path,
 )
-from yodel.errors import NoEligibleEdge, UnreachableConsumer
+from yodel.errors import NoEligibleEdge, UnknownNode
 from yodel.model import Directory, Visibility
 from yodel.services import ServiceModel
 from yodel.trace import Metrics, Trace
@@ -106,7 +106,9 @@ class TestTopologyGraph:
             for y, declared in g.declared.items():
                 fresh.graph.register(y, "edge", g.nodes[y].domain, declared)
             for y in g.nodes:
-                assert paths_from(g, y) == paths_from(fresh.graph, y)
+                # the tree to every other node it reaches, and the cut
+                assert compute_path(g, y, g.nodes) \
+                    == compute_path(fresh.graph, y, fresh.graph.nodes)
                 for d in (None, "d1", "d2"):
                     assert ctrl._domain_distance(y, d) \
                         == fresh._domain_distance(y, d)
@@ -148,16 +150,6 @@ def test_shortest_path_parent_is_lowest_id_among_equal_cost(case):
         assert g.shortest_paths(source) == (dist, parent)
 
 
-def paths_from(graph, source):
-    """The tree to every registered node, cut-off nodes left out, plus the
-    cut-off list, as the controller's partial-tree fallback computes them."""
-    try:
-        return compute_path(graph, source, graph.nodes), ()
-    except UnreachableConsumer as exc:
-        rest = set(graph.nodes) - set(exc.cut_off)
-        return compute_path(graph, source, rest), exc.cut_off
-
-
 def confirmed_links(declared):
     """Reference rule: a link between two registered nodes that declare each
     other, at the smaller declared latency; nobody links to itself."""
@@ -177,27 +169,28 @@ class TestComputePath:
         gc.collect()
         gc.disable()
         try:
-            tree = g.path_tree(E1, frozenset({E2, E3}))
+            tree, cut = compute_path(g, E1, [E2, E3])
             assert gc.collect() == 0
         finally:
             gc.enable()
-        assert tree.edges() == [(E1, C1), (C1, E2), (C1, E3)]
+        assert tree.edges() == [(E1, C1), (C1, E2), (C1, E3)] and cut == ()
 
     def test_chain(self):
         g = TopologyGraph()
         register_mesh(g, {E1: ("edge", "d"), C1: ("connector", "d"),
                           E2: ("edge", "d")},
                       {(E1, C1): 1, (C1, E2): 1})
-        tree = compute_path(g, E1, [E2])
+        tree, cut = compute_path(g, E1, [E2])
         assert tree.yni == E1
         assert tree.edges() == [(E1, C1), (C1, E2)]
+        assert cut == ()
 
     def test_fewer_hops_beat_lower_latency(self):
         g = TopologyGraph()
         register_mesh(g, {E1: ("edge", "d"), C1: ("connector", "d"),
                           E2: ("edge", "d")},
                       {(E1, E2): 50, (E1, C1): 1, (C1, E2): 1})
-        tree = compute_path(g, E1, [E2])
+        tree, _ = compute_path(g, E1, [E2])
         assert tree.edges() == [(E1, E2)]
 
     def test_diamond_collapses_to_lowest_parent(self):
@@ -205,7 +198,7 @@ class TestComputePath:
         register_mesh(g, {E1: ("edge", "d"), C1: ("connector", "d"),
                           C2: ("connector", "d"), E2: ("edge", "d")},
                       {(E1, C1): 1, (E1, C2): 1, (C1, E2): 1, (C2, E2): 1})
-        tree = compute_path(g, E1, [E2])
+        tree, _ = compute_path(g, E1, [E2])
         # C1 < C2, so the path runs through C1 and C2 is absent
         assert tree.edges() == [(E1, C1), (C1, E2)]
 
@@ -223,7 +216,9 @@ class TestComputePath:
                 neigh[b][a] = lat
             for y in order:
                 g.register(y, nodes[y][0], nodes[y][1], neigh[y])
-            trees.add(compute_path(g, E1, [E2, E3]).serialize())
+            tree, cut = compute_path(g, E1, [E2, E3])
+            assert cut == ()
+            trees.add(tree.serialize())
         assert len(trees) == 1
 
     def test_union_shares_common_prefix(self):
@@ -231,46 +226,102 @@ class TestComputePath:
         register_mesh(g, {E1: ("edge", "d"), C1: ("connector", "d"),
                           E2: ("edge", "d"), E3: ("edge", "d")},
                       {(E1, C1): 1, (C1, E2): 1, (C1, E3): 1})
-        tree = compute_path(g, E1, [E2, E3])
+        tree, _ = compute_path(g, E1, [E2, E3])
         assert tree.edges() == [(E1, C1), (C1, E2), (C1, E3)]
         assert tree.size() == 4
 
     def test_source_never_appears_as_leaf(self):
         g = TopologyGraph()
         register_mesh(g, {E1: ("edge", "d"), E2: ("edge", "d")}, {(E1, E2): 1})
-        tree = compute_path(g, E1, [E1, E2])
-        assert tree.edges() == [(E1, E2)]
+        tree, cut = compute_path(g, E1, [E1, E2])
+        assert tree.edges() == [(E1, E2)] and cut == ()
+        # with nothing else to reach there is no tree, not a lone root
+        assert compute_path(g, E1, [E1]) == (None, ())
+        assert compute_path(g, E1, []) == (None, ())
 
     def test_unreachable_lists_cut_off_edges(self):
         g = TopologyGraph()
         register_mesh(g, {E1: ("edge", "d"), E2: ("edge", "d"),
                           E3: ("edge", "d"), E4: ("edge", "d")},
                       {(E1, E2): 1, (E3, E4): 1})
-        with pytest.raises(UnreachableConsumer) as exc:
-            compute_path(g, E1, [E2, E3, E4])
-        assert sorted(exc.value.cut_off) == [E3, E4]
+        tree, cut = compute_path(g, E1, [E4, E3, E2])
+        assert tree.edges() == [(E1, E2)]
+        assert cut == (E3, E4)
+        # every consumer cut off: no tree at all
+        assert compute_path(g, E1, [E4, E3]) == (None, (E3, E4))
 
     def test_result_is_reused_until_the_graph_changes(self):
         g = TopologyGraph()
         nodes = {E1: ("edge", "d"), C1: ("connector", "d"),
                  E2: ("edge", "d"), E3: ("edge", "d")}
         register_mesh(g, nodes, {(E1, C1): 1, (C1, E2): 1})
-        tree = compute_path(g, E1, [E2])
-        assert compute_path(g, E1, (E2, E1)) is tree
+        tree, _ = compute_path(g, E1, [E2])
+        assert compute_path(g, E1, (E2, E1)) == (tree, ())
         for _ in range(2):
-            with pytest.raises(UnreachableConsumer) as exc:
-                compute_path(g, E1, [E3, E2])
-            assert exc.value.cut_off == (E3,)
-        # a registration that changes nothing keeps the cached tree
+            assert compute_path(g, E1, [E3, E2]) == (tree, (E3,))
+        # a registration that changes nothing keeps the same answer
         g.register(E2, "edge", "d", {C1: 1})
-        assert compute_path(g, E1, [E2]) is tree
-        # a new link does not
+        assert compute_path(g, E1, [E2]) == (tree, ())
+        # a new link reaches the cut-off edge and leaves the rest alone
         g.register(E3, "edge", "d", {C1: 1})
         g.register(C1, "connector", "d", {E1: 1, E2: 1, E3: 1})
-        new = compute_path(g, E1, [E2])
-        assert new is not tree and new == tree
-        assert compute_path(g, E1, [E3, E2]).edges() \
-            == [(E1, C1), (C1, E2), (C1, E3)]
+        assert compute_path(g, E1, [E2]) == (tree, ())
+        new, cut = compute_path(g, E1, [E3, E2])
+        assert new.edges() == [(E1, C1), (C1, E2), (C1, E3)] and cut == ()
+
+    def test_unknown_source_or_consumer_is_rejected(self):
+        g = TopologyGraph()
+        register_mesh(g, {E1: ("edge", "d"), E2: ("edge", "d"),
+                          E3: ("edge", "d")}, {(E1, E2): 1})
+        with pytest.raises(UnknownNode, match="unknown source"):
+            compute_path(g, E4, [E1])
+        # named even beside reachable and cut-off consumers
+        with pytest.raises(UnknownNode, match=f"unknown consumer edge {E4}"):
+            compute_path(g, E1, [E2, E3, E4])
+
+
+def reference_path(graph, source, consumers):
+    """(tree, cut) assembled from the `shortest_paths` parents: every edge
+    on the way up from each reached consumer, children in id order."""
+    reached, parent = graph.shortest_paths(source)
+    targets = set(consumers) - {source}
+    cut = tuple(sorted(c for c in targets if c not in reached))
+    kids = {}
+    for c in targets - set(cut):
+        while c != source:
+            kids.setdefault(parent[c], set()).add(c)
+            c = parent[c]
+
+    def build(node):
+        return PathTree(node, tuple(build(k) for k in sorted(kids.get(node, ()))))
+
+    return (build(source) if kids else None), cut
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 2**16), min_size=n, max_size=n, unique=True),
+    st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    st.integers(1, 3), max_size=n + 2),
+    st.integers(0, n - 1),
+    st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))))
+@example(([1, 2, 3], {(0, 1): 1}, 0, []))  # no consumers: (None, ())
+def test_compute_path_matches_parent_walk(case):
+    """Sparse random graphs, so many have parts cut off from the source
+    (about a third of the draws cut a consumer off, and one in eight cuts
+    one off beside a reached one); consumers come in any order, with repeats
+    and sometimes the source."""
+    labels, pairs, source, consumers = case
+    ids = [nid(label) for label in labels]
+    neigh = {y: {} for y in ids}
+    for (a, b), lat in pairs.items():
+        if a != b:
+            neigh[ids[a]][ids[b]] = neigh[ids[b]][ids[a]] = lat
+    g = TopologyGraph()
+    for y in ids:
+        g.register(y, "edge", "d", neigh[y])
+    got = compute_path(g, ids[source], [ids[c] for c in consumers])
+    assert got == reference_path(g, ids[source], [ids[c] for c in consumers])
 
 
 def build_controller(nodes=None, links=None, cls=Controller):

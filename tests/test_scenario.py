@@ -107,6 +107,13 @@ class TestParseTopology:
     def test_bad_stat_value(self):
         _, errors = parse_topology("domain d\nnode n edge d cpu=lots\n")
         assert reasons(errors) == ["stat 'cpu' is not a number"]
+        for value in ("nan", "NaN", "inf", "-inf", "Infinity", "1e999"):
+            topo, errors = parse_topology(
+                f"domain d\nnode n edge d compute={value}\n")
+            assert reasons(errors) == ["stat 'compute' is not finite"], value
+            assert topo.nodes == []
+        topo, errors = parse_topology("domain d\nnode n edge d compute=-1.5e3\n")
+        assert errors == [] and topo.nodes[0].stats == (("compute", -1500.0),)
 
     def test_link_latency_must_be_positive_integer(self):
         _, errors = parse_topology("link a b fast\nlink a b 0\nlink a a 1\n")

@@ -130,6 +130,20 @@ class TestTraceFormat:
         assert trace.text() == rec.line() + "\n"
         assert Trace().text() == ""
 
+    def test_readme_example_lines_come_from_hello(self):
+        import test_replay_golden as golden
+        readme = (golden.ROOT / "README.md").read_text()
+        section = readme.split("## Trace and report", 1)[1]
+        block = section.split("```\n", 2)[1]
+        topo, scen, errors = load_world(
+            (golden.WORLDS / "hello.topo").read_text(),
+            (golden.WORLDS / "hello.scen").read_text())
+        assert errors == []
+        sim = Simulation(topo, scen, SimConfig.from_scenario(scen, 0)).run()
+        lines = block.splitlines()
+        assert len(lines) == 3
+        assert set(lines) <= set(sim.trace.lines())
+
     def test_records_are_read_only(self):
         rec = TraceRecord(1, "e1", "SEND", (("to", "c1"),))
         with pytest.raises(AttributeError):
@@ -203,21 +217,31 @@ def test_golden_worlds_emit_only_immutable_field_values(monkeypatch):
 
 
 def test_run_leaves_no_garbage_cycle():
-    """A run frees what it drops by reference counting alone: the flap demo
-    reroutes trees on every link change, and none leaves a cycle behind."""
+    """A run frees what it drops by reference counting alone: no demo world
+    (the flap demo reroutes trees on every link change) and no benchmark
+    world leaves a cycle behind."""
     import gc
     import test_replay_golden as golden
-    topo, scen, errors = load_world((golden.WORLDS / "flap.topo").read_text(),
-                                    (golden.WORLDS / "flap.scen").read_text())
-    assert errors == []
-    sim = Simulation(topo, scen, SimConfig.from_scenario(scen, 3))
-    gc.collect()
-    gc.disable()
-    try:
-        sim.run()
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    worlds = [((golden.WORLDS / t).read_text(), (golden.WORLDS / s).read_text(),
+               3, t) for t, s in golden.PAIRS]
+    bench = golden._bench_worlds()
+    for workload in golden.BENCH_WORKLOADS:
+        world = bench.generate(workload, 1)
+        worlds.append((world.topology, world.scenario, 1, workload))
+    left = {}
+    for topo_text, scen_text, seed, name in worlds:
+        topo, scen, errors = load_world(topo_text, scen_text)
+        assert errors == [], name
+        sim = Simulation(topo, scen, SimConfig.from_scenario(scen, seed))
+        gc.collect()
+        gc.disable()
+        try:
+            sim.run()
+            left[name] = gc.collect()
+        finally:
+            gc.enable()
+    assert len(left) == len(golden.PAIRS) + len(golden.BENCH_WORKLOADS)
+    assert left == dict.fromkeys(left, 0)
 
 
 class TestDeterminism:
