@@ -1,9 +1,11 @@
 """Data-plane node state machines: hosts, edge nodes, connector nodes.
 
 Hosts own registration rows (producer and consumer tables) and deliver to
-in-process app mailboxes. Edge nodes keep one FIB per valley (producer and
-consumer host tables plus the installed path table) and translate between
-point-to-point and transit message kinds. Connectors know nothing but their
+their apps; each delivery is one DELIVER trace line. Edge nodes keep one FIB
+per valley (producer and consumer host tables plus the installed path table)
+and translate between point-to-point and transit message kinds. Each edge
+also owns one twin table (`twin.TwinManager`), built with the edge, that
+stands in for its silent hosts. Connectors know nothing but their
 neighbors: they pop the in-message tree and pick forwarding strategies.
 
 Every node reads and rejects malformed data in one step, `Node._read_data`:
@@ -15,7 +17,7 @@ element starts with an op byte (schemas at the top of this module). Every op
 goes out through `Node.send_op` and is read in `Node._read_op`, which reports
 a malformed or unknown op as one PROTO_ERROR. Nodes never call each other
 directly — everything goes through the environment object, which models
-links, latencies and the controller RPC plane.
+links, latencies and the controller RPC plane and holds the scenario config.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Protocol
+from typing import TYPE_CHECKING, Iterable, Optional, Protocol
 
 from .codec import (
     FloatingHeader,
@@ -47,7 +49,11 @@ from .services import (
     roles_for_join,
 )
 from .trace import Metrics, Trace
+from .twin import TwinManager
 from .ynid import Yni
+
+if TYPE_CHECKING:
+    from .sim import SimConfig
 
 __all__ = [
     "OP_JOIN_REQUEST", "OP_JOIN_REPLY", "OP_WITHDRAW", "OP_UNLOCK_PRODUCER",
@@ -295,6 +301,7 @@ class AcTable:
 class NodeEnv(Protocol):
     trace: Trace
     metrics: Metrics
+    config: SimConfig
 
     def now(self) -> int: ...
     def rng(self, label: str): ...
@@ -303,6 +310,8 @@ class NodeEnv(Protocol):
                  mcast: bool = False) -> None: ...
     def controller_rpc(self, src: "Node", payload: object) -> None: ...
     def sync_hosts(self, edge: "EdgeNode", hosts: list[Yni]) -> None: ...
+    def host_attached(self, edge: "EdgeNode", host: Yni) -> bool: ...
+    def label_of(self, yni: Yni) -> str: ...
 
 
 class Node:
@@ -393,7 +402,7 @@ _RowKey = tuple[int, str, int]  # (valley, community, app)
 
 
 class HostNode(Node):
-    """A user host: registration tables plus in-process app mailboxes."""
+    """A user host: registration tables and delivery to its apps."""
 
     def __init__(self, label: str, yni: Yni, env: NodeEnv, user: str):
         super().__init__(label, yni, "", env)
@@ -402,7 +411,6 @@ class HostNode(Node):
         self.prt: dict[_RowKey, HostRow] = {}
         self.crt: dict[_RowKey, HostRow] = {}
         self.by_channel: dict[tuple[int, int], str] = {}
-        self.inboxes: dict[int, list[tuple[int, bytes]]] = {}
         self.gated = False          # between hello and hello-ack
         self._held_sends: list[tuple[int, str, int, bytes]] = []
         self._pending_ttl: dict[tuple[int, str, str, int], Optional[int]] = {}
@@ -452,7 +460,7 @@ class HostNode(Node):
                   ("app", app_id), ("serial", serial))
         # co-located consumer apps get the message without touching the wire;
         # the sending app never hears its own echo
-        self._deliver_in_host(row, serial, payload, exclude_app=app_id)
+        self._deliver_in_host(row, serial, exclude_app=app_id)
         q = row.q if row.randomized else None
         kind = MessageKind.ANYCAST_DATA_YPP if row.randomized else MessageKind.DATA_YPP
         msg = YodelMessage(kind, self.yni, self.edge,
@@ -510,7 +518,7 @@ class HostNode(Node):
         if mode is not None:
             rows = anycast_filter("host", rows, mode, self.env.rng(self.label))
         for row in rows:
-            self._deliver_app(row.app_id, serial, msg.payload, community)
+            self._deliver_app(row.app_id, serial, community)
 
     def _live_consumer_rows(self, valley_id: int, community: str) -> list[HostRow]:
         out = []
@@ -522,7 +530,7 @@ class HostNode(Node):
             out.append(row)
         return out
 
-    def _deliver_in_host(self, prow: HostRow, serial: int, payload: bytes,
+    def _deliver_in_host(self, prow: HostRow, serial: int,
                          exclude_app: Optional[int]) -> None:
         rows = [r for r in self._live_consumer_rows(prow.valley_id, prow.community)
                 if r.app_id != exclude_app]
@@ -530,11 +538,9 @@ class HostNode(Node):
             rows = anycast_filter("host", rows, _mode_from_q(prow.q),
                                   self.env.rng(self.label))
         for row in rows:
-            self._deliver_app(row.app_id, serial, payload, prow.community)
+            self._deliver_app(row.app_id, serial, prow.community)
 
-    def _deliver_app(self, app_id: int, serial: int, payload: bytes,
-                     community: str) -> None:
-        self.inboxes.setdefault(app_id, []).append((self.env.now(), payload))
+    def _deliver_app(self, app_id: int, serial: int, community: str) -> None:
         self.emit("DELIVER", ("app", app_id), ("community", community),
                   ("serial", serial))
         self.env.metrics.delivered(self.label)
@@ -667,14 +673,13 @@ class EdgeNode(Node):
         super().__init__(label, yni, domain, env)
         self.fibs: dict[int, EdgeFib] = {}
         self.aft: dict[tuple[int, int], PathTree] = {}
-        self.twin = None  # TwinManager, wired by the simulator
+        self.twin = TwinManager(self)
         self._pending: dict[tuple[int, int, str, str], list[tuple[Yni, int]]] = {}
 
     # -- wiring ---------------------------------------------------------------
 
     def attach_host(self, host_yni: Yni) -> None:
-        if self.twin is not None:
-            self.twin.host_connected(host_yni)
+        self.twin.host_connected(host_yni)
 
     # -- receive path ---------------------------------------------------------
 
@@ -704,8 +709,7 @@ class EdgeNode(Node):
             self._handle_withdraw(host, f.valley_id, f.namespace_id,
                                   op["community"], op["role"], f.application_id)
         elif code == OP_HELLO:
-            if self.twin is not None:
-                self.twin.on_hello(host)
+            self.twin.on_hello(host)
         elif code == OP_HOST_CONSUMER_LOCK:
             self._set_host_consumer_lock(host, f.valley_id, op["community"],
                                          op["locked"])
@@ -830,9 +834,8 @@ class EdgeNode(Node):
         tree = self.aft.pop((upd.valley_id, upd.old_channel_id), None)
         if tree is not None:
             self.aft[(upd.valley_id, upd.new_channel_id)] = tree
-        if self.twin is not None:
-            self.twin.rekey_buffered(upd.valley_id, upd.old_channel_id,
-                                     upd.new_channel_id)
+        self.twin.rekey_buffered(upd.valley_id, upd.old_channel_id,
+                                 upd.new_channel_id)
         hosts = sorted({h for h, _ in row.producer_apps}
                        | {h for h, _ in row.consumer_apps})
         for host in hosts:
@@ -866,7 +869,7 @@ class EdgeNode(Node):
             return
         if row.unlocked_producers():
             return
-        blocked = set() if self.twin is None else self.twin.active_hosts()
+        blocked = self.twin.active_hosts()
         candidates = [k for k, locked in row.producer_apps.items()
                       if locked and k[0] not in blocked]
         target = next_local_producer(candidates)
@@ -981,7 +984,7 @@ class EdgeNode(Node):
         for host in targets:
             out = YodelMessage(msg.kind, self.yni, host, msg.floating,
                                msg.payload)
-            if self.twin is not None and self.twin.is_active_alphorn(host):
+            if self.twin.is_active_alphorn(host):
                 self.twin.buffer_message(host, out)
             else:
                 pairs.append((host, out))

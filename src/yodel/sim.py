@@ -25,7 +25,6 @@ from .model import Directory, Visibility
 from .scenario import CommandSpec, NodeSpec, ScenarioSpec, TopologySpec
 from .services import AnycastMode, ServiceModel, roles_for_join
 from .trace import Link, Metrics, Trace
-from .twin import TwinConfig, TwinManager
 from .ynid import Yni, generate_yni
 
 __all__ = ["SimConfig", "Simulation", "build", "run_world"]
@@ -244,6 +243,17 @@ class Simulation:
         for host, edge in replied:
             edge.twin.on_sync_reply(host.yni)
 
+    def host_attached(self, edge: EdgeNode, host: Yni) -> bool:
+        node = self.by_yni.get(host)
+        if node is None or node.label in self._crashed:
+            return False
+        link = self.links[edge.label].get(node.label)
+        return link is not None and link.up
+
+    def label_of(self, yni: Yni) -> str:
+        node = self.by_yni.get(yni)
+        return node.label if node is not None else str(yni)
+
     def controller_rpc(self, src: Node, payload: object) -> None:
         if src.label in self._crashed:
             return
@@ -289,13 +299,6 @@ class Simulation:
                     self.nodes[member].act.add_group(others, 1)
         for spec in self.topo.nodes:
             self._declare(spec)
-        twin_cfg = TwinConfig(cfg.twin_period, cfg.twin_miss_threshold,
-                              cfg.twin_ttl, cfg.twin_buffer_max)
-        for label in self.edges:
-            edge = self.edges[label]
-            edge.twin = TwinManager(edge, twin_cfg,
-                                    attached=self._host_attached(edge),
-                                    label_for=self.label_of)
         for spec in self.topo.hosts:
             self.directory.register_user(spec.user)
             yni = generate_yni(self.rng(f"yni:{spec.name}"), 0)
@@ -323,19 +326,6 @@ class Simulation:
     def _set_link(self, a: str, b: str, up: bool) -> None:
         self.links[a][b].up = up
         self.links[b][a].up = up
-
-    def _host_attached(self, edge: EdgeNode):
-        def check(host_yni: Yni) -> bool:
-            node = self.by_yni.get(host_yni)
-            if node is None or node.label in self._crashed:
-                return False
-            link = self.links[edge.label].get(node.label)
-            return link is not None and link.up
-        return check
-
-    def label_of(self, yni: Yni) -> str:
-        node = self.by_yni.get(yni)
-        return node.label if node is not None else str(yni)
 
     def _sweep_twins(self) -> None:
         for label in sorted(self.edges):

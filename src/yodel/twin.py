@@ -1,34 +1,28 @@
 """Host resiliency: per-edge twin records that stand in for silent hosts.
 
-Each attached host gets a twin record: a miss count, a lifetime, a buffer and
-a stand-in identity minted by the edge. A periodic sweep sends one batched
-keepalive to every reachable host and counts the unreachable ones as missed;
-a reply resets the count and renews the lifetime. After enough consecutive
-missed sweeps the record goes active, the edge swaps the stand-in into its
-consumer tables and buffers traffic. When the host announces its return the
-swap reverses, refreshed registration state goes out, the buffer flushes in
-arrival order, and only then is the host allowed to send again. Records that
-stay active past their lifetime are purged along with the host's
-registrations.
+Each edge owns one twin table, and each host attached to it gets a twin
+record: a miss count, a lifetime, a buffer and a stand-in identity minted by
+the edge. The simulator sweeps every edge's table each `twin_period` ticks;
+a sweep sends one batched keepalive to every reachable host and counts the
+unreachable ones as missed, and a reply resets the count and renews the
+lifetime. After `twin_miss_threshold` consecutive missed sweeps the record
+goes active, the edge swaps the stand-in into its consumer tables and buffers
+traffic, keeping at most `twin_buffer_max` messages. When the host announces
+its return the swap reverses, refreshed registration state goes out, the
+buffer flushes in arrival order, and only then is the host allowed to send
+again. Records that stay active past their lifetime (`twin_ttl` ticks
+without contact) are purged along with the host's registrations. The table
+reads these settings from the scenario config its edge's environment holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
 
 from .codec import YodelMessage
 from .ynid import Yni, generate_yni
 
-__all__ = ["TwinConfig", "TwinRecord", "TwinManager"]
-
-
-@dataclass
-class TwinConfig:
-    period: int = 5          # ticks between sync sweeps
-    miss_threshold: int = 3  # consecutive missed sweeps before activation
-    ttl: int = 50            # active-record lifetime without host contact
-    buffer_max: Optional[int] = None  # None = unbounded
+__all__ = ["TwinRecord", "TwinManager"]
 
 
 @dataclass
@@ -45,17 +39,14 @@ class TwinManager:
     """Twin table for one edge node.
 
     The edge owns the wire; this class owns the records and drives the edge
-    through its swap/failover/resync hooks. `attached` reports whether a host
-    link is currently usable, `label_for` renders trace-friendly node names.
+    through its swap/failover/resync hooks. It asks the edge's environment
+    whether a host's link is usable (`host_attached`), for trace-friendly
+    node names (`label_of`) and for the twin settings (`config`).
     """
 
-    def __init__(self, edge, config: TwinConfig,
-                 attached: Callable[[Yni], bool],
-                 label_for: Callable[[Yni], str]):
+    def __init__(self, edge):
         self.edge = edge
-        self.config = config
-        self.attached = attached
-        self.label_for = label_for
+        self.env = edge.env
         self.records: dict[Yni, TwinRecord] = {}
         self._by_alphorn: dict[Yni, TwinRecord] = {}
 
@@ -73,32 +64,30 @@ class TwinManager:
     def host_connected(self, host: Yni) -> None:
         if host in self.records:
             return
-        env = self.edge.env
+        env = self.env
         alphorn = generate_yni(env.rng(f"{self.edge.label}:twin"), env.now())
-        rec = TwinRecord(host, alphorn, env.now() + self.config.ttl)
+        rec = TwinRecord(host, alphorn, env.now() + env.config.twin_ttl)
         self.records[host] = rec
         self._by_alphorn[alphorn] = rec
-        self.edge.emit("TWIN_CREATE", ("host", self.label_for(host)),
+        self.edge.emit("TWIN_CREATE", ("host", env.label_of(host)),
                        ("alphorn", str(alphorn)))
 
     def sweep(self) -> None:
         """One sync round: count the silent hosts, activate at the miss
         threshold, purge overdue active records, then send one batched
         keepalive to the reachable hosts."""
-        env = self.edge.env
+        env = self.env
         now = env.now()
+        threshold = env.config.twin_miss_threshold
         hosts: list[Yni] = []
         missed = 0
-        for host in sorted(self.records):
-            rec = self.records.get(host)
-            if rec is None:
-                continue
-            if self.attached(host):
+        for host, rec in sorted(self.records.items()):
+            if env.host_attached(self.edge, host):
                 hosts.append(host)
             else:
                 missed += 1
                 rec.missed += 1
-                if not rec.active and rec.missed >= self.config.miss_threshold:
+                if not rec.active and rec.missed >= threshold:
                     self._activate(rec)
             if rec.active and rec.expire_at < now:
                 self._expire(rec)
@@ -113,17 +102,17 @@ class TwinManager:
         if rec is None:
             return
         rec.missed = 0
-        rec.expire_at = self.edge.env.now() + self.config.ttl
+        rec.expire_at = self.env.now() + self.env.config.twin_ttl
 
     # -- activation ------------------------------------------------------------
 
     def _activate(self, rec: TwinRecord) -> None:
         rec.active = True
-        self.edge.emit("TWIN_ACTIVE", ("host", self.label_for(rec.host)),
+        self.edge.emit("TWIN_ACTIVE", ("host", self.env.label_of(rec.host)),
                        ("alphorn", str(rec.alphorn)))
         swapped = self.edge.swap_host_entries(rec.host, rec.alphorn)
         if swapped:
-            self.edge.emit("TWIN_SWAP", ("host", self.label_for(rec.host)),
+            self.edge.emit("TWIN_SWAP", ("host", self.env.label_of(rec.host)),
                            ("dir", "in"), ("rows", len(swapped)))
         for valley_id, row in self.edge.producer_rows_for_host(rec.host):
             self.edge.fail_over_producer(valley_id, row, rec.host)
@@ -131,12 +120,11 @@ class TwinManager:
     def buffer_message(self, alphorn: Yni, msg: YodelMessage) -> None:
         rec = self._by_alphorn[alphorn]
         rec.buffer.append(msg)
-        if self.config.buffer_max is not None \
-                and len(rec.buffer) > self.config.buffer_max:
+        buffer_max = self.env.config.twin_buffer_max
+        if buffer_max is not None and len(rec.buffer) > buffer_max:
             rec.buffer.pop(0)
-            self.edge.env.metrics.buffer_dropped += 1
-        self.edge.env.metrics.buffered(self.label_for(rec.host),
-                                       len(rec.buffer))
+            self.env.metrics.buffer_dropped += 1
+        self.env.metrics.buffered(self.env.label_of(rec.host), len(rec.buffer))
 
     # -- return path -----------------------------------------------------------
 
@@ -164,28 +152,28 @@ class TwinManager:
         if was_active:
             swapped = self.edge.swap_host_entries(rec.alphorn, rec.host)
             if swapped:
-                self.edge.emit("TWIN_SWAP", ("host", self.label_for(host)),
+                self.edge.emit("TWIN_SWAP", ("host", self.env.label_of(host)),
                                ("dir", "out"), ("rows", len(swapped)))
             rec.active = False
         rec.missed = 0
-        rec.expire_at = self.edge.env.now() + self.config.ttl
+        rec.expire_at = self.env.now() + self.env.config.twin_ttl
         # corrections first so lock and channel state is right when the
         # replayed traffic lands, then the buffer in arrival order, then the
         # ack that reopens the host's own sending
         self.edge.resync_host(host)
         flushed, rec.buffer = rec.buffer, []
         if flushed:
-            self.edge.env.transmit(self.edge, [
+            self.env.transmit(self.edge, [
                 (host, replace(msg, receiver=host)) for msg in flushed])
         if was_active:
-            self.edge.emit("TWIN_FLUSH", ("host", self.label_for(host)),
+            self.edge.emit("TWIN_FLUSH", ("host", self.env.label_of(host)),
                            ("count", len(flushed)))
         self.edge.send_hello_ack(host)
 
     # -- expiry ----------------------------------------------------------------
 
     def _expire(self, rec: TwinRecord) -> None:
-        self.edge.emit("TWIN_EXPIRE", ("host", self.label_for(rec.host)),
+        self.edge.emit("TWIN_EXPIRE", ("host", self.env.label_of(rec.host)),
                        ("dropped", len(rec.buffer)))
         del self.records[rec.host]
         del self._by_alphorn[rec.alphorn]

@@ -1,5 +1,6 @@
 """Node state machine tests over a synchronous fake environment."""
 
+import inspect
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from yodel.dataplane import (
     ConnectorNode,
     EdgeNode,
     HostNode,
+    NodeEnv,
     OP_CHANNEL_UPDATE,
     OP_HELLO,
     OP_HELLO_ACK,
@@ -45,9 +47,10 @@ from yodel.errors import (
     ServiceForbidsSelfLock,
     UncoverableNeighbor,
 )
+from yodel.scenario import load_world
 from yodel.services import ServiceModel
+from yodel.sim import SimConfig, Simulation
 from yodel.trace import Metrics, Trace
-from yodel.twin import TwinConfig, TwinManager
 from yodel.ynid import Yni
 
 
@@ -63,6 +66,12 @@ C1 = nid(0xA1)
 X1 = nid(0xB1)
 X2 = nid(0xB2)
 
+ONE_HOST = """\
+domain d
+node e1 edge d
+host h1 alice
+"""
+
 
 class FakeEnv:
     """Immediate-delivery link fabric for single-node and few-node tests."""
@@ -70,6 +79,7 @@ class FakeEnv:
     def __init__(self, seed=7):
         self.trace = Trace()
         self.metrics = Metrics()
+        self.config = SimConfig()
         self.tick = 0
         self.seed = seed
         self._rngs = {}
@@ -111,6 +121,36 @@ class FakeEnv:
         for host in hosts:
             if host not in self.down:
                 edge.twin.on_sync_reply(host)
+
+    def host_attached(self, edge, host):
+        return host not in self.down
+
+    def label_of(self, yni):
+        node = self.nodes.get(yni)
+        return node.label if node is not None else str(yni)
+
+
+def delivered(env, label):
+    """(app, serial) of each DELIVER line `label` emitted, in order. The
+    fake numbers sends from 1, so a test's n-th send has serial n."""
+    return [(int(f["app"]), int(f["serial"])) for f in
+            (dict(r.fields) for r in env.trace.select("DELIVER", n=label))]
+
+
+def test_simulation_and_fake_provide_every_node_env_member():
+    methods = [name for name in vars(NodeEnv) if not name.startswith("_")]
+    assert {"host_attached", "label_of"} <= set(methods)
+    assert "config" in NodeEnv.__annotations__
+    topo, scen, errors = load_world(ONE_HOST, "")
+    assert errors == []
+    for env in (Simulation(topo, scen, SimConfig()), FakeEnv()):
+        for name in NodeEnv.__annotations__:
+            assert hasattr(env, name), (type(env).__name__, name)
+        for name in methods:
+            declared = list(inspect.signature(getattr(NodeEnv, name))
+                            .parameters)[1:]
+            given = list(inspect.signature(getattr(env, name)).parameters)
+            assert given == declared, (type(env).__name__, name)
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +482,14 @@ class TestHostNode:
         serial, q = parse_data_metadata(MessageKind.DATA_YPP,
                                         wire[0][2].floating.metadata)
         assert q is None
-        assert [p for _, p in host.inboxes[2]] == [b"hi"]
+        assert delivered(env, "h1") == [(2, serial)]
 
     def test_no_echo_to_sending_member(self):
         env = FakeEnv()
         host = make_host(env)
         host.on_message(reply_msg("member", model=ServiceModel.MMM))
         host.send_data(1, "room", 1, b"hi")
-        assert 1 not in host.inboxes
+        assert delivered(env, "h1") == []
 
     def test_randomized_send_uses_anycast_kind(self):
         env = FakeEnv()
@@ -477,8 +517,7 @@ class TestHostNode:
                                            metadata=data_metadata(1)),
                             b"d")
         host.on_message(data)
-        assert [p for _, p in host.inboxes[1]] == [b"d"]
-        assert 2 not in host.inboxes
+        assert delivered(env, "h1") == [(1, 1)]
 
     def test_unknown_channel_drops(self):
         env = FakeEnv()
@@ -501,7 +540,7 @@ class TestHostNode:
                                            metadata=data_metadata(1, 65535)),
                             b"d")
         host.on_message(data)
-        assert sum(len(v) for v in host.inboxes.values()) == 1
+        assert len(delivered(env, "h1")) == 1
 
     def test_self_lock_needs_anycast_family(self):
         env = FakeEnv()
@@ -742,7 +781,7 @@ class TestEdgeData:
         env = FakeEnv()
         edge, h1, h2 = joined_edge(env)
         h1.send_data(1, "room", 1, b"pay")
-        assert [p for _, p in h2.inboxes[1]] == [b"pay"]
+        assert delivered(env, "h2") == [(1, 1)]
 
     def test_no_echo_back_to_producer_host(self):
         env = FakeEnv()
@@ -752,7 +791,7 @@ class TestEdgeData:
         row.consumer_apps.add((H1, 2))
         h1.send_data(1, "room", 1, b"pay")
         # app 2 on the producing host hears it in-host, not via the edge
-        assert [p for _, p in h1.inboxes[2]] == [b"pay"]
+        assert delivered(env, "h1") == [(2, 1)]
         wire_to_h1 = [s for s in env.sent
                       if s[1] == H1 and s[2].kind is MessageKind.DATA_YPP]
         assert not wire_to_h1
@@ -815,7 +854,7 @@ class TestEdgeData:
                                           path_tree=tree),
                            b"p")
         edge.on_message(msg)
-        assert [p for _, p in h2.inboxes[1]] == [b"p"]
+        assert delivered(env, "h2") == [(1, 7)]
         local = [s for s in env.sent
                  if s[1] == H2 and s[2].kind is MessageKind.DATA_YPP]
         assert len(local) == 1 and local[0][2].floating.path_tree is None
@@ -845,7 +884,7 @@ class TestEdgeData:
         row = edge.fibs[1].rows[(1, "room")]
         assert H2 in row.locked_hosts
         h1.send_data(1, "room", 1, b"pay")
-        assert 1 not in h2.inboxes
+        assert delivered(env, "h2") == []
 
     def test_channel_update_renames_and_notifies(self):
         env = FakeEnv()
@@ -1075,19 +1114,15 @@ def test_well_formed_data_is_delivered_or_forwarded(where, anycast, metadata):
 # twin records
 
 
-def twin_world(env, **cfg):
-    """Edge with twin manager plus producer H1 and consumers H2, H3."""
+def twin_world(env, **config):
+    """Edge with producer H1 and consumers H2, H3, under the given config.
+    The config is set first: attaching a host creates its twin record."""
+    env.config = SimConfig(**config)
     edge, h1, h2 = joined_edge(env)
     h3 = make_host(env, H3, "h3", user="cara")
     h3.attach(E1, "d1")
-    labels = {H1: "h1", H2: "h2", H3: "h3"}
-    edge.twin = TwinManager(edge, TwinConfig(**cfg),
-                            attached=lambda y: y not in env.down,
-                            label_for=lambda y: labels.get(y, str(y)))
     edge.attach_host(H3)
     h3.request_join(1, 1, "room", "consumer", app_id=1)
-    edge.twin.host_connected(H1)
-    edge.twin.host_connected(H2)
     return edge, h1, h2, h3
 
 
@@ -1119,7 +1154,7 @@ class TestTwin:
 
     def test_sweep_queries_and_reply_refreshes(self):
         env = FakeEnv()
-        edge, h1, h2, h3 = twin_world(env, ttl=50)
+        edge, h1, h2, h3 = twin_world(env, twin_ttl=50)
         env.tick = 5
         edge.twin.sweep()
         assert env.trace.count("TWIN_SYNC", n="e1", queried="3",
@@ -1129,7 +1164,7 @@ class TestTwin:
 
     def test_empty_control_message_at_edge_is_a_proto_error(self):
         env = FakeEnv()
-        edge, h1, h2, h3 = twin_world(env, ttl=50)
+        edge, h1, h2, h3 = twin_world(env, twin_ttl=50)
         env.tick = 20
         edge.on_message(YodelMessage(MessageKind.CONTROL_YPP, H1, E1,
                                      FloatingHeader()))
@@ -1162,11 +1197,11 @@ class TestTwin:
         assert env.metrics.buffered_total == 2
         assert env.metrics.buffer_peaks["h2"] == 2
         # the healthy consumer still hears everything
-        assert [p for _, p in h3.inboxes[1]] == [b"m1", b"m2"]
+        assert delivered(env, "h3") == [(1, 1), (1, 2)]
 
     def test_buffer_cap_drops_oldest(self):
         env = FakeEnv()
-        edge, h1, h2, h3 = twin_world(env, buffer_max=2)
+        edge, h1, h2, h3 = twin_world(env, twin_buffer_max=2)
         detect(env, edge, H2)
         for i in range(4):
             h1.send_data(1, "room", 1, f"m{i}".encode())
@@ -1182,7 +1217,7 @@ class TestTwin:
     def test_buffer_bound_counts_and_flushes_newest(self, buffer_max, dropped,
                                                     peaks, flushed):
         env = FakeEnv()
-        edge, h1, h2, h3 = twin_world(env, buffer_max=buffer_max)
+        edge, h1, h2, h3 = twin_world(env, twin_buffer_max=buffer_max)
         detect(env, edge, H2)
         for i in range(4):
             h1.send_data(1, "room", 1, f"m{i}".encode())
@@ -1194,9 +1229,11 @@ class TestTwin:
         buffered = edge.twin.records[H2].buffer
         assert [m.payload for m in buffered] == flushed
         assert all(m.floating.channel_id == 300 for m in buffered)
+        serials = [parse_data_metadata(m.kind, m.floating.metadata)[0]
+                   for m in buffered]
         env.down.discard(H2)
         h2.begin_reconnect()
-        assert [p for _, p in h2.inboxes.get(1, [])] == flushed
+        assert delivered(env, "h2") == [(1, serial) for serial in serials]
         assert env.trace.count("TWIN_FLUSH", host="h2",
                                count=str(len(flushed))) == 1
         assert not edge.twin.records[H2].buffer
@@ -1231,7 +1268,7 @@ class TestTwin:
             h1.send_data(1, "room", 1, f"m{i}".encode())
         env.down.discard(H2)
         h2.begin_reconnect()
-        assert [p for _, p in h2.inboxes[1]] == [b"m0", b"m1", b"m2"]
+        assert delivered(env, "h2") == [(1, 1), (1, 2), (1, 3)]
         assert env.trace.count("TWIN_FLUSH", host="h2", count="3") == 1
         assert not h2.gated
         row = edge.fibs[1].rows[(1, "room")]
@@ -1249,7 +1286,7 @@ class TestTwin:
         edge.on_controller(ChannelIdUpdate(1, 100, 300))
         env.down.discard(H2)
         h2.begin_reconnect()
-        assert [p for _, p in h2.inboxes[1]] == [b"m"]
+        assert delivered(env, "h2") == [(1, 1)]
         assert h2.crt[(1, "room", 1)].channel_id == 300
 
     def test_quick_return_without_activation_just_resyncs(self):
@@ -1265,7 +1302,7 @@ class TestTwin:
 
     def test_expiry_purges_registrations(self):
         env = FakeEnv()
-        edge, h1, h2, h3 = twin_world(env, ttl=10)
+        edge, h1, h2, h3 = twin_world(env, twin_ttl=10)
         detect(env, edge, H2)
         env.tick = 30
         edge.twin.sweep()
@@ -1276,7 +1313,7 @@ class TestTwin:
 
     def test_expiry_of_last_consumer_releases_role(self):
         env = FakeEnv()
-        edge, h1, h2, h3 = twin_world(env, ttl=10)
+        edge, h1, h2, h3 = twin_world(env, twin_ttl=10)
         h3.withdraw(1, 1, "room", "consumer", 1)
         detect(env, edge, H2)
         env.tick = 30
@@ -1286,7 +1323,7 @@ class TestTwin:
 
     def test_post_expiry_return_is_fresh(self):
         env = FakeEnv()
-        edge, h1, h2, h3 = twin_world(env, ttl=10)
+        edge, h1, h2, h3 = twin_world(env, twin_ttl=10)
         detect(env, edge, H2)
         h1.send_data(1, "room", 1, b"lost")
         env.tick = 30
@@ -1296,7 +1333,7 @@ class TestTwin:
         h2.begin_reconnect()
         assert env.trace.count("TWIN_CREATE") == creates + 1
         assert env.trace.count("TWIN_FLUSH") == 0
-        assert 1 not in h2.inboxes
+        assert delivered(env, "h2") == []
         assert not h2.gated
 
     def test_active_host_excluded_from_failover(self):

@@ -376,6 +376,32 @@ at 45 send h1 vale room 1 after
         assert sim.trace.count("RECV", n="h2", k="DATA_YPP") == 2
 
 
+@pytest.mark.xfail(strict=True, reason="hosts and edges key consumer state "
+                   "by (valley, community) without the namespace")
+def test_same_community_name_in_two_namespaces_stays_apart():
+    import test_replay_golden as golden
+    text = """\
+config until 60
+at 0 valley alice vale
+at 0 member alice vale carol
+at 1 namespace alice vale one msm
+at 1 namespace alice vale two msm
+at 2 join hp vale one draw producer 1
+at 2 join hp vale two draw producer 2
+at 2 join hr vale one draw consumer 1
+at 2 join hr vale two draw consumer 2
+at 20 send hp vale draw 1 first
+at 22 send hp vale draw 2 second
+"""
+    sim = run_text((golden.WORLDS / "anycast.topo").read_text(), text)
+    sends = [dict(r.fields)
+             for r in sim.trace.select("SEND", n="hp", k="data")]
+    delivers = [dict(r.fields) for r in sim.trace.select("DELIVER")]
+    # each app hears only the send of its own namespace
+    assert [(d["app"], d["serial"]) for d in delivers] \
+        == [(s["app"], s["serial"]) for s in sends]
+
+
 class TestFaults:
     def test_link_down_stops_then_link_up_restores(self):
         body = """\
@@ -523,6 +549,18 @@ at 45 fault host-up h2
         sim = run_text(TWO_DOMAINS, text)
         assert sim.metrics.buffer_dropped == 1
         assert sim.metrics.deliveries == {"h2": 2}
+
+    def test_sweep_period_and_miss_threshold_come_from_config(self):
+        text = (scen(body=self.BODY, until=20)
+                + "config twin_miss_threshold 2\nconfig twin_period 3\n")
+        sim = run_text(TWO_DOMAINS, text)
+        syncs = [(r.tick, dict(r.fields)["missed"])
+                 for r in sim.trace.select("TWIN_SYNC", n="e2")]
+        # h2 goes down at 12, before that tick's sweep: the second miss
+        # in a row, at 15, activates its twin
+        assert syncs == [(3, "0"), (6, "0"), (9, "0"),
+                         (12, "1"), (15, "1"), (18, "1")]
+        assert [r.tick for r in sim.trace.select("TWIN_ACTIVE")] == [15]
 
     def test_expiry_purges_and_return_is_fresh(self):
         body = """\
