@@ -12,7 +12,7 @@ import os
 import sys
 from typing import Optional
 
-from .errors import ScenarioError, YodelError
+from .errors import YodelError
 from .scenario import load_world
 from .sim import SimConfig, Simulation
 
@@ -83,11 +83,6 @@ def _load(args):
 
 def _cmd_validate(args) -> int:
     topo, scen, errors = _load(args)
-    if not errors:
-        try:
-            SimConfig.from_scenario(scen, 0)
-        except ScenarioError as exc:
-            errors = [exc]
     for err in errors:
         print(str(err))
     if errors:
@@ -109,7 +104,7 @@ def _cmd_run(args) -> int:
         if args.until is not None:
             config.until = args.until
         sim = Simulation(topo, scen, config).run()
-    except (ScenarioError, YodelError) as exc:
+    except YodelError as exc:
         print(f"cannot run world: {exc}", file=sys.stderr)
         return 2
     try:

@@ -53,7 +53,7 @@ from .twin import TwinManager
 from .ynid import Yni
 
 if TYPE_CHECKING:
-    from .sim import SimConfig
+    from .scenario import SimConfig
 
 __all__ = [
     "OP_JOIN_REQUEST", "OP_JOIN_REPLY", "OP_WITHDRAW", "OP_UNLOCK_PRODUCER",

@@ -99,7 +99,6 @@ class Directory:
     def __init__(self):
         self.users: set[str] = set()
         self.valleys: dict[str, Valley] = {}
-        self.valleys_by_id: dict[int, Valley] = {}
         self.vibs: dict[int, ValleyInformationBase] = {}
         self._next_valley_id = 1
 
@@ -121,7 +120,6 @@ class Directory:
         valley = Valley(self._next_valley_id, name, admin)
         self._next_valley_id += 1
         self.valleys[name] = valley
-        self.valleys_by_id[valley.id] = valley
         self.vibs[valley.id] = ValleyInformationBase(valley)
         return valley
 

@@ -17,6 +17,10 @@ Scenario lines:
     config <key> <value>
     at <tick> <command> [args ...]
 
+Config keys take integers (default, least value): until (200), rpc_latency
+(1, 0), host_link_latency (1, 0), twin_period (5, 1), twin_miss_threshold
+(3), twin_ttl (50), twin_buffer_max (unbounded, 0).
+
 Commands:
 
     valley <user> <name>
@@ -36,25 +40,29 @@ Commands:
     fault crash <node>
     partition-now <valley> <namespace> <community>
     report
+
+A join's ttl is at most 4294967295, the join request's 32-bit field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple, Optional
 
 from .errors import ScenarioError
-from .services import ServiceModel
+from .model import Visibility
+from .services import AnycastMode, ServiceModel
 
 __all__ = [
     "NodeSpec", "LinkSpec", "GroupSpec", "HostSpec", "TopologySpec",
-    "CommandSpec", "ScenarioSpec",
+    "CommandSpec", "ScenarioSpec", "SimConfig",
     "parse_topology", "parse_scenario", "cross_check", "load_world",
 ]
 
 MODEL_NAMES = {m.value.lower(): m for m in ServiceModel}
 ROLES = ("producer", "consumer", "member")
+_TTL_MAX = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -107,18 +115,44 @@ class TopologySpec:
         return None
 
 
-@dataclass(frozen=True)
-class CommandSpec:
+class CommandSpec(NamedTuple):
+    """One `at` line. Names stay strings in their written positions; app
+    ids, a join's ttl (None if absent), a send's payload and every option
+    value arrive converted, namespace options with their defaults. A named
+    tuple: one is built per line, at half a frozen dataclass's cost."""
     tick: int
     line: int
     verb: str
-    args: tuple[str, ...]
+    args: tuple
 
 
 @dataclass
 class ScenarioSpec:
-    config: dict[str, str] = field(default_factory=dict)
+    config: dict[str, int] = field(default_factory=dict)
     commands: list[CommandSpec] = field(default_factory=list)
+
+
+@dataclass
+class SimConfig:
+    """The seed and every key a `config` line may set, with its least value:
+    a latency below 0 schedules events in the past, a twin period below 1
+    reschedules the sweep at the same tick forever."""
+    seed: int = 0
+    until: int = 200
+    rpc_latency: int = field(default=1, metadata={"least": 0})
+    host_link_latency: int = field(default=1, metadata={"least": 0})
+    twin_period: int = field(default=5, metadata={"least": 1})
+    twin_miss_threshold: int = 3
+    twin_ttl: int = 50
+    twin_buffer_max: Optional[int] = field(default=None, metadata={"least": 0})
+
+    @classmethod
+    def from_scenario(cls, scen: ScenarioSpec, seed: int) -> "SimConfig":
+        return cls(seed=seed, **scen.config)
+
+
+_CONFIG_LEAST = {f.name: f.metadata.get("least")
+                 for f in fields(SimConfig) if f.name != "seed"}
 
 
 def _lines(text: str):
@@ -276,103 +310,142 @@ _COMMAND_ARITY = {
 }
 
 
+class _Rejected(Exception):
+    """A scenario line that fails its check; the message is the reason."""
+
+
 def parse_scenario(text: str, path: str = "<scenario>"):
     spec = ScenarioSpec()
     errors: list[ScenarioError] = []
-
-    def err(line, reason):
-        errors.append(ScenarioError(path, line, reason))
-
     for line_no, tok in _lines(text):
         kind, rest = tok[0], tok[1:]
-        if kind == "config":
-            if len(rest) != 2:
-                err(line_no, "config takes <key> <value>")
+        try:
+            if kind == "at":
+                spec.commands.append(_command(line_no, rest))
+            elif kind == "config":
+                key, value = _config_entry(rest)
+                spec.config[key] = value
             else:
-                spec.config[rest[0]] = rest[1]
-        elif kind == "at":
-            if len(rest) < 2:
-                err(line_no, "at needs <tick> <command>")
-                continue
-            try:
-                tick = int(rest[0])
-            except ValueError:
-                err(line_no, f"tick {rest[0]!r} is not an integer")
-                continue
-            if tick < 0:
-                err(line_no, "tick must be non-negative")
-                continue
-            verb, args = rest[1], tuple(rest[2:])
-            arity = _COMMAND_ARITY.get(verb)
-            if arity is None:
-                err(line_no, f"unknown command {verb!r}")
-                continue
-            lo, hi = arity
-            if len(args) < lo or (hi is not None and len(args) > hi):
-                err(line_no, f"wrong argument count for {verb!r}")
-                continue
-            reason = _check_command(verb, args)
-            if reason:
-                err(line_no, reason)
-                continue
-            spec.commands.append(CommandSpec(tick, line_no, verb, args))
-        else:
-            err(line_no, f"unknown directive {kind!r}")
+                raise _Rejected(f"unknown directive {kind!r}")
+        except _Rejected as exc:
+            errors.append(ScenarioError(path, line_no, str(exc)))
     return spec, errors
 
 
-def _check_command(verb: str, args: tuple[str, ...]) -> Optional[str]:
-    """Shape-level validation; cross-references need the topology."""
+def _config_entry(rest: list[str]) -> tuple[str, int]:
+    if len(rest) != 2:
+        raise _Rejected("config takes <key> <value>")
+    key, raw = rest
+    if key not in _CONFIG_LEAST:
+        raise _Rejected(f"unknown config key {key!r}")
+    try:
+        value = int(raw)
+    except ValueError:
+        raise _Rejected(f"config {key}: bad value {raw!r}") from None
+    least = _CONFIG_LEAST[key]
+    if least is not None and value < least:
+        raise _Rejected(f"config {key}: must be at least {least}, got {value}")
+    return key, value
+
+
+def _command(line_no: int, rest: list[str]) -> CommandSpec:
+    if len(rest) < 2:
+        raise _Rejected("at needs <tick> <command>")
+    try:
+        tick = int(rest[0])
+    except ValueError:
+        raise _Rejected(f"tick {rest[0]!r} is not an integer") from None
+    if tick < 0:
+        raise _Rejected("tick must be non-negative")
+    verb, args = rest[1], tuple(rest[2:])
+    arity = _COMMAND_ARITY.get(verb)
+    if arity is None:
+        raise _Rejected(f"unknown command {verb!r}")
+    lo, hi = arity
+    if len(args) < lo or (hi is not None and len(args) > hi):
+        raise _Rejected(f"wrong argument count for {verb!r}")
+    return CommandSpec(tick, line_no, verb, _convert_args(verb, args))
+
+
+def _app(token: str) -> int:
+    # isdecimal, not isdigit: int() rejects digits such as superscripts
+    if not token.isdecimal():
+        raise _Rejected("app id must be a non-negative integer")
+    return int(token)
+
+
+_CHOICES = {"visibility": ("open", "protected"), "randomized": ("on", "off"),
+            "partition": ("auto", "manual")}
+
+
+def _choice(key: str, value: str) -> str:
+    if value not in _CHOICES[key]:
+        raise _Rejected(f"{key} must be {' or '.join(_CHOICES[key])}")
+    return value
+
+
+def _convert_args(verb: str, args: tuple[str, ...]) -> tuple:
+    """Check the shape of one command's arguments and convert them; see
+    `CommandSpec`. Cross-references need the topology."""
     if verb == "namespace":
-        if args[3].lower() not in MODEL_NAMES:
-            return (f"unknown service model {args[3]!r}; pick one of "
-                    + ", ".join(sorted(MODEL_NAMES)))
+        user, valley, name, model_name = args[:4]
+        model = MODEL_NAMES.get(model_name.lower())
+        if model is None:
+            raise _Rejected(f"unknown service model {model_name!r}; pick one "
+                            "of " + ", ".join(sorted(MODEL_NAMES)))
+        opt = {"visibility": "open", "randomized": "off", "q": 1.0,
+               "partition": "auto"}
         for extra in args[4:]:
             kv = _kv(extra)
             if kv is None:
-                return f"expected key=value option, got {extra!r}"
+                raise _Rejected(f"expected key=value option, got {extra!r}")
             key, value = kv
-            if key == "visibility" and value not in ("open", "protected"):
-                return "visibility must be open or protected"
-            if key == "randomized" and value not in ("on", "off"):
-                return "randomized must be on or off"
-            if key == "q":
+            if key in _CHOICES:
+                opt[key] = _choice(key, value)
+            elif key == "q":
                 try:
-                    q = float(value)
+                    opt[key] = float(value)
                 except ValueError:
-                    return "q is not a number"
-                if not 0.0 <= q <= 1.0:
-                    return "q must be between 0 and 1"
-            if key == "partition" and value not in ("auto", "manual"):
-                return "partition must be auto or manual"
-            if key not in ("visibility", "randomized", "q", "partition"):
-                return f"unknown namespace option {key!r}"
-    elif verb in ("join", "withdraw"):
+                    raise _Rejected("q is not a number") from None
+                if not 0.0 <= opt[key] <= 1.0:
+                    raise _Rejected("q must be between 0 and 1")
+            else:
+                raise _Rejected(f"unknown namespace option {key!r}")
+        return (user, valley, name, model, Visibility(opt["visibility"]),
+                AnycastMode(opt["randomized"] == "on", opt["q"]),
+                opt["partition"] == "auto")
+    if verb in ("join", "withdraw"):
         if args[4] not in ROLES:
-            return f"role must be one of {', '.join(ROLES)}"
-        if not args[5].isdigit():
-            return "app id must be a non-negative integer"
-        if verb == "join" and len(args) == 7:
+            raise _Rejected(f"role must be one of {', '.join(ROLES)}")
+        app = _app(args[5])
+        if verb == "withdraw":
+            return args[:5] + (app,)
+        ttl = None
+        if len(args) == 7:
             kv = _kv(args[6])
-            if kv is None or kv[0] != "ttl" or not kv[1].isdigit():
-                return "join option must be ttl=<ticks>"
-    elif verb in ("send", "lock", "unlock"):
-        if not args[3].isdigit():
-            return "app id must be a non-negative integer"
-    elif verb == "visibility":
-        if args[3] not in ("open", "protected"):
-            return "visibility must be open or protected"
-    elif verb == "fault":
+            if kv is None or kv[0] != "ttl" or not kv[1].isdecimal():
+                raise _Rejected("join option must be ttl=<ticks>")
+            ttl = int(kv[1])
+            if ttl > _TTL_MAX:
+                raise _Rejected(f"ttl must be at most {_TTL_MAX}")
+        return args[:5] + (app, ttl)
+    if verb == "send":
+        return args[:3] + (_app(args[3]), " ".join(args[4:]).encode())
+    if verb in ("lock", "unlock"):
+        return args[:3] + (_app(args[3]),)
+    if verb == "visibility":
+        return args[:3] + (Visibility(_choice("visibility", args[3])),)
+    if verb == "fault":
         mode = args[0]
         if mode in ("link-down", "link-up"):
             if len(args) != 3:
-                return f"fault {mode} needs two node names"
+                raise _Rejected(f"fault {mode} needs two node names")
         elif mode in ("host-down", "host-up", "crash"):
             if len(args) != 2:
-                return f"fault {mode} needs one name"
+                raise _Rejected(f"fault {mode} needs one name")
         else:
-            return f"unknown fault {mode!r}"
-    return None
+            raise _Rejected(f"unknown fault {mode!r}")
+    return args
 
 
 def cross_check(topo: TopologySpec, scen: ScenarioSpec,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -20,61 +19,18 @@ from .codec import MessageKind, YodelMessage
 from .control import Controller, HostPrefs
 from .dataplane import (ConnectorNode, EdgeNode, HostNode, Node,
                         parse_data_metadata)
-from .errors import AccessDenied, ScenarioError, UnknownFlow, YodelError
-from .model import Directory, Visibility
-from .scenario import CommandSpec, NodeSpec, ScenarioSpec, TopologySpec
-from .services import AnycastMode, ServiceModel, roles_for_join
+from .errors import AccessDenied, UnknownFlow, YodelError
+from .model import Directory
+from .scenario import (CommandSpec, NodeSpec, ScenarioSpec, SimConfig,
+                       TopologySpec)
+from .services import roles_for_join
 from .trace import Link, Metrics, Trace
 from .ynid import Yni, generate_yni
 
 __all__ = ["SimConfig", "Simulation", "build", "run_world"]
 
-# Every config value is an int; this maps each key to its least value
-# (None: no bound). A latency below 0 schedules events in the past, a twin
-# period below 1 reschedules the sweep at the same tick forever.
-_CONFIG_LEAST = {
-    "until": None,
-    "rpc_latency": 0,
-    "host_link_latency": 0,
-    "twin_period": 1,
-    "twin_miss_threshold": None,
-    "twin_ttl": None,
-    "twin_buffer_max": 0,
-}
-
-
 # Enum.name is a Python-level property; SEND and RECV lines read a plain dict
 _KIND_NAMES = {kind: kind.name for kind in MessageKind}
-
-
-@dataclass
-class SimConfig:
-    seed: int = 0
-    until: int = 200
-    rpc_latency: int = 1
-    host_link_latency: int = 1
-    twin_period: int = 5
-    twin_miss_threshold: int = 3
-    twin_ttl: int = 50
-    twin_buffer_max: Optional[int] = None
-
-    @classmethod
-    def from_scenario(cls, scen: ScenarioSpec, seed: int) -> "SimConfig":
-        cfg = cls(seed=seed)
-        for key, raw in scen.config.items():
-            if key not in _CONFIG_LEAST:
-                raise ScenarioError("<scenario>", 0, f"unknown config key {key!r}")
-            try:
-                value = int(raw)
-            except ValueError:
-                raise ScenarioError("<scenario>", 0,
-                                    f"config {key}: bad value {raw!r}") from None
-            least = _CONFIG_LEAST[key]
-            if least is not None and value < least:
-                raise ScenarioError("<scenario>", 0, f"config {key}: must be "
-                                    f"at least {least}, got {value}")
-            setattr(cfg, key, value)
-        return cfg
 
 
 class Simulation:
@@ -317,7 +273,7 @@ class Simulation:
         if self.edges and cfg.twin_period <= cfg.until:
             self.schedule(cfg.twin_period, self._sweep_twins)
         for cmd in self.scen.commands:
-            self.schedule(cmd.tick, self._command_thunk(cmd))
+            self.schedule(cmd.tick, partial(self._run_command, cmd))
 
     def _connect(self, a: str, b: str, latency: int) -> None:
         self.links[a][b] = self.metrics.link(a, b, latency)
@@ -350,9 +306,6 @@ class Simulation:
 
     # -- scenario commands -----------------------------------------------------
 
-    def _command_thunk(self, cmd: CommandSpec):
-        return lambda: self._run_command(cmd)
-
     def _run_command(self, cmd: CommandSpec) -> None:
         try:
             self._dispatch(cmd)
@@ -373,7 +326,9 @@ class Simulation:
             self.directory.register_user(a[0])
             self.directory.create_valley(a[0], a[1])
         elif verb == "namespace":
-            self._make_namespace(a)
+            user, valley_name, ns_name, model, visibility, anycast, auto = a
+            self.directory.create_namespace(user, valley_name, ns_name,
+                                            visibility, model, anycast, auto)
         elif verb == "community":
             user, valley_name, ns_name, community = a
             if not self.directory.authorize_access(user, valley_name, ns_name):
@@ -389,25 +344,23 @@ class Simulation:
             self.directory.register_user(a[3])
             self.directory.grant_access(a[0], a[1], a[2], a[3])
         elif verb == "visibility":
-            self.directory.set_visibility(a[0], a[1], a[2], Visibility(a[3]))
+            self.directory.set_visibility(*a)
         elif verb == "join":
             self._issue_join(a)
         elif verb == "withdraw":
             host = self.hosts[a[0]]
             valley = self.directory.valley(a[1])
             ns = self.directory.namespace(a[1], a[2])
-            host.withdraw(valley.id, ns.id, a[3], a[4], int(a[5]))
+            host.withdraw(valley.id, ns.id, a[3], a[4], a[5])
         elif verb == "send":
             host = self.hosts[a[0]]
             valley = self.directory.valley(a[1])
-            payload = " ".join(a[4:]).encode()
-            host.send_data(valley.id, a[2], int(a[3]), payload)
+            host.send_data(valley.id, a[2], a[3], a[4])
         elif verb in ("lock", "unlock"):
             host = self.hosts[a[0]]
             valley = self.directory.valley(a[1])
             try:
-                host.set_consumer_lock(valley.id, a[2], int(a[3]),
-                                       verb == "lock")
+                host.set_consumer_lock(valley.id, a[2], a[3], verb == "lock")
             except KeyError:
                 raise UnknownFlow(
                     f"{a[0]} has no consumer registration for {a[2]!r}") \
@@ -429,35 +382,9 @@ class Simulation:
                             ("transmissions", self.metrics.transmissions_total),
                             ("proto_errors", self.metrics.proto_errors))
 
-    def _make_namespace(self, a) -> None:
-        user, valley_name, ns_name, model_name = a[:4]
-        from .scenario import MODEL_NAMES
-        model = MODEL_NAMES[model_name.lower()]
-        visibility = Visibility.OPEN
-        randomized = False
-        q = 1.0
-        auto_partition = True
-        for extra in a[4:]:
-            key, value = extra.split("=", 1)
-            if key == "visibility":
-                visibility = Visibility(value)
-            elif key == "randomized":
-                randomized = value == "on"
-            elif key == "q":
-                q = float(value)
-            elif key == "partition":
-                auto_partition = value == "auto"
-        self.directory.create_namespace(
-            user, valley_name, ns_name, visibility, model,
-            anycast=AnycastMode(randomized, q), auto_partition=auto_partition)
-
     def _issue_join(self, a) -> None:
-        host = self.hosts[a[0]]
-        valley_name, ns_name, community, role = a[1], a[2], a[3], a[4]
-        app_id = int(a[5])
-        ttl = None
-        if len(a) == 7:
-            ttl = int(a[6].split("=", 1)[1])
+        host_name, valley_name, ns_name, community, role, app_id, ttl = a
+        host = self.hosts[host_name]
         if not self.directory.authorize_access(host.user, valley_name, ns_name):
             raise AccessDenied(
                 f"{host.user!r} may not join {valley_name}/{ns_name}")

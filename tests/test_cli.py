@@ -77,6 +77,20 @@ class TestValidate:
             assert main(["validate", "--topology", t, "--scenario", s]) == 1
             assert "must be at least" in capsys.readouterr().out
 
+    def test_every_bad_line_is_named_by_file_and_line(self, tmp_path, capsys):
+        bad = ("config twin_period 0\nconfig warp 9\n"
+               + SCEN.replace("producer 1", "producer 1 ttl=4294967296"))
+        t, s = write_world(tmp_path, scen=bad)
+        expected = [f"{s}:1: config twin_period: must be at least 1, got 0",
+                    f"{s}:2: unknown config key 'warp'",
+                    f"{s}:7: ttl must be at most 4294967295"]
+        assert main(["validate", "--topology", t, "--scenario", s]) == 1
+        assert capsys.readouterr().out.splitlines() == expected
+        code, out, _ = run_cli(tmp_path, scen=bad)
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == expected
+
     def test_missing_file(self, tmp_path, capsys):
         t, _ = write_world(tmp_path)
         code = main(["validate", "--topology", t,

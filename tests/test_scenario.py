@@ -7,7 +7,8 @@ from yodel.scenario import (
     parse_scenario,
     parse_topology,
 )
-from yodel.services import ServiceModel
+from yodel.model import Visibility
+from yodel.services import AnycastMode, ServiceModel
 
 GOOD_TOPO = """\
 # two domains joined by a connector
@@ -145,14 +146,13 @@ class TestParseScenario:
     def test_good_file(self):
         spec, errors = parse_scenario(GOOD_SCEN)
         assert errors == []
-        assert spec.config == {"until": "40", "rpc_latency": "2"}
+        assert spec.config == {"until": 40, "rpc_latency": 2}
         assert len(spec.commands) == 17
         first = spec.commands[0]
         assert (first.tick, first.verb, first.args) == (
             0, "valley", ("alice", "vale"))
         send = next(c for c in spec.commands if c.verb == "send")
-        assert send.args == ("h1", "vale", "room", "1", "hello", "out",
-                             "there")
+        assert send.args == ("h1", "vale", "room", 1, b"hello out there")
 
     def test_model_name_case_insensitive(self):
         for name in ("ssm", "SSM", "Ssm"):
@@ -211,6 +211,38 @@ class TestParseScenario:
     def test_config_arity(self):
         _, errors = parse_scenario("config until\n")
         assert reasons(errors) == ["config takes <key> <value>"]
+
+    def test_arguments_arrive_typed(self):
+        spec, errors = parse_scenario(GOOD_SCEN + """\
+at 16 namespace alice vale open2 msac randomized=on partition=manual
+at 17 visibility alice vale chat open
+""")
+        assert errors == []
+        args = {c.line: c.args for c in spec.commands}
+        assert args[6] == ("alice", "vale", "chat", ServiceModel.SSM,
+                            Visibility.PROTECTED, AnycastMode(False, 0.5),
+                            True)
+        assert args[21] == ("alice", "vale", "open2", ServiceModel.MSAC,
+                            Visibility.OPEN, AnycastMode(True, 1.0), False)
+        assert args[8] == ("h1", "vale", "chat", "room", "producer", 1, 30)
+        assert args[9] == ("h2", "vale", "chat", "room", "consumer", 1, None)
+        assert args[11] == ("h2", "vale", "room", 1)
+        assert args[13] == ("h1", "vale", "chat", "room", "producer", 1)
+        assert args[22] == ("alice", "vale", "chat", Visibility.OPEN)
+        assert args[14] == ("link-down", "e1", "c1")
+
+    def test_numbers_the_run_cannot_carry_are_rejected(self):
+        # the join request carries the ttl in 32 bits; int() rejects a
+        # superscript digit, which str.isdigit accepts
+        _, errors = parse_scenario(
+            "at 0 join h v n c producer 1 ttl=4294967295\n"
+            "at 0 join h v n c producer 1 ttl=4294967296\n"
+            "at 0 lock h v c \u00b2\n"
+            "at 0 join h v n c producer 1 ttl=\u00b2\n")
+        assert [(e.line, e.reason) for e in errors] == [
+            (2, "ttl must be at most 4294967295"),
+            (3, "app id must be a non-negative integer"),
+            (4, "join option must be ttl=<ticks>")]
 
 
 class TestCrossCheck:

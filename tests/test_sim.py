@@ -2,13 +2,14 @@
 
 from yodel.codec import FloatingHeader, MessageKind, PathTree, YodelMessage
 from yodel.dataplane import data_metadata
-from yodel.errors import ScenarioError
 from yodel.scenario import load_world
 from yodel.sim import SimConfig, Simulation
 from yodel.trace import Trace, TraceRecord
 from yodel.ynid import Yni
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 TWO_DOMAINS = """\
 domain d1
@@ -682,18 +683,14 @@ class TestScenarioErrors:
         assert "do not partition" in dict(errs[0].fields)["reason"]
 
     def test_unknown_config_key_rejected(self):
-        topo, scen_spec, errors = load_world(
-            TWO_DOMAINS, "config warp 9\nat 0 report\n")
-        assert errors == []
-        with pytest.raises(ScenarioError, match="unknown config key"):
-            SimConfig.from_scenario(scen_spec, 0)
+        _, _, errors = load_world(TWO_DOMAINS, "at 0 report\nconfig warp 9\n")
+        assert [str(e) for e in errors] == [
+            "<scenario>:2: unknown config key 'warp'"]
 
     def test_bad_config_value_rejected(self):
-        _, scen_spec, errors = load_world(
-            TWO_DOMAINS, "config until soonish\n")
-        assert errors == []
-        with pytest.raises(ScenarioError, match="bad value"):
-            SimConfig.from_scenario(scen_spec, 0)
+        _, _, errors = load_world(TWO_DOMAINS, "config until soonish\n")
+        assert [str(e) for e in errors] == [
+            "<scenario>:1: config until: bad value 'soonish'"]
 
     # run() is never called with these values: a twin period of 0 never
     # returns, a negative latency schedules events in the past
@@ -701,11 +698,10 @@ class TestScenarioErrors:
         ("twin_period", 0), ("twin_period", -5), ("rpc_latency", -1),
         ("host_link_latency", -3), ("twin_buffer_max", -1)])
     def test_config_value_below_its_least_rejected(self, key, value):
-        _, scen_spec, errors = load_world(
-            TWO_DOMAINS, f"config {key} {value}\n")
-        assert errors == []
-        with pytest.raises(ScenarioError, match=f"config {key}: must be at least"):
-            SimConfig.from_scenario(scen_spec, 0)
+        _, _, errors = load_world(TWO_DOMAINS, f"config {key} {value}\n")
+        assert [e.line for e in errors] == [1]
+        assert errors[0].reason.startswith(f"config {key}: must be at least ")
+        assert errors[0].reason.endswith(f", got {value}")
 
     @pytest.mark.parametrize("key,value", [
         ("twin_period", 1), ("rpc_latency", 0), ("host_link_latency", 0),
@@ -715,3 +711,72 @@ class TestScenarioErrors:
             TWO_DOMAINS, f"config {key} {value}\n")
         assert errors == []
         assert getattr(SimConfig.from_scenario(scen_spec, 0), key) == value
+
+
+# near-valid tokens sit beside the valid ones, so some generated worlds pass
+# `load_world` with values at the edge of what it accepts
+_INT = st.one_of(st.integers(0, 3), st.sampled_from([
+    2**31, 2**32 - 1, 2**32, 2**64, 10**30])).map(str) \
+    | st.sampled_from(["-1", "1.5", "\u00b2", "\u0663", "0x1", ""])
+_W = {
+    "host": st.sampled_from(["h1", "h2", "h9"]),
+    "user": st.sampled_from(["alice", "bob", "carol"]),
+    "valley": st.sampled_from(["vale", "vale", "nowhere"]),
+    "ns": st.sampled_from(["chat", "chat", "hall"]),
+    "community": st.sampled_from(["room", "room", "den"]),
+    "role": st.sampled_from(["producer", "consumer", "member", "listener"]),
+    "model": st.sampled_from(["ssm", "SLSM", "msac", "mmm", "bogus"]),
+    "node": st.sampled_from(["e1", "e2", "c1", "h1", "x"]),
+    "vis": st.sampled_from(["open", "protected", "secret"]),
+}
+_NS_OPTION = st.sampled_from([
+    "visibility=open", "visibility=protected", "visibility=hidden",
+    "randomized=on", "randomized=off", "randomized=1", "q=0.5", "q=1e-400",
+    "q=nan", "q=inf", "q=-0", "q=1.01", "partition=auto", "partition=manual",
+    "partition=", "shape=star", "q"])
+_TTL = _INT.map(lambda v: f"ttl={v}") | st.sampled_from(["tll=5", "ttl"])
+
+
+def _command(verb, *parts, extra=st.just([])):
+    return st.tuples(st.tuples(*parts), extra).map(
+        lambda t: " ".join((verb,) + t[0] + tuple(t[1])))
+
+
+_COMMANDS = st.one_of(
+    _command("valley", _W["user"], _W["valley"]),
+    _command("namespace", _W["user"], _W["valley"], _W["ns"], _W["model"],
+             extra=st.lists(_NS_OPTION, max_size=3)),
+    _command("community", _W["user"], _W["valley"], _W["ns"],
+             _W["community"]),
+    _command("member", _W["user"], _W["valley"], _W["user"]),
+    _command("grant", _W["user"], _W["valley"], _W["ns"], _W["user"]),
+    _command("visibility", _W["user"], _W["valley"], _W["ns"], _W["vis"]),
+    _command("join", _W["host"], _W["valley"], _W["ns"], _W["community"],
+             _W["role"], _INT, extra=st.lists(_TTL, max_size=1)),
+    _command("withdraw", _W["host"], _W["valley"], _W["ns"], _W["community"],
+             _W["role"], _INT),
+    _command("send", _W["host"], _W["valley"], _W["community"], _INT,
+             extra=st.lists(st.sampled_from(["hi", "\u00e9t\u00e9", "x" * 9]),
+                            min_size=1, max_size=2)),
+    _command("lock", _W["host"], _W["valley"], _W["community"], _INT),
+    _command("unlock", _W["host"], _W["valley"], _W["community"], _INT),
+    _command("fault", st.sampled_from(["link-down", "link-up", "crash"]),
+             _W["node"], extra=st.lists(_W["node"], max_size=1)),
+    _command("fault", st.sampled_from(["host-down", "host-up"]), _W["host"]),
+    _command("partition-now", _W["valley"], _W["ns"], _W["community"]),
+    st.just("report"),
+)
+_AT_LINE = st.tuples(st.integers(2, 50), _COMMANDS).map(
+    lambda t: f"at {t[0]} {t[1]}\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=_W["model"], lines=st.lists(_AT_LINE, max_size=8))
+@example(model="ssm", lines=["at 2 join h1 vale chat room producer 1 "
+                             "ttl=4294967296\n"])
+def test_every_world_load_world_accepts_runs_to_the_end(model, lines):
+    topo, scen_spec, errors = load_world(
+        TWO_DOMAINS, scen(model=model, body="".join(lines)))
+    if errors:
+        return
+    Simulation(topo, scen_spec, SimConfig.from_scenario(scen_spec, 1)).run()
