@@ -984,7 +984,7 @@ class EdgeNode(Node):
         for host in targets:
             out = YodelMessage(msg.kind, self.yni, host, msg.floating,
                                msg.payload)
-            if self.twin.is_active_alphorn(host):
+            if self.twin.is_active(host):
                 self.twin.buffer_message(host, out)
             else:
                 pairs.append((host, out))
@@ -1000,24 +1000,6 @@ class EdgeNode(Node):
         self.strategic_send(pop_path_root(carrier, self.yni))
 
     # -- twin hooks ------------------------------------------------------------
-
-    def swap_host_entries(self, old: Yni, new: Yni) -> list[tuple[int, FibRow]]:
-        """Replace a host id across every consumer-side row; producer entries
-        stay keyed by the real host (a twin never produces). Returns the
-        affected (valley, row) pairs."""
-        affected = []
-        for valley_id, fib in sorted(self.fibs.items()):
-            for row in fib.rows.values():
-                moved = {(h, a) for h, a in row.consumer_apps if h == old}
-                if not moved:
-                    continue
-                row.consumer_apps -= moved
-                row.consumer_apps |= {(new, a) for _, a in moved}
-                if old in row.locked_hosts:
-                    row.locked_hosts.discard(old)
-                    row.locked_hosts.add(new)
-                affected.append((valley_id, row))
-        return affected
 
     def producer_rows_for_host(self, host: Yni) -> list[tuple[int, FibRow]]:
         out = []
@@ -1074,20 +1056,19 @@ class EdgeNode(Node):
     def send_hello_ack(self, host: Yni) -> None:
         self.send_op(host, op_hello_ack())
 
-    def purge_host(self, host: Yni, alphorn: Yni) -> None:
-        """Drop every registration held by the host or its stand-in; the
-        record that kept them alive is gone."""
+    def purge_host(self, host: Yni) -> None:
+        """Drop every registration held by the host; the record that kept
+        them alive is gone."""
         for valley_id, fib in sorted(self.fibs.items()):
             for key in sorted(fib.rows):
                 row = fib.rows.get(key)
                 if row is None:
                     continue
                 row.consumer_apps = {(h, a) for h, a in row.consumer_apps
-                                     if h != host and h != alphorn}
+                                     if h != host}
                 for k in [k for k in row.producer_apps if k[0] == host]:
                     del row.producer_apps[k]
                 row.locked_hosts.discard(host)
-                row.locked_hosts.discard(alphorn)
                 self._maybe_release_roles(valley_id, key[0], row)
 
 

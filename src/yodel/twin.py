@@ -1,18 +1,20 @@
 """Host resiliency: per-edge twin records that stand in for silent hosts.
 
 Each edge owns one twin table, and each host attached to it gets a twin
-record: a miss count, a lifetime, a buffer and a stand-in identity minted by
-the edge. The simulator sweeps every edge's table each `twin_period` ticks;
-a sweep sends one batched keepalive to every reachable host and counts the
-unreachable ones as missed, and a reply resets the count and renews the
-lifetime. After `twin_miss_threshold` consecutive missed sweeps the record
-goes active, the edge swaps the stand-in into its consumer tables and buffers
-traffic, keeping at most `twin_buffer_max` messages. When the host announces
-its return the swap reverses, refreshed registration state goes out, the
-buffer flushes in arrival order, and only then is the host allowed to send
-again. Records that stay active past their lifetime (`twin_ttl` ticks
-without contact) are purged along with the host's registrations. The table
-reads these settings from the scenario config its edge's environment holds.
+record: a miss count, a lifetime, a buffer and a stand-in name minted by the
+edge for the trace. The simulator sweeps every edge's table each
+`twin_period` ticks; a sweep sends one batched keepalive to every reachable
+host and counts the unreachable ones as missed, and a reply resets the count
+and renews the lifetime. After `twin_miss_threshold` consecutive missed
+sweeps the record goes active. The stand-in keeps the host's own id in the
+edge's tables: where the edge hands out a copy it asks `is_active(host)` and
+buffers instead of sending, keeping at most `twin_buffer_max` messages, so a
+consumer admitted during the outage is covered too. When the host announces
+its return, refreshed registration state goes out, the buffer flushes in
+arrival order, and only then is the host allowed to send again. Records
+that stay active past their lifetime (`twin_ttl` ticks without contact) are
+purged along with the host's registrations. The table reads these settings
+from the scenario config its edge's environment holds.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ __all__ = ["TwinRecord", "TwinManager"]
 @dataclass
 class TwinRecord:
     host: Yni
-    alphorn: Yni             # stand-in identity minted by the edge
+    alphorn: Yni             # stand-in name minted by the edge, traced only
     expire_at: int
     missed: int = 0
     active: bool = False
@@ -38,8 +40,9 @@ class TwinRecord:
 class TwinManager:
     """Twin table for one edge node.
 
-    The edge owns the wire; this class owns the records and drives the edge
-    through its swap/failover/resync hooks. It asks the edge's environment
+    The edge owns the wire and its tables, which always name the real host;
+    this class owns the records, keyed by that host id, and drives the edge
+    through its failover/resync/purge hooks. It asks the edge's environment
     whether a host's link is usable (`host_attached`), for trace-friendly
     node names (`label_of`) and for the twin settings (`config`).
     """
@@ -48,12 +51,11 @@ class TwinManager:
         self.edge = edge
         self.env = edge.env
         self.records: dict[Yni, TwinRecord] = {}
-        self._by_alphorn: dict[Yni, TwinRecord] = {}
 
     # -- queries ---------------------------------------------------------------
 
-    def is_active_alphorn(self, yni: Yni) -> bool:
-        rec = self._by_alphorn.get(yni)
+    def is_active(self, host: Yni) -> bool:
+        rec = self.records.get(host)
         return rec is not None and rec.active
 
     def active_hosts(self) -> set[Yni]:
@@ -68,7 +70,6 @@ class TwinManager:
         alphorn = generate_yni(env.rng(f"{self.edge.label}:twin"), env.now())
         rec = TwinRecord(host, alphorn, env.now() + env.config.twin_ttl)
         self.records[host] = rec
-        self._by_alphorn[alphorn] = rec
         self.edge.emit("TWIN_CREATE", ("host", env.label_of(host)),
                        ("alphorn", str(alphorn)))
 
@@ -110,21 +111,28 @@ class TwinManager:
         rec.active = True
         self.edge.emit("TWIN_ACTIVE", ("host", self.env.label_of(rec.host)),
                        ("alphorn", str(rec.alphorn)))
-        swapped = self.edge.swap_host_entries(rec.host, rec.alphorn)
-        if swapped:
-            self.edge.emit("TWIN_SWAP", ("host", self.env.label_of(rec.host)),
-                           ("dir", "in"), ("rows", len(swapped)))
+        self._trace_swap(rec.host, "in")
         for valley_id, row in self.edge.producer_rows_for_host(rec.host):
             self.edge.fail_over_producer(valley_id, row, rec.host)
 
-    def buffer_message(self, alphorn: Yni, msg: YodelMessage) -> None:
-        rec = self._by_alphorn[alphorn]
+    def buffer_message(self, host: Yni, msg: YodelMessage) -> None:
+        rec = self.records[host]
         rec.buffer.append(msg)
         buffer_max = self.env.config.twin_buffer_max
         if buffer_max is not None and len(rec.buffer) > buffer_max:
             rec.buffer.pop(0)
             self.env.metrics.buffer_dropped += 1
-        self.env.metrics.buffered(self.env.label_of(rec.host), len(rec.buffer))
+        self.env.metrics.buffered(self.env.label_of(host), len(rec.buffer))
+
+    def _trace_swap(self, host: Yni, direction: str) -> None:
+        """One TWIN_SWAP line per turn of the stand-in, counting the
+        consumer rows it covers; none when it covers no row."""
+        rows = sum(any(h == host for h, _ in row.consumer_apps)
+                   for fib in self.edge.fibs.values()
+                   for row in fib.rows.values())
+        if rows:
+            self.edge.emit("TWIN_SWAP", ("host", self.env.label_of(host)),
+                           ("dir", direction), ("rows", rows))
 
     # -- return path -----------------------------------------------------------
 
@@ -150,10 +158,7 @@ class TwinManager:
             return
         was_active = rec.active
         if was_active:
-            swapped = self.edge.swap_host_entries(rec.alphorn, rec.host)
-            if swapped:
-                self.edge.emit("TWIN_SWAP", ("host", self.env.label_of(host)),
-                               ("dir", "out"), ("rows", len(swapped)))
+            self._trace_swap(host, "out")
             rec.active = False
         rec.missed = 0
         rec.expire_at = self.env.now() + self.env.config.twin_ttl
@@ -163,8 +168,7 @@ class TwinManager:
         self.edge.resync_host(host)
         flushed, rec.buffer = rec.buffer, []
         if flushed:
-            self.env.transmit(self.edge, [
-                (host, replace(msg, receiver=host)) for msg in flushed])
+            self.env.transmit(self.edge, [(host, msg) for msg in flushed])
         if was_active:
             self.edge.emit("TWIN_FLUSH", ("host", self.env.label_of(host)),
                            ("count", len(flushed)))
@@ -176,5 +180,4 @@ class TwinManager:
         self.edge.emit("TWIN_EXPIRE", ("host", self.env.label_of(rec.host)),
                        ("dropped", len(rec.buffer)))
         del self.records[rec.host]
-        del self._by_alphorn[rec.alphorn]
-        self.edge.purge_host(rec.host, rec.alphorn)
+        self.edge.purge_host(rec.host)

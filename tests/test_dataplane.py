@@ -4,7 +4,7 @@ import inspect
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yodel.codec import FloatingHeader, MessageKind, PathTree, YodelMessage
@@ -1181,10 +1181,10 @@ class TestTwin:
         assert env.trace.count("TWIN_ACTIVE") == 0
         detect(env, edge, H2, sweeps=1)
         assert env.trace.count("TWIN_ACTIVE", host="h2") == 1
-        rec = edge.twin.records[H2]
+        # the stand-in keeps the host's own id in the consumer table
         row = edge.fibs[1].rows[(1, "room")]
-        assert (rec.alphorn, 1) in row.consumer_apps
-        assert (H2, 1) not in row.consumer_apps
+        assert (H2, 1) in row.consumer_apps
+        assert edge.twin.is_active(H2)
 
     def test_traffic_buffers_while_active(self):
         env = FakeEnv()
@@ -1347,3 +1347,37 @@ class TestTwin:
         assert row.producer_apps[(H2, 2)] is True
         removes = [p for _, p in env.rpcs if isinstance(p, RemoveRole)]
         assert [r.role for r in removes] == ["producer"]
+
+
+ANYCAST_CONSUMERS = (H2, H3, nid(0xF4), nid(0xF5), nid(0xF6))
+
+
+def anycast_copies(seed, away):
+    """(host, payload) of every copy edge e1 hands to a consumer host of a
+    randomized anycast community, sent or buffered, over eight sends by H1
+    with `away` (if any) twin-active."""
+    env = FakeEnv(seed=seed)
+    edge, h1, _ = joined_edge(env, model=ServiceModel.AC, randomized=True,
+                              q=32768)
+    for i, yni in enumerate(ANYCAST_CONSUMERS[1:]):
+        host = make_host(env, yni, f"k{i}", user="bob")
+        edge.attach_host(yni)
+        host.request_join(1, 1, "room", "consumer", app_id=1)
+    if away is not None:
+        detect(env, edge, away)
+    for i in range(8):
+        h1.send_data(1, "room", 1, f"m{i}".encode())
+    sent = {(dst, m.payload) for src, dst, m, _ in env.sent
+            if src == "e1" and m.kind is MessageKind.ANYCAST_DATA_YPP}
+    buffered = {(rec.host, m.payload) for rec in edge.twin.records.values()
+                for m in rec.buffer}
+    return sent | buffered
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(ANYCAST_CONSUMERS))
+@example(0, H2)
+@settings(max_examples=100, deadline=None)
+def test_anycast_draw_ignores_which_host_is_away(seed, away):
+    """An away host is drawn for in its own place: the edge's anycast draw
+    picks the same consumer hosts whether one of them is away or not."""
+    assert anycast_copies(seed, away) == anycast_copies(seed, None)

@@ -34,6 +34,7 @@ PAIRS = [
     ("split.topo", "split.scen"),
     ("flap.topo", "flap.scen"),
     ("anycast.topo", "anycast.scen"),
+    ("twin-late-join.topo", "twin-late-join.scen"),
 ]
 SEEDS = (0, 7)
 

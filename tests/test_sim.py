@@ -1,5 +1,7 @@
 """Whole-world runs: build from text, run, assert on traces and metrics."""
 
+import pathlib
+
 from yodel.codec import FloatingHeader, MessageKind, PathTree, YodelMessage
 from yodel.dataplane import data_metadata
 from yodel.scenario import load_world
@@ -38,6 +40,11 @@ link c2 e2 2
 host h1 alice domain=d1
 host h2 bob domain=d2
 """
+
+# as TWO_DOMAINS, with a second host on e2
+SHARED_EDGE = TWO_DOMAINS + "host h3 bob domain=d2\n"
+
+WORLDS = pathlib.Path(__file__).parent.parent / "demos" / "worlds"
 
 ONE_EDGE = """\
 domain d
@@ -597,6 +604,19 @@ at 140 send h1 vale room 1 back
         assert sim.metrics.conservation["ok"] is True
         assert sim.metrics.deliveries == {}
 
+    def test_consumer_admitted_while_away_gets_what_was_sent(self):
+        # k2's join is answered only after its twin went active; the two
+        # sends of the outage are buffered for it, not sent down the wire
+        sim = run_text((WORLDS / "twin-late-join.topo").read_text(),
+                       (WORLDS / "twin-late-join.scen").read_text(), seed=0)
+        assert sim.trace.count("TWIN_ACTIVE", n="e2", host="k2") == 1
+        assert sim.trace.count("TWIN_FLUSH", n="e2", host="k2",
+                               count="2") == 1
+        delivers = sim.trace.select("DELIVER", n="k2")
+        assert len(delivers) == 2 and all(r.tick > 80 for r in delivers)
+        assert sim.metrics.deliveries == {"k2": 2}
+        assert sim.metrics.buffered_total == 2
+
 
 class TestTwinKeepalive:
     """One batched keepalive per edge sweep: sweeps at ticks 5, 10, ...;
@@ -663,6 +683,29 @@ at 45 send h1 vale room 1 stays home
         assert sim.trace.count("DELIVER", n="h2", app="2") == 1
         assert sim.trace.count("DELIVER") == 2
         assert sim.metrics.conservation["ok"] is True
+
+    def test_channel_update_for_an_away_host_names_the_host(self):
+        # h3 is twin-active when the split gives e2 a channel of its own:
+        # the update goes to h3 and is lost on its down link, and the
+        # resync on its return carries the new channel
+        body = """\
+at 2 join h1 vale chat room producer 1
+at 2 join h2 vale chat room producer 1
+at 2 join h3 vale chat room consumer 1
+at 12 fault host-down h3
+at 30 partition-now vale chat room
+at 60 fault host-up h3
+at 70 send h2 vale room 1 back
+"""
+        text = scen(model="slsm", body=body, until=90).replace(
+            "chat slsm", "chat slsm partition=manual")
+        sim = run_text(SHARED_EDGE, text + "config twin_ttl 1000\n")
+        assert sim.trace.count("TWIN_ACTIVE", n="e2", host="h3") == 1
+        lines = sim.trace.lines()
+        assert "t=31 n=e2 ev=SEND to=h3 k=CONTROL_YPP" in lines
+        assert "t=31 n=e2 ev=DROP reason=link_down to=h3" in lines
+        assert sim.metrics.to_dict()["drops"] == {"e2": {"link_down": 2}}
+        assert sim.metrics.deliveries == {"h3": 1}
 
 
 class TestScenarioErrors:
