@@ -109,7 +109,10 @@ class FakeEnv:
     def transmit(self, src, pairs, mcast=False):
         for dst, msg in list(pairs):
             self.sent.append((src.label, dst, msg, mcast))
-            if self.deliver and dst not in self.down:
+            # a down host's access link is down both ways, as in
+            # Simulation: its own sends are lost too
+            if (self.deliver and dst not in self.down
+                    and src.yni not in self.down):
                 node = self.nodes.get(dst)
                 if node is not None:
                     node.on_message(msg)
@@ -1299,6 +1302,19 @@ class TestTwin:
         assert env.trace.count("TWIN_ACTIVE") == 0
         assert not h2.gated
         assert edge.twin.records[H2].missed == 0
+
+    def test_away_host_sends_reach_no_one(self):
+        # a down host's access link is down both ways: a join request made
+        # while away is sent but never reaches the edge, which neither
+        # admits nor answers it
+        env = FakeEnv()
+        edge, h1, h2, h3 = twin_world(env)
+        detect(env, edge, H2)
+        sent, traced = len(env.sent), len(env.trace.records)
+        h2.request_join(1, 1, "room", "producer", app_id=2)
+        assert [src for src, *_ in env.sent[sent:]] == ["h2"]
+        assert (H2, 2) not in edge.fibs[1].rows[(1, "room")].producer_apps
+        assert len(env.trace.records) == traced
 
     def test_expiry_purges_registrations(self):
         env = FakeEnv()

@@ -1,9 +1,12 @@
 """Whole-world runs: build from text, run, assert on traces and metrics."""
 
+import contextlib
+import gc
 import pathlib
+from functools import partial
 
 from yodel.codec import FloatingHeader, MessageKind, PathTree, YodelMessage
-from yodel.dataplane import data_metadata
+from yodel.dataplane import EdgeNode, data_metadata
 from yodel.scenario import load_world
 from yodel.sim import SimConfig, Simulation
 from yodel.trace import Trace, TraceRecord
@@ -60,10 +63,34 @@ at 1 namespace alice vale chat {model}
 """
 
 
-def run_text(topo_text, scen_text, seed=1):
+def build_text(topo_text, scen_text, seed=1):
     topo, scen, errors = load_world(topo_text, scen_text)
     assert errors == [], [str(e) for e in errors]
-    return Simulation(topo, scen, SimConfig.from_scenario(scen, seed)).run()
+    return Simulation(topo, scen, SimConfig.from_scenario(scen, seed))
+
+
+def run_text(topo_text, scen_text, seed=1):
+    return build_text(topo_text, scen_text, seed).run()
+
+
+def cycles_left(build):
+    """Objects in garbage cycles after running the world `build()` makes.
+    The heap from before is frozen, so collections scan only what the
+    world allocates. The collector runs once before the run and stays off
+    across it, so every cycle the run dropped is still there to count,
+    whatever run() does with the collector."""
+    gc.freeze()
+    try:
+        sim = build()
+        gc.collect()
+        gc.disable()
+        try:
+            sim.run()
+            return gc.collect()
+        finally:
+            gc.enable()
+    finally:
+        gc.unfreeze()
 
 
 def scen(model="ssm", body="", until=60):
@@ -228,7 +255,6 @@ def test_run_leaves_no_garbage_cycle():
     """A run frees what it drops by reference counting alone: no demo world
     (the flap demo reroutes trees on every link change) and no benchmark
     world leaves a cycle behind."""
-    import gc
     import test_replay_golden as golden
     worlds = [((golden.WORLDS / t).read_text(), (golden.WORLDS / s).read_text(),
                3, t) for t, s in golden.PAIRS]
@@ -236,20 +262,68 @@ def test_run_leaves_no_garbage_cycle():
     for workload in golden.BENCH_WORKLOADS:
         world = bench.generate(workload, 1)
         worlds.append((world.topology, world.scenario, 1, workload))
-    left = {}
-    for topo_text, scen_text, seed, name in worlds:
-        topo, scen, errors = load_world(topo_text, scen_text)
-        assert errors == [], name
-        sim = Simulation(topo, scen, SimConfig.from_scenario(scen, seed))
-        gc.collect()
-        gc.disable()
-        try:
-            sim.run()
-            left[name] = gc.collect()
-        finally:
-            gc.enable()
+    left = {name: cycles_left(partial(build_text, topo_text, scen_text, seed))
+            for topo_text, scen_text, seed, name in worlds}
     assert len(left) == len(golden.PAIRS) + len(golden.BENCH_WORKLOADS)
     assert left == dict.fromkeys(left, 0)
+
+
+class _Raised(Exception):
+    pass
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_run_pauses_the_collector_and_restores_it(monkeypatch, enabled,
+                                                  raises):
+    """The collector is off inside run() and back as the caller had it
+    afterwards, also when a node callback raises; the exception still
+    reaches the caller."""
+    paused = []
+    on_message = EdgeNode.on_message
+
+    def watched(self, msg):
+        paused.append(not gc.isenabled())
+        if raises:
+            raise _Raised(self.label)
+        on_message(self, msg)
+
+    monkeypatch.setattr(EdgeNode, "on_message", watched)
+    sim = build_text(TWO_DOMAINS, scen(body=TestBasicWorld.BODY))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(_Raised) if raises else contextlib.nullcontext():
+            sim.run()
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after is enabled
+    assert paused and all(paused)
+    assert (len(paused) == 1) if raises else (len(paused) > 1)
+
+
+def test_run_starts_no_automatic_collection():
+    """No collection starts between the call to run() and its return, on a
+    benchmark world that allocates enough to start many with the collector
+    on."""
+    import test_replay_golden as golden
+    world = golden._bench_worlds().generate("mcast-fanout", 1)
+    sim = build_text(world.topology, world.scenario, 1)
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(hook)
+    try:
+        sim.run()
+    finally:
+        gc.callbacks.remove(hook)
+    assert sim.metrics.deliveries
+    assert starts == []
 
 
 class TestDeterminism:
@@ -818,8 +892,11 @@ _AT_LINE = st.tuples(st.integers(2, 50), _COMMANDS).map(
 @example(model="ssm", lines=["at 2 join h1 vale chat room producer 1 "
                              "ttl=4294967296\n"])
 def test_every_world_load_world_accepts_runs_to_the_end(model, lines):
+    """Any world `load_world` accepts runs to its end and leaves no garbage
+    cycle, which run()'s paused collector would keep until the run ends."""
     topo, scen_spec, errors = load_world(
         TWO_DOMAINS, scen(model=model, body="".join(lines)))
     if errors:
         return
-    Simulation(topo, scen_spec, SimConfig.from_scenario(scen_spec, 1)).run()
+    config = SimConfig.from_scenario(scen_spec, 1)
+    assert cycles_left(partial(Simulation, topo, scen_spec, config)) == 0
