@@ -305,7 +305,7 @@ class NodeEnv(Protocol):
 
     def now(self) -> int: ...
     def rng(self, label: str): ...
-    def next_serial(self) -> int: ...
+    def next_serial(self) -> int: ...       # numbers data sends from 1
     def transmit(self, src: "Node", pairs: list[tuple[Yni, YodelMessage]],
                  mcast: bool = False) -> None: ...
     def controller_rpc(self, src: "Node", payload: object) -> None: ...

@@ -1,10 +1,10 @@
 """Discrete-event world: wires nodes, controller and scenario into one run.
 
-Everything observable is a function of (topology, scenario, seed). Events are
-a heap of (tick, sequence, thunk); the sequence makes same-tick ordering FIFO
-and repeat runs byte-identical. Per-purpose generators are derived by hashing
-the seed with a stable label, so adding a consumer of randomness in one place
-never shifts the draws of another.
+Everything observable is a function of (topology, scenario, seed). Events wait
+in a FIFO list per tick, under a heap of the distinct ticks; one scheduled for
+the tick being run starts a new list there, which the heap hands out next.
+Per-purpose generators are derived by hashing the seed with a stable label, so
+adding a consumer of randomness in one place never shifts the draws of another.
 
 `Simulation.run()` pauses the cycle collector for its event loop and puts
 back the caller's setting when it returns or raises. A run keeps its trace
@@ -56,8 +56,9 @@ class Simulation:
         self.metrics = Metrics()
         self.directory = Directory()
         self._now = 0
-        self._heap: list[tuple[int, int, Callable[[], None]]] = []
-        self._seq = 0
+        self._events: dict[int, list[Callable[[], None]]] = {}
+        self._ticks: list[int] = []             # each key of _events once
+        self._serial = 0
         self._rngs: dict[str, random.Random] = {}
         self.nodes: dict[str, Node] = {}        # label -> node (infra + hosts)
         self.by_yni: dict[Yni, Node] = {}
@@ -83,12 +84,14 @@ class Simulation:
         return self._now
 
     def next_serial(self) -> int:
-        self._seq += 1
-        return self._seq
+        self._serial += 1                       # data sends only, from 1
+        return self._serial
 
     def schedule(self, tick: int, fn: Callable[[], None]) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (tick, self._seq, fn))
+        if tick not in self._events:
+            self._events[tick] = []
+            heapq.heappush(self._ticks, tick)
+        self._events[tick].append(fn)
 
     def transmit(self, src: Node, pairs: list[tuple[Yni, YodelMessage]],
                  mcast: bool = False) -> None:
@@ -281,7 +284,7 @@ class Simulation:
             self._connect(spec.name, edge.label, cfg.host_link_latency)
             host.attach(edge.yni, edge.domain)
             edge.attach_host(yni)
-        if self.edges and cfg.twin_period <= cfg.until:
+        if self.edges:
             self.schedule(cfg.twin_period, self._sweep_twins)
         for cmd in self.scen.commands:
             self.schedule(cmd.tick, partial(self._run_command, cmd))
@@ -298,28 +301,25 @@ class Simulation:
         for label in sorted(self.edges):
             if label not in self._crashed:
                 self.edges[label].twin.sweep()
-        nxt = self._now + self.config.twin_period
-        if nxt <= self.config.until:
-            self.schedule(nxt, self._sweep_twins)
+        self.schedule(self._now + self.config.twin_period, self._sweep_twins)
 
     # -- event loop ------------------------------------------------------------
 
     def run(self) -> "Simulation":
-        """Run every event up to `config.until`, then count what is still
-        in flight. The cycle collector is off meanwhile; the caller's
-        setting is back when this returns or raises. A run must create no
-        reference cycle, or the cycle lives until the next collection
-        after it: see the module docstring for the tests that pin this."""
+        """Run every event up to `config.until`, then count what is still in
+        flight. Later events stay queued: raise `config.until` and call again
+        to go on. The cycle collector is off meanwhile; the caller's setting
+        is back when this returns or raises. A run must create no reference
+        cycle, or the cycle lives until the next collection after it: see the
+        module docstring for the tests that pin this."""
+        events, ticks, until = self._events, self._ticks, self.config.until
         enabled = gc.isenabled()
         gc.disable()
         try:
-            while self._heap:
-                tick, _, fn = self._heap[0]
-                if tick > self.config.until:
-                    break
-                heapq.heappop(self._heap)
-                self._now = tick
-                fn()
+            while ticks and ticks[0] <= until:
+                self._now = tick = heapq.heappop(ticks)
+                for fn in events.pop(tick):
+                    fn()
             self.metrics.finalize_conservation()
         finally:
             if enabled:

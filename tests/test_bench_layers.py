@@ -7,11 +7,12 @@ deletes or moves a traced function (`HostNode.state_dump`, or the
 This loads bench/layers.py as it is, patches once and checks the restore.
 
 The tracer also relies on two things of the simulator: a traced run renders
-the same bytes as an untraced one, and every event enters the heap through
-`Simulation.schedule(tick, fn)`, the call it wraps to tag events and count
-`sim.events`.
+the same bytes as an untraced one, and every event enters the event queue
+through `Simulation.schedule(tick, fn)`, the call it wraps to tag events and
+count `sim.events`.
 """
 
+import functools
 import heapq
 import importlib
 import importlib.util
@@ -73,21 +74,39 @@ def _run(topo_name, scen_name, seed=7):
     ("fanout-group.topo", "fanout.scen"), ("twin.topo", "twin.scen")])
 def test_traced_run_renders_the_same_bytes_and_schedules_every_event(
         topo_name, scen_name, monkeypatch):
+    """The queue's tick heap holds only ticks that `schedule` was given,
+    and every traced call inside `run()` belongs to a tagged event: an event
+    put in a tick's list some other way would run with event id 0."""
     layers = _bench_layers()
     _, trace, report = _run(topo_name, scen_name)
-    pushes = []
+    pushed, seen = set(), set()
 
-    def push(heap, item):
-        pushes.append(item)
-        heapq.heappush(heap, item)
+    def push(heap, tick):
+        pushed.add(tick)
+        heapq.heappush(heap, tick)
 
-    # only the simulator's own module sees the counting heappush
+    # only the simulator's own module sees the recording heappush
     monkeypatch.setattr(sim_module, "heapq", types.SimpleNamespace(
         heappush=push, heappop=heapq.heappop))
+    schedule = Simulation.schedule
+
+    @functools.wraps(schedule)
+    def seen_schedule(sim, tick, fn):
+        seen.add(tick)
+        schedule(sim, tick, fn)
+
+    # the tracer wraps what it finds, so it tags events on top of this
+    monkeypatch.setattr(Simulation, "schedule", seen_schedule)
     tracer = layers.Tracer()
     with tracer.patch():
         _, traced_trace, traced_report = _run(topo_name, scen_name)
     assert (traced_trace, traced_report) == (trace, report)
-    scheduled = layers.aggregate(tracer)["sim.Simulation.schedule"]["calls"]
-    assert scheduled > 0
-    assert len(pushes) == scheduled
+    assert layers.aggregate(tracer)["sim.Simulation.schedule"]["calls"] > 0
+    assert pushed == seen
+    rows = list(tracer.span_rows())
+    (start, end), = [(s, e) for _, name, s, e, _, _ in rows
+                     if name == "sim.Simulation.run"]
+    inside = [(name, event) for _, name, s, e, _, event in rows
+              if start < s and e < end]
+    assert inside
+    assert [row for row in inside if row[1] == 0] == []

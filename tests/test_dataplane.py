@@ -135,7 +135,8 @@ class FakeEnv:
 
 def delivered(env, label):
     """(app, serial) of each DELIVER line `label` emitted, in order. The
-    fake numbers sends from 1, so a test's n-th send has serial n."""
+    fake, like `Simulation`, numbers data sends from 1, so a test's n-th
+    send has serial n."""
     return [(int(f["app"]), int(f["serial"])) for f in
             (dict(r.fields) for r in env.trace.select("DELIVER", n=label))]
 

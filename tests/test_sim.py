@@ -93,6 +93,19 @@ def cycles_left(build):
         gc.unfreeze()
 
 
+def run_in_steps(sim):
+    """Run `sim` to a third of its horizon, then on to the horizon."""
+    until = sim.config.until
+    sim.config.until = until // 3
+    sim.run()
+    sim.config.until = until
+    return sim.run()
+
+
+def outputs(sim):
+    return sim.trace.text(), sim.metrics.to_json()
+
+
 def scen(model="ssm", body="", until=60):
     return (f"config until {until}\n" + PRELUDE.format(model=model) + body)
 
@@ -324,6 +337,43 @@ def test_run_starts_no_automatic_collection():
         gc.callbacks.remove(hook)
     assert sim.metrics.deliveries
     assert starts == []
+
+
+def test_serials_count_data_sends_not_events():
+    """The n-th data send a host makes has serial n, and one more event in
+    the queue changes no byte of trace or report."""
+    import test_replay_golden as golden
+    world = golden._bench_worlds().generate("mcast-fanout", 1)
+    sim = build_text(world.topology, world.scenario, 1).run()
+    serials = [dict(r.fields)["serial"]
+               for r in sim.trace.select("SEND", k="data")]
+    assert len(serials) == 384
+    assert serials == [str(n) for n in range(1, len(serials) + 1)]
+    busier = build_text(world.topology, world.scenario, 1)
+    busier.schedule(1, lambda: None)
+    assert outputs(busier.run()) == outputs(sim)
+
+
+def _world_texts(name):
+    """(topology, scenario, seed) of a twin demo or benchmark world."""
+    import test_replay_golden as golden
+    if name in golden.BENCH_WORKLOADS:
+        world = golden._bench_worlds().generate(name, 1)
+        return world.topology, world.scenario, 1
+    return ((golden.WORLDS / f"{name}.topo").read_text(),
+            (golden.WORLDS / f"{name}.scen").read_text(), 0)
+
+
+@pytest.mark.parametrize("name",
+                         ["twin", "flap", "twin-late-join", "twin-outage"])
+def test_stepped_run_equals_one_run(name):
+    """A run stopped at a third of its horizon and continued gives the
+    bytes of one run; twin sweeps go on after the first stop."""
+    texts = _world_texts(name)
+    one = build_text(*texts).run()
+    stop = one.config.until // 3
+    assert [r for r in one.trace.select("TWIN_SYNC") if r.tick > stop]
+    assert outputs(run_in_steps(build_text(*texts))) == outputs(one)
 
 
 class TestDeterminism:
@@ -892,11 +942,16 @@ _AT_LINE = st.tuples(st.integers(2, 50), _COMMANDS).map(
 @example(model="ssm", lines=["at 2 join h1 vale chat room producer 1 "
                              "ttl=4294967296\n"])
 def test_every_world_load_world_accepts_runs_to_the_end(model, lines):
-    """Any world `load_world` accepts runs to its end and leaves no garbage
-    cycle, which run()'s paused collector would keep until the run ends."""
+    """Any world `load_world` accepts runs to its end, leaves no garbage
+    cycle, which run()'s paused collector would keep until the run ends,
+    and gives the same bytes when run in two steps."""
     topo, scen_spec, errors = load_world(
         TWO_DOMAINS, scen(model=model, body="".join(lines)))
     if errors:
         return
-    config = SimConfig.from_scenario(scen_spec, 1)
-    assert cycles_left(partial(Simulation, topo, scen_spec, config)) == 0
+
+    def world():
+        return Simulation(topo, scen_spec,
+                          SimConfig.from_scenario(scen_spec, 1))
+    assert cycles_left(world) == 0
+    assert outputs(run_in_steps(world())) == outputs(world().run())
