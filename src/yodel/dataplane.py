@@ -299,6 +299,9 @@ class AcTable:
 
 
 class NodeEnv(Protocol):
+    """What a node may ask of the world it runs in. `sim.Simulation` is the
+    one implementation; node tests run on it too."""
+
     trace: Trace
     metrics: Metrics
     config: SimConfig
@@ -581,8 +584,13 @@ class HostNode(Node):
             self.drop("unhandled_op", ("op", code))
 
     def _install_rows(self, f: FloatingHeader, op: dict) -> None:
-        ttl = self._pending_ttl.pop(
-            (f.valley_id, op["community"], op["role"], f.application_id), None)
+        """Install or refresh the rows a join reply names. A reply that
+        answers a pending join sets the rows' expiry from that join's ttl,
+        as a re-join refreshes soft state; a resync reply answers no join
+        and leaves the expiry alone."""
+        join = (f.valley_id, op["community"], op["role"], f.application_id)
+        answers_join = join in self._pending_ttl
+        ttl = self._pending_ttl.pop(join, None)
         timer = None if ttl is None else self.env.now() + ttl
         for r in role_rows(op["role"]):
             table = self.prt if r == "producer" else self.crt
@@ -598,6 +606,8 @@ class HostNode(Node):
                 existing.model = op["model"]
                 existing.randomized = op["randomized"]
                 existing.q = op["q"]
+                if answers_join:
+                    existing.timer = timer
             else:
                 table[key] = HostRow(f.valley_id, f.namespace_id or 0,
                                      op["community"], f.application_id,

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from textworld import build_text, run_in_steps
+
 TWO_DOMAINS = """\
 domain d1
 domain d2
@@ -63,12 +65,6 @@ at 1 namespace alice vale chat {model}
 """
 
 
-def build_text(topo_text, scen_text, seed=1):
-    topo, scen, errors = load_world(topo_text, scen_text)
-    assert errors == [], [str(e) for e in errors]
-    return Simulation(topo, scen, SimConfig.from_scenario(scen, seed))
-
-
 def run_text(topo_text, scen_text, seed=1):
     return build_text(topo_text, scen_text, seed).run()
 
@@ -91,15 +87,6 @@ def cycles_left(build):
             gc.enable()
     finally:
         gc.unfreeze()
-
-
-def run_in_steps(sim):
-    """Run `sim` to a third of its horizon, then on to the horizon."""
-    until = sim.config.until
-    sim.config.until = until // 3
-    sim.run()
-    sim.config.until = until
-    return sim.run()
 
 
 def outputs(sim):
