@@ -313,6 +313,8 @@ class NodeEnv(Protocol):
                  mcast: bool = False) -> None: ...
     def controller_rpc(self, src: "Node", payload: object) -> None: ...
     def sync_hosts(self, edge: "EdgeNode", hosts: list[Yni]) -> None: ...
+    def settle_sync(self, edge: "EdgeNode",
+                    hosts: Iterable[Yni]) -> Optional[int]: ...
     def host_attached(self, edge: "EdgeNode", host: Yni) -> bool: ...
     def label_of(self, yni: Yni) -> str: ...
 
@@ -592,12 +594,19 @@ class HostNode(Node):
         answers_join = join in self._pending_ttl
         ttl = self._pending_ttl.pop(join, None)
         timer = None if ttl is None else self.env.now() + ttl
+        channel = (f.valley_id, f.channel_id)
         for r in role_rows(op["role"]):
             table = self.prt if r == "producer" else self.crt
             key = (f.valley_id, op["community"], f.application_id)
             existing = table.get(key)
             locked = op["lock_host"] if r == "producer" else False
             if existing is not None:
+                # the row moved to a new channel, say after an update was
+                # lost while the host was away: the old id is dead
+                old = (f.valley_id, existing.channel_id)
+                if (old != channel
+                        and self.by_channel.get(old) == op["community"]):
+                    del self.by_channel[old]
                 existing.channel_id = f.channel_id
                 if r == "producer":
                     # the edge owns producer locks; consumer self-locks are
@@ -614,7 +623,7 @@ class HostNode(Node):
                                      f.channel_id, op["model"],
                                      op["randomized"], op["q"],
                                      locked=locked, timer=timer)
-        self.by_channel[(f.valley_id, f.channel_id)] = op["community"]
+        self.by_channel[channel] = op["community"]
 
     def _rekey_channel(self, valley_id: int, old: int, new: int,
                        community: str) -> None:
@@ -841,9 +850,6 @@ class EdgeNode(Node):
         row = fib.rows[key]
         row.channel_id = upd.new_channel_id
         fib.by_channel[upd.new_channel_id] = key
-        tree = self.aft.pop((upd.valley_id, upd.old_channel_id), None)
-        if tree is not None:
-            self.aft[(upd.valley_id, upd.new_channel_id)] = tree
         self.twin.rekey_buffered(upd.valley_id, upd.old_channel_id,
                                  upd.new_channel_id)
         hosts = sorted({h for h, _ in row.producer_apps}

@@ -23,8 +23,9 @@ import gc
 import hashlib
 import heapq
 import random
+from bisect import bisect_left
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .codec import MessageKind, YodelMessage
 from .control import Controller, HostPrefs
@@ -69,6 +70,9 @@ class Simulation:
         # sender label -> destination id -> what `_port` resolves it to
         self._ports: dict[str, dict[Yni, tuple[Node, Link, bool]]] = {}
         self._crashed: set[str] = set()
+        # edge label -> sorted ticks of the scenario faults that name the
+        # edge or one of its hosts
+        self._fault_ticks: dict[str, list[int]] = {}
         self._build()
 
     # -- environment services (the NodeEnv contract) ---------------------------
@@ -186,9 +190,34 @@ class Simulation:
         """One twin sweep's keepalives from `edge`: one event carries the
         queries to every host in `hosts`, one more carries the replies
         back. Each copy counts on its link like any other message but gets
-        no SEND or RECV line."""
+        no SEND or RECV line. The sweep after a quiet one does not come
+        here when `settle_sync` can settle its round in closed form; the
+        TWIN_SYNC line and the link counters are the same either way."""
         queries = [(edge, self.by_yni[host]) for host in hosts]
         self._send_batch(queries, self._answer_sync)
+
+    def settle_sync(self, edge: EdgeNode, hosts: Iterable[Yni]
+                    ) -> Optional[int]:
+        """A keepalive round from `edge` to `hosts`, all attached now, in
+        closed form: when no scenario fault naming the edge or one of its
+        hosts falls between now and the tick the replies land, and they
+        land by `until`, every copy is sure to arrive. Count each copy as
+        sent and received on its access line and return that tick. Else
+        count nothing and return None; `sync_hosts` sends the round."""
+        lands = self._now + 2 * self.config.host_link_latency
+        if lands > self.config.until:
+            return None
+        ticks = self._fault_ticks.get(edge.label, ())
+        i = bisect_left(ticks, self._now)
+        if i < len(ticks) and ticks[i] <= lands:
+            return None
+        links = self.links[edge.label]
+        for host in hosts:
+            label = self.by_yni[host].label
+            for link in (links[label], self.links[label][edge.label]):
+                link.sent += 1
+                link.received += 1
+        return lands
 
     def _send_batch(self, batch: list[tuple[Node, Node]],
                     land: Callable[[list[tuple[Node, Node]]], None]) -> None:
@@ -288,10 +317,25 @@ class Simulation:
             self.schedule(cfg.twin_period, self._sweep_twins)
         for cmd in self.scen.commands:
             self.schedule(cmd.tick, partial(self._run_command, cmd))
+            if cmd.verb == "fault":
+                for label in cmd.args[1:]:
+                    edge = self._edge_of(label)
+                    if edge is not None:
+                        self._fault_ticks.setdefault(edge.label, []).append(
+                            cmd.tick)
+        for ticks in self._fault_ticks.values():
+            ticks.sort()
 
     def _connect(self, a: str, b: str, latency: int) -> None:
         self.links[a][b] = self.metrics.link(a, b, latency)
         self.links[b][a] = self.metrics.link(b, a, latency)
+
+    def _edge_of(self, label: str) -> Optional[EdgeNode]:
+        """The edge `label` names, or the edge of the host it names."""
+        node = self.nodes.get(label)
+        if isinstance(node, HostNode):
+            node = self.by_yni[node.edge]
+        return node if isinstance(node, EdgeNode) else None
 
     def _set_link(self, a: str, b: str, up: bool) -> None:
         self.links[a][b].up = up
@@ -419,6 +463,10 @@ class Simulation:
 
     def _fault(self, a) -> None:
         mode = a[0]
+        for label in a[1:]:
+            edge = self._edge_of(label)
+            if edge is not None:
+                edge.twin.quiet = False
         if mode in ("link-down", "link-up"):
             self._set_link(a[1], a[2], mode == "link-up")
             self.trace.emit(self._now, "scenario", "FAULT", ("kind", mode),

@@ -5,10 +5,15 @@ record: a miss count, a lifetime, a buffer and a stand-in name minted by the
 edge for the trace. The simulator sweeps every edge's table each
 `twin_period` ticks; a sweep sends one batched keepalive to every reachable
 host and counts the unreachable ones as missed, and a reply resets the count
-and renews the lifetime. After `twin_miss_threshold` consecutive missed
-sweeps the record goes active. The stand-in keeps the host's own id in the
-edge's tables: where the edge hands out a copy it asks `is_active(host)` and
-buffers instead of sending, keeping at most `twin_buffer_max` messages, so a
+and renews the lifetime. A table is quiet after a sweep that reached every
+host and found no stand-in active. Its next sweep is settled in closed form,
+with no events, when no scenario fault that names the edge or one of its
+hosts falls between the sweep and the tick its replies land, and they land
+by the run's horizon; its trace line and link counts are those of the sent
+round. After `twin_miss_threshold` consecutive missed sweeps the record
+goes active. The stand-in keeps the host's own id in the edge's tables:
+where the edge hands out a copy it asks `is_active(host)` and buffers
+instead of sending, keeping at most `twin_buffer_max` messages, so a
 consumer admitted during the outage is covered too. When the host announces
 its return, refreshed registration state goes out, the buffer flushes in
 arrival order, and only then is the host allowed to send again. Records
@@ -51,6 +56,9 @@ class TwinManager:
         self.edge = edge
         self.env = edge.env
         self.records: dict[Yni, TwinRecord] = {}
+        # set by a sweep that queried every record and found none active;
+        # cleared by anything that could change the next sweep's outcome
+        self.quiet = False
 
     # -- queries ---------------------------------------------------------------
 
@@ -70,14 +78,32 @@ class TwinManager:
         alphorn = generate_yni(env.rng(f"{self.edge.label}:twin"), env.now())
         rec = TwinRecord(host, alphorn, env.now() + env.config.twin_ttl)
         self.records[host] = rec
+        self.quiet = False
         self.edge.emit("TWIN_CREATE", ("host", env.label_of(host)),
                        ("alphorn", str(alphorn)))
 
     def sweep(self) -> None:
         """One sync round: count the silent hosts, activate at the miss
         threshold, purge overdue active records, then send one batched
-        keepalive to the reachable hosts."""
+        keepalive to the reachable hosts.
+
+        The sweep after a quiet one is settled in closed form when the
+        environment can vouch that its round will be answered
+        (`settle_sync`): the same TWIN_SYNC line and every lifetime renewed
+        from the tick the replies land, with no events. Miss counts stay
+        as they are; the round of the quiet sweep resets them, since
+        nothing touched its wires either."""
         env = self.env
+        if self.quiet:
+            landed = env.settle_sync(self.edge, self.records)
+            if landed is not None:
+                if self.records:
+                    self.edge.emit("TWIN_SYNC", ("queried", len(self.records)),
+                                   ("missed", 0))
+                expire_at = landed + env.config.twin_ttl
+                for rec in self.records.values():
+                    rec.expire_at = expire_at
+                return
         now = env.now()
         threshold = env.config.twin_miss_threshold
         hosts: list[Yni] = []
@@ -97,13 +123,24 @@ class TwinManager:
                            ("missed", missed))
         if hosts:
             env.sync_hosts(self.edge, hosts)
+        # every record queried and still held, none standing in
+        self.quiet = (not missed and len(hosts) == len(self.records)
+                      and not any(r.active for r in self.records.values()))
 
     def on_sync_reply(self, host: Yni) -> None:
         rec = self.records.get(host)
         if rec is None:
             return
+        self._renew(rec)
+
+    def _renew(self, rec: TwinRecord) -> None:
+        """Contact now: the miss count resets and the lifetime runs from
+        now. A lifetime only moves forward, because a round settled in
+        closed form renews from the tick its replies land, ahead of the
+        replies of an earlier round still on the wire."""
         rec.missed = 0
-        rec.expire_at = self.env.now() + self.env.config.twin_ttl
+        rec.expire_at = max(rec.expire_at,
+                            self.env.now() + self.env.config.twin_ttl)
 
     # -- activation ------------------------------------------------------------
 
@@ -156,12 +193,12 @@ class TwinManager:
             self.edge.resync_host(host)
             self.edge.send_hello_ack(host)
             return
+        self.quiet = False
         was_active = rec.active
         if was_active:
             self._trace_swap(host, "out")
             rec.active = False
-        rec.missed = 0
-        rec.expire_at = self.env.now() + self.env.config.twin_ttl
+        self._renew(rec)
         # corrections first so lock and channel state is right when the
         # replayed traffic lands, then the buffer in arrival order, then the
         # ack that reopens the host's own sending
@@ -180,4 +217,5 @@ class TwinManager:
         self.edge.emit("TWIN_EXPIRE", ("host", self.env.label_of(rec.host)),
                        ("dropped", len(rec.buffer)))
         del self.records[rec.host]
+        self.quiet = False
         self.edge.purge_host(rec.host)

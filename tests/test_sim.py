@@ -7,7 +7,7 @@ from functools import partial
 
 from yodel.codec import FloatingHeader, MessageKind, PathTree, YodelMessage
 from yodel.dataplane import EdgeNode, data_metadata
-from yodel.scenario import load_world
+from yodel.scenario import load_world, parse_scenario, parse_topology
 from yodel.sim import SimConfig, Simulation
 from yodel.trace import Trace, TraceRecord
 from yodel.ynid import Yni
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from textworld import build_text, run_in_steps
+from textworld import build_text, run_in_steps, step
 
 TWO_DOMAINS = """\
 domain d1
@@ -766,6 +766,102 @@ class TestTwinKeepalive:
         assert sim.trace.count("TWIN_ACTIVE", n="e2") == 1
         assert sim.metrics.deliveries == {"h2": 3}
         assert sim.metrics.conservation["ok"] is True
+
+
+# every fault that can touch a twin round in SHARED_EDGE: h1 sits on e1,
+# h2 and h3 on e2
+_ACCESS = {"h1": "e1", "h2": "e2", "h3": "e2"}
+_TWIN_FAULTS = [f"{mode} {host}" for host in _ACCESS
+                for mode in ("host-down", "host-up", "crash")] \
+    + [f"{mode} {host} {edge}" for host, edge in _ACCESS.items()
+       for mode in ("link-down", "link-up")] \
+    + ["crash e1", "crash e2"]
+
+
+@st.composite
+def _twin_worlds(draw):
+    """A SHARED_EDGE scenario with faults at, one tick after, and one
+    round trip after sweep ticks, so rounds overlap faults and each
+    other; and an optional stop inside a round."""
+    period, lat = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    until = draw(st.integers(20, 45))
+    sweeps = st.integers(1, until // period)
+    near_sweep = st.tuples(sweeps, st.sampled_from([0, 1, 2 * lat])).map(
+        lambda t: t[0] * period + t[1])
+    faults = draw(st.lists(st.tuples(near_sweep,
+                                     st.sampled_from(_TWIN_FAULTS)),
+                           max_size=6))
+    sends = draw(st.lists(st.integers(3, until), max_size=4))
+    stop = draw(st.none() | st.tuples(sweeps, st.integers(0, 2 * lat)).map(
+        lambda t: t[0] * period + t[1]).filter(lambda t: t < until))
+    body = "".join(
+        [f"at 2 join {h} vale chat room {role} 1\n" for h, role in
+         (("h1", "producer"), ("h2", "consumer"), ("h3", "consumer"))]
+        + [f"at {t} fault {f}\n" for t, f in faults]
+        + [f"at {t} send h1 vale room 1 m{t}\n" for t in sends])
+    config = (f"config twin_period {period}\nconfig host_link_latency {lat}\n"
+              f"config twin_ttl {draw(st.integers(3, 15))}\n"
+              f"config twin_miss_threshold {draw(st.integers(1, 3))}\n")
+    return scen(body=body, until=until) + config, stop
+
+
+def _stepped_outputs(text, stop):
+    """Outputs of SHARED_EDGE under `text` at `stop`, if given, and at the
+    horizon. Built from the parsed files without `cross_check`, which
+    allows no access line in a link fault and no host in a crash; the
+    simulator runs both."""
+    topo, errors = parse_topology(SHARED_EDGE)
+    scen_spec, more = parse_scenario(text)
+    assert errors + more == []
+    sim = Simulation(topo, scen_spec, SimConfig.from_scenario(scen_spec, 1))
+    ticks = [sim.config.until] if stop is None else [stop, sim.config.until]
+    return [outputs(step(sim, tick)) for tick in ticks]
+
+
+@settings(max_examples=120, deadline=None)
+@given(world=_twin_worlds())
+# the round of the first sweep, at 5, lands at 11, after the sweep at 10 was
+# settled in closed form (period 5 < 2 x latency 3); h2 then loses the reply
+# of the sweep at 15, and its twin must expire 13 ticks after the reply of
+# the sweep at 10, not after the earlier one
+@example(world=(scen(body="at 2 join h2 vale chat room consumer 1\n"
+                          "at 21 fault host-down h2\n", until=45)
+                + "config twin_period 5\nconfig host_link_latency 3\n"
+                  "config twin_ttl 13\nconfig twin_miss_threshold 1\n", None))
+def test_quiet_sweeps_equal_sent_rounds(world):
+    """Quiet twin tables settle their keepalive rounds in closed form; the
+    trace and report equal those of every round sent, also when a run
+    stops inside a round."""
+    text, stop = world
+    quiet = _stepped_outputs(text, stop)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simulation, "settle_sync", lambda self, edge, hosts: None)
+        assert _stepped_outputs(text, stop) == quiet
+
+
+def test_quiet_edges_schedule_no_keepalives(monkeypatch):
+    """With no fault, an edge sends keepalive rounds only until its first
+    quiet sweep; every later sweep is settled in closed form and still
+    traced."""
+    batches = []
+    send_batch = Simulation._send_batch
+
+    def counted(self, batch, land):
+        batches.append((self.now(), batch[0][0].label))
+        send_batch(self, batch, land)
+
+    monkeypatch.setattr(Simulation, "_send_batch", counted)
+    sim = run_text(SHARED_EDGE, scen(body=TestBasicWorld.BODY, until=62))
+    for edge, queried in (("e1", "1"), ("e2", "2")):
+        assert [r.tick for r in sim.trace.select(
+            "TWIN_SYNC", n=edge, queried=queried, missed="0")] == \
+            list(range(5, 61, 5))
+    # the first sweep's queries at 5 and their replies at 6
+    assert batches == [(5, "e1"), (5, "e2"), (6, "h1"), (6, "h2")]
+    links = sim.metrics.conservation["links"]
+    for host, edge in _ACCESS.items():
+        for wire in (f"{edge}>{host}", f"{host}>{edge}"):
+            assert links[wire]["sent"] == links[wire]["received"] >= 12
 
 
 class TestPartitioning:
