@@ -312,9 +312,13 @@ class NodeEnv(Protocol):
     def transmit(self, src: "Node", pairs: list[tuple[Yni, YodelMessage]],
                  mcast: bool = False) -> None: ...
     def controller_rpc(self, src: "Node", payload: object) -> None: ...
+    # twin keepalives: a round sent as events, the rounds from now on a
+    # quiet table may settle in closed form and sleep through, and the
+    # count of those whose sweep has passed
     def sync_hosts(self, edge: "EdgeNode", hosts: list[Yni]) -> None: ...
-    def settle_sync(self, edge: "EdgeNode",
-                    hosts: Iterable[Yni]) -> Optional[int]: ...
+    def settle_sync(self, edge: "EdgeNode") -> range: ...
+    def count_sync(self, edge: "EdgeNode", hosts: Iterable[Yni],
+                   rounds: range) -> int: ...
     def host_attached(self, edge: "EdgeNode", host: Yni) -> bool: ...
     def label_of(self, yni: Yni) -> str: ...
 

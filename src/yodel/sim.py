@@ -23,7 +23,7 @@ import gc
 import hashlib
 import heapq
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import partial
 from typing import Callable, Iterable, Optional
 
@@ -64,6 +64,7 @@ class Simulation:
         self.nodes: dict[str, Node] = {}        # label -> node (infra + hosts)
         self.by_yni: dict[Yni, Node] = {}
         self.edges: dict[str, EdgeNode] = {}
+        self._edge_order: list[EdgeNode] = []   # edges sorted by label
         self.hosts: dict[str, HostNode] = {}
         # label -> far label -> the record of that direction of their wire
         self.links: dict[str, dict[str, Link]] = {}
@@ -73,6 +74,7 @@ class Simulation:
         # edge label -> sorted ticks of the scenario faults that name the
         # edge or one of its hosts
         self._fault_ticks: dict[str, list[int]] = {}
+        self._swept = 0                         # tick of the last twin sweep
         self._build()
 
     # -- environment services (the NodeEnv contract) ---------------------------
@@ -190,34 +192,48 @@ class Simulation:
         """One twin sweep's keepalives from `edge`: one event carries the
         queries to every host in `hosts`, one more carries the replies
         back. Each copy counts on its link like any other message but gets
-        no SEND or RECV line. The sweep after a quiet one does not come
-        here when `settle_sync` can settle its round in closed form; the
-        TWIN_SYNC line and the link counters are the same either way."""
+        no SEND or RECV line. A quiet table's rounds do not come here
+        while `settle_sync` can settle them in closed form; the link
+        counters are the same either way."""
         queries = [(edge, self.by_yni[host]) for host in hosts]
         self._send_batch(queries, self._answer_sync)
 
-    def settle_sync(self, edge: EdgeNode, hosts: Iterable[Yni]
-                    ) -> Optional[int]:
-        """A keepalive round from `edge` to `hosts`, all attached now, in
-        closed form: when no scenario fault naming the edge or one of its
-        hosts falls between now and the tick the replies land, and they
-        land by `until`, every copy is sure to arrive. Count each copy as
-        sent and received on its access line and return that tick. Else
-        count nothing and return None; `sync_hosts` sends the round."""
-        lands = self._now + 2 * self.config.host_link_latency
-        if lands > self.config.until:
-            return None
+    def settle_sync(self, edge: EdgeNode) -> range:
+        """The sweep ticks, from now on every `twin_period`, of the
+        keepalive rounds from `edge` to its hosts, all attached now, that
+        are sure to be answered: no scenario fault naming the edge or one
+        of its hosts falls between a round's sweep and the tick its replies
+        land, and they land by `until`. The range stops at the first round
+        left out, and is empty when that is the round now. Only the next
+        fault is tested: it reaches every round that lands at or after it,
+        and it wakes the table, so no later fault matters."""
+        now, cfg = self._now, self.config
+        rtt, period = 2 * cfg.host_link_latency, cfg.twin_period
+        # rounds that sweep before `limit` land by `until` and before the
+        # next fault
+        limit = cfg.until + 1 - rtt
         ticks = self._fault_ticks.get(edge.label, ())
-        i = bisect_left(ticks, self._now)
-        if i < len(ticks) and ticks[i] <= lands:
-            return None
-        links = self.links[edge.label]
-        for host in hosts:
-            label = self.by_yni[host].label
-            for link in (links[label], self.links[label][edge.label]):
-                link.sent += 1
-                link.received += 1
-        return lands
+        i = bisect_left(ticks, now)
+        if i < len(ticks):
+            limit = min(limit, ticks[i] - rtt)
+        rounds = max(0, -((now - limit) // period))
+        return range(now, now + rounds * period, period)
+
+    def count_sync(self, edge: EdgeNode, hosts: Iterable[Yni],
+                   rounds: range) -> int:
+        """Count the rounds of `rounds`, sweep ticks `settle_sync` vouched
+        for, whose sweep has run: one copy sent and received per round on
+        both directions of each access line between `edge` and `hosts`.
+        Return how many."""
+        passed = bisect_right(rounds, self._swept)
+        if passed:
+            links = self.links[edge.label]
+            for host in hosts:
+                label = self.by_yni[host].label
+                for link in (links[label], self.links[label][edge.label]):
+                    link.sent += passed
+                    link.received += passed
+        return passed
 
     def _send_batch(self, batch: list[tuple[Node, Node]],
                     land: Callable[[list[tuple[Node, Node]]], None]) -> None:
@@ -313,6 +329,7 @@ class Simulation:
             self._connect(spec.name, edge.label, cfg.host_link_latency)
             host.attach(edge.yni, edge.domain)
             edge.attach_host(yni)
+        self._edge_order = [self.edges[label] for label in sorted(self.edges)]
         if self.edges:
             self.schedule(cfg.twin_period, self._sweep_twins)
         for cmd in self.scen.commands:
@@ -342,10 +359,13 @@ class Simulation:
         self.links[b][a].up = up
 
     def _sweep_twins(self) -> None:
-        for label in sorted(self.edges):
-            if label not in self._crashed:
-                self.edges[label].twin.sweep()
-        self.schedule(self._now + self.config.twin_period, self._sweep_twins)
+        now = self._swept = self._now
+        crashed = self._crashed
+        for edge in self._edge_order:
+            # a sleeping table's rounds before `settled.stop` are settled
+            if edge.twin.settled.stop <= now and edge.label not in crashed:
+                edge.twin.sweep()
+        self.schedule(now + self.config.twin_period, self._sweep_twins)
 
     # -- event loop ------------------------------------------------------------
 
@@ -364,6 +384,9 @@ class Simulation:
                 self._now = tick = heapq.heappop(ticks)
                 for fn in events.pop(tick):
                     fn()
+            # sleeping twin tables stay asleep; their passed rounds count
+            for edge in self._edge_order:
+                edge.twin.count_settled()
             self.metrics.finalize_conservation()
         finally:
             if enabled:
@@ -466,7 +489,7 @@ class Simulation:
         for label in a[1:]:
             edge = self._edge_of(label)
             if edge is not None:
-                edge.twin.quiet = False
+                edge.twin.wake()
         if mode in ("link-down", "link-up"):
             self._set_link(a[1], a[2], mode == "link-up")
             self.trace.emit(self._now, "scenario", "FAULT", ("kind", mode),

@@ -5,12 +5,21 @@ record: a miss count, a lifetime, a buffer and a stand-in name minted by the
 edge for the trace. The simulator sweeps every edge's table each
 `twin_period` ticks; a sweep sends one batched keepalive to every reachable
 host and counts the unreachable ones as missed, and a reply resets the count
-and renews the lifetime. A table is quiet after a sweep that reached every
-host and found no stand-in active. Its next sweep is settled in closed form,
-with no events, when no scenario fault that names the edge or one of its
-hosts falls between the sweep and the tick its replies land, and they land
-by the run's horizon; its trace line and link counts are those of the sent
-round. After `twin_miss_threshold` consecutive missed sweeps the record
+and renews the lifetime. A sweep traces a TWIN_SYNC line only when its
+(queried, missed) pair differs from the table's last line.
+
+A table is quiet after a sweep that reached every host and found no
+stand-in active. Its next sweep settles in closed form, with no events, the
+rounds up to the first one that a scenario fault naming the edge or one of
+its hosts could reach, or whose replies would land past the run's horizon,
+and the table sleeps until that round. Anything that could change a sweep's
+outcome wakes it first (`wake`): a new record, a hello, an expiry or a fault.
+Only then are the rounds it slept through counted, those whose sweep tick
+has passed, on the access lines and in the lifetimes, as their replies would
+have; the run counts the rest at its end. The counts, the lifetimes and the
+trace are those of every round sent.
+
+After `twin_miss_threshold` consecutive missed sweeps the record
 goes active. The stand-in keeps the host's own id in the edge's tables:
 where the edge hands out a copy it asks `is_active(host)` and buffers
 instead of sending, keeping at most `twin_buffer_max` messages, so a
@@ -25,6 +34,7 @@ from the scenario config its edge's environment holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Optional
 
 from .codec import YodelMessage
 from .ynid import Yni, generate_yni
@@ -57,8 +67,14 @@ class TwinManager:
         self.env = edge.env
         self.records: dict[Yni, TwinRecord] = {}
         # set by a sweep that queried every record and found none active;
-        # cleared by anything that could change the next sweep's outcome
+        # cleared by `wake`, before anything that could change the next
+        # sweep's outcome
         self.quiet = False
+        # sweep ticks of the rounds settled in closed form and not counted
+        # yet; the environment sweeps the table again at `settled.stop`
+        self.settled = range(0)
+        # (queried, missed) of the last TWIN_SYNC line
+        self.synced: Optional[tuple[int, int]] = None
 
     # -- queries ---------------------------------------------------------------
 
@@ -74,11 +90,11 @@ class TwinManager:
     def host_connected(self, host: Yni) -> None:
         if host in self.records:
             return
+        self.wake()
         env = self.env
         alphorn = generate_yni(env.rng(f"{self.edge.label}:twin"), env.now())
         rec = TwinRecord(host, alphorn, env.now() + env.config.twin_ttl)
         self.records[host] = rec
-        self.quiet = False
         self.edge.emit("TWIN_CREATE", ("host", env.label_of(host)),
                        ("alphorn", str(alphorn)))
 
@@ -87,22 +103,21 @@ class TwinManager:
         threshold, purge overdue active records, then send one batched
         keepalive to the reachable hosts.
 
-        The sweep after a quiet one is settled in closed form when the
-        environment can vouch that its round will be answered
-        (`settle_sync`): the same TWIN_SYNC line and every lifetime renewed
-        from the tick the replies land, with no events. Miss counts stay
-        as they are; the round of the quiet sweep resets them, since
-        nothing touched its wires either."""
+        A quiet table first counts the rounds it slept through, then asks
+        the environment which rounds from now on it can vouch will be
+        answered (`settle_sync`). When that includes this one, the table
+        settles them with no events and sleeps until the first round that
+        is left out. Nothing is traced: the pair of a settled sweep is the
+        one the quiet sweep traced, or empty. Miss counts stay as they are;
+        the round of the quiet sweep resets them, since nothing touched its
+        wires either."""
         env = self.env
         if self.quiet:
-            landed = env.settle_sync(self.edge, self.records)
-            if landed is not None:
-                if self.records:
-                    self.edge.emit("TWIN_SYNC", ("queried", len(self.records)),
-                                   ("missed", 0))
-                expire_at = landed + env.config.twin_ttl
-                for rec in self.records.values():
-                    rec.expire_at = expire_at
+            self.count_settled()
+            settled = env.settle_sync(self.edge)
+            if settled:
+                self.settled = settled
+                self.count_settled()
                 return
         now = env.now()
         threshold = env.config.twin_miss_threshold
@@ -118,7 +133,9 @@ class TwinManager:
                     self._activate(rec)
             if rec.active and rec.expire_at < now:
                 self._expire(rec)
-        if hosts or missed:
+        synced = (len(hosts), missed)
+        if synced != self.synced and (hosts or missed):
+            self.synced = synced
             self.edge.emit("TWIN_SYNC", ("queried", len(hosts)),
                            ("missed", missed))
         if hosts:
@@ -126,6 +143,30 @@ class TwinManager:
         # every record queried and still held, none standing in
         self.quiet = (not missed and len(hosts) == len(self.records)
                       and not any(r.active for r in self.records.values()))
+
+    def count_settled(self) -> None:
+        """Count the settled rounds whose sweep tick has passed as their
+        replies would: one copy each way on every access line
+        (`count_sync`), and every lifetime renewed from the tick the last
+        of them lands."""
+        settled = self.settled
+        passed = self.env.count_sync(self.edge, self.records, settled)
+        if passed:
+            cfg = self.env.config
+            expire_at = (settled[passed - 1] + 2 * cfg.host_link_latency
+                         + cfg.twin_ttl)
+            for rec in self.records.values():
+                rec.expire_at = max(rec.expire_at, expire_at)
+            # a horizon is a round tick, so the slice keeps it as its stop
+            self.settled = settled[passed:]
+
+    def wake(self) -> None:
+        """Something may change the next sweep's outcome: count the settled
+        rounds that have passed, drop the rest, and sweep from the next
+        period on."""
+        self.count_settled()
+        self.settled = range(0)
+        self.quiet = False
 
     def on_sync_reply(self, host: Yni) -> None:
         rec = self.records.get(host)
@@ -193,7 +234,7 @@ class TwinManager:
             self.edge.resync_host(host)
             self.edge.send_hello_ack(host)
             return
-        self.quiet = False
+        self.wake()
         was_active = rec.active
         if was_active:
             self._trace_swap(host, "out")
@@ -214,8 +255,8 @@ class TwinManager:
     # -- expiry ----------------------------------------------------------------
 
     def _expire(self, rec: TwinRecord) -> None:
+        self.wake()
         self.edge.emit("TWIN_EXPIRE", ("host", self.env.label_of(rec.host)),
                        ("dropped", len(rec.buffer)))
         del self.records[rec.host]
-        self.quiet = False
         self.edge.purge_host(rec.host)

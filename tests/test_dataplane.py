@@ -1035,6 +1035,16 @@ class TestTwin:
                                missed="0") == 1
         rec = sim.edges["e1"].twin.records[sim.nodes["h1"].yni]
         assert rec.expire_at == 7 + 50
+        # the sweeps at 10, 15 and 20 repeat that pair and trace nothing;
+        # their rounds still count, and the last one's replies at 22 renew
+        step(sim, 22)
+        assert [r.tick for r in sim.trace.select("TWIN_SYNC")] == [5]
+        assert rec.expire_at == 22 + 50
+        # each way on each access line: the join op and four keepalives
+        links = sim.metrics.conservation["links"]
+        for host in ("h1", "h2", "h3"):
+            for wire in (f"e1>{host}", f"{host}>e1"):
+                assert links[wire]["sent"] == links[wire]["received"] == 1 + 4
 
     def test_empty_control_message_at_edge_is_a_proto_error(self):
         sim = world(TRIO + "config twin_ttl 50\n", until=8)

@@ -10,6 +10,7 @@ from yodel.dataplane import EdgeNode, data_metadata
 from yodel.scenario import load_world, parse_scenario, parse_topology
 from yodel.sim import SimConfig, Simulation
 from yodel.trace import Trace, TraceRecord
+from yodel.twin import TwinManager
 from yodel.ynid import Yni
 
 import pytest
@@ -355,11 +356,17 @@ def _world_texts(name):
                          ["twin", "flap", "twin-late-join", "twin-outage"])
 def test_stepped_run_equals_one_run(name):
     """A run stopped at a third of its horizon and continued gives the
-    bytes of one run; twin sweeps go on after the first stop."""
+    bytes of one run; twin keepalives go on after the first stop."""
     texts = _world_texts(name)
     one = build_text(*texts).run()
-    stop = one.config.until // 3
-    assert [r for r in one.trace.select("TWIN_SYNC") if r.tick > stop]
+    # every access line from an edge to its host receives copies after
+    # the stop; a sweep that repeats its pair traces no line to show it
+    at_stop = step(build_text(*texts), one.config.until // 3)
+    for label, host in one.hosts.items():
+        wire = f"{one.by_yni[host.edge].label}>{label}"
+        before = at_stop.metrics.conservation["links"].get(wire)
+        assert one.metrics.conservation["links"][wire]["received"] > \
+            (before["received"] if before else 0)
     assert outputs(run_in_steps(build_text(*texts))) == outputs(one)
 
 
@@ -676,10 +683,16 @@ at 45 fault host-up h2
         syncs = [(r.tick, dict(r.fields)["missed"])
                  for r in sim.trace.select("TWIN_SYNC", n="e2")]
         # h2 goes down at 12, before that tick's sweep: the second miss
-        # in a row, at 15, activates its twin
-        assert syncs == [(3, "0"), (6, "0"), (9, "0"),
-                         (12, "1"), (15, "1"), (18, "1")]
+        # in a row, at 15, activates its twin; the sweeps at 6, 9, 15 and
+        # 18 repeat their pair and trace nothing
+        assert syncs == [(3, "0"), (12, "1")]
         assert [r.tick for r in sim.trace.select("TWIN_ACTIVE")] == [15]
+        # after one join op each way, e2 reached h2 at 3, 6 and 9, and e1
+        # reached h1 at 3, 6, ..., 18
+        links = sim.metrics.conservation["links"]
+        for wire, rounds in (("e2>h2", 3), ("h2>e2", 3),
+                             ("e1>h1", 6), ("h1>e1", 6)):
+            assert links[wire]["sent"] == links[wire]["received"] == 1 + rounds
 
     def test_expiry_purges_and_return_is_fresh(self):
         body = """\
@@ -757,7 +770,9 @@ class TestTwinKeepalive:
                 "sent": 2, "received": 1, "lost": 0, "in_flight": 1,
                 "ok": True}
         assert sim.metrics.conservation["ok"] is True
-        assert sim.trace.count("TWIN_SYNC", queried="1", missed="0") == 4
+        # the sweep at 10 repeats the pair of the one at 5
+        assert [(r.tick, r.node) for r in sim.trace.select(
+            "TWIN_SYNC", queried="1", missed="0")] == [(5, "e1"), (5, "e2")]
 
     def test_zero_host_link_latency(self):
         text = (scen(body=TestTwinOverSim.BODY, until=80)
@@ -782,9 +797,10 @@ _TWIN_FAULTS = [f"{mode} {host}" for host in _ACCESS
 def _twin_worlds(draw):
     """A SHARED_EDGE scenario with faults at, one tick after, and one
     round trip after sweep ticks, so rounds overlap faults and each
-    other; and an optional stop inside a round."""
+    other; and an optional stop inside a round. Horizons run long enough
+    that tables sleep across an expiry and a returning host's hello."""
     period, lat = draw(st.integers(1, 5)), draw(st.integers(0, 3))
-    until = draw(st.integers(20, 45))
+    until = draw(st.integers(20, 90))
     sweeps = st.integers(1, until // period)
     near_sweep = st.tuples(sweeps, st.sampled_from([0, 1, 2 * lat])).map(
         lambda t: t[0] * period + t[1])
@@ -803,6 +819,15 @@ def _twin_worlds(draw):
               f"config twin_ttl {draw(st.integers(3, 15))}\n"
               f"config twin_miss_threshold {draw(st.integers(1, 3))}\n")
     return scen(body=body, until=until) + config, stop
+
+
+@contextlib.contextmanager
+def _every_round_sent():
+    """No twin table settles a round in closed form: every keepalive round
+    is sent."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simulation, "settle_sync", lambda self, edge: None)
+        yield
 
 
 def _stepped_outputs(text, stop):
@@ -828,21 +853,72 @@ def _stepped_outputs(text, stop):
                           "at 21 fault host-down h2\n", until=45)
                 + "config twin_period 5\nconfig host_link_latency 3\n"
                   "config twin_ttl 13\nconfig twin_miss_threshold 1\n", None))
+# h3's record expires at 4; its hello lands at 7, after its host-up at 5,
+# while e2 sleeps from its sweep at 6 towards its horizon at 17. The fresh
+# record must wake e2: it counts the round of 6, not those up to 17, and
+# its sweep at 7 traces queried=2
+@example(world=(scen(body="at 1 fault host-down h3\n"
+                          "at 5 fault host-up h3\n", until=20)
+                + "config twin_period 1\nconfig host_link_latency 2\n"
+                  "config twin_ttl 3\nconfig twin_miss_threshold 1\n", None))
 def test_quiet_sweeps_equal_sent_rounds(world):
-    """Quiet twin tables settle their keepalive rounds in closed form; the
-    trace and report equal those of every round sent, also when a run
-    stops inside a round."""
+    """Quiet twin tables settle their keepalive rounds in closed form and
+    sleep through them; the trace and report equal those of every round
+    sent, also when a run stops inside a round."""
     text, stop = world
     quiet = _stepped_outputs(text, stop)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Simulation, "settle_sync", lambda self, edge, hosts: None)
+    with _every_round_sent():
         assert _stepped_outputs(text, stop) == quiet
+
+
+def _sweeps(monkeypatch):
+    """(tick, edge) of every twin table sweep, in order."""
+    calls = []
+    sweep = TwinManager.sweep
+
+    def counted(self):
+        calls.append((self.env.now(), self.edge.label))
+        sweep(self)
+
+    monkeypatch.setattr(TwinManager, "sweep", counted)
+    return calls
+
+
+def test_quiet_tables_sleep_until_their_horizon(monkeypatch):
+    """With no fault, a table is swept until it is quiet, once more to
+    settle the rounds to come, and next at the first round whose replies
+    would land past `until`, 62 for the sweep at 60; its rounds count as
+    if sent."""
+    calls = _sweeps(monkeypatch)
+    text = scen(body=TestBasicWorld.BODY, until=61)
+    sim = run_text(SHARED_EDGE, text)
+    assert calls == [(5, "e1"), (5, "e2"), (10, "e1"), (10, "e2"),
+                     (60, "e1"), (60, "e2")]
+    with _every_round_sent():
+        assert outputs(sim) == outputs(run_text(SHARED_EDGE, text))
+
+
+def test_a_table_wakes_for_the_first_round_a_fault_can_reach(monkeypatch):
+    """h2 goes down at 31, inside the round of the sweep at 30, which
+    lands at 32: e2 sleeps from 10 until that round and sends it, its
+    query to h2 is lost, and e2 is swept every period from then on. No
+    fault names e1, which sleeps to the end."""
+    calls = _sweeps(monkeypatch)
+    text = scen(body=TestBasicWorld.BODY + "at 31 fault host-down h2\n",
+                until=62)
+    sim = run_text(SHARED_EDGE, text)
+    assert [t for t, edge in calls if edge == "e1"] == [5, 10]
+    assert [t for t, edge in calls if edge == "e2"] == \
+        [5, 10] + list(range(30, 61, 5))
+    assert "t=31 n=h2 ev=DROP reason=link_down from=e2" in sim.trace.lines()
+    with _every_round_sent():
+        assert outputs(sim) == outputs(run_text(SHARED_EDGE, text))
 
 
 def test_quiet_edges_schedule_no_keepalives(monkeypatch):
     """With no fault, an edge sends keepalive rounds only until its first
-    quiet sweep; every later sweep is settled in closed form and still
-    traced."""
+    quiet sweep; every later round is settled in closed form and still
+    counted on the access lines."""
     batches = []
     send_batch = Simulation._send_batch
 
@@ -852,16 +928,18 @@ def test_quiet_edges_schedule_no_keepalives(monkeypatch):
 
     monkeypatch.setattr(Simulation, "_send_batch", counted)
     sim = run_text(SHARED_EDGE, scen(body=TestBasicWorld.BODY, until=62))
-    for edge, queried in (("e1", "1"), ("e2", "2")):
-        assert [r.tick for r in sim.trace.select(
-            "TWIN_SYNC", n=edge, queried=queried, missed="0")] == \
-            list(range(5, 61, 5))
+    assert [(r.tick, r.node, dict(r.fields)["queried"])
+            for r in sim.trace.select("TWIN_SYNC", missed="0")] == \
+        [(5, "e1", "1"), (5, "e2", "2")]
     # the first sweep's queries at 5 and their replies at 6
     assert batches == [(5, "e1"), (5, "e2"), (6, "h1"), (6, "h2")]
+    # the rounds of the sweeps at 5, 10, ..., 60 on every access line;
+    # h3 neither joins nor sends, so its line carries nothing else
     links = sim.metrics.conservation["links"]
     for host, edge in _ACCESS.items():
         for wire in (f"{edge}>{host}", f"{host}>{edge}"):
             assert links[wire]["sent"] == links[wire]["received"] >= 12
+    assert links["e2>h3"]["sent"] == links["h3>e2"]["sent"] == 12
 
 
 class TestPartitioning:
