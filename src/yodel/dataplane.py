@@ -8,9 +8,14 @@ also owns one twin table (`twin.TwinManager`), built with the edge, that
 stands in for its silent hosts. Connectors know nothing but their
 neighbors: they pop the in-message tree and pick forwarding strategies.
 
+Data metadata is parsed at most once per copy, in `Simulation.transmit`,
+which needs the serial for the copy's SEND and RECV lines; the parsed
+`(serial, q)` reaches the receiver as the `meta` argument of `on_message`.
 Every node reads and rejects malformed data in one step, `Node._read_data`:
-it pops a sync message's tree root, parses the metadata once, and reports a
-mis-rooted tree or malformed metadata as one PROTO_ERROR.
+it pops a sync message's tree root, takes the serial and anycast share from
+`meta`, and reports a mis-rooted tree or malformed metadata as one
+PROTO_ERROR. Metadata that did not parse comes with no `meta` and is parsed
+again there, only to raise the error it reports.
 
 Hosts and edges signal each other with ops, control messages whose metadata
 element starts with an op byte (schemas at the top of this module). Every op
@@ -175,6 +180,7 @@ def data_metadata(serial: int, q: Optional[int] = None) -> bytes:
     return struct.pack(">IH", serial, q)
 
 
+_CONTROL = MessageKind.CONTROL_YPP
 _ANYCAST_KINDS = frozenset((MessageKind.ANYCAST_DATA_YPP,
                             MessageKind.ANYCAST_DATA_YSYNC))
 
@@ -185,7 +191,12 @@ _SYNC_OF_PUSH = {MessageKind.DATA_YPP: MessageKind.DATA_YSYNC,
 _PUSH_OF_SYNC = {sync: push for push, sync in _SYNC_OF_PUSH.items()}
 
 
-def parse_data_metadata(kind: MessageKind, meta: Optional[bytes]) -> tuple[int, Optional[int]]:
+# a data copy's metadata read: its send serial and, on anycast kinds, its
+# delivery fraction out of _Q_SCALE
+_Meta = tuple[int, Optional[int]]
+
+
+def parse_data_metadata(kind: MessageKind, meta: Optional[bytes]) -> _Meta:
     try:
         if kind in _ANYCAST_KINDS:
             serial, q = struct.unpack(">IH", meta)
@@ -300,7 +311,12 @@ class AcTable:
 
 class NodeEnv(Protocol):
     """What a node may ask of the world it runs in. `sim.Simulation` is the
-    one implementation; node tests run on it too."""
+    one implementation; node tests run on it too.
+
+    `transmit` lands each copy with a call to its receiver's `on_message`,
+    passing as `meta` the copy's data metadata, parsed once on the way for
+    the trace; None for control copies and for metadata that did not
+    parse."""
 
     trace: Trace
     metrics: Metrics
@@ -342,7 +358,12 @@ class Node:
         self.emit("PROTO_ERROR", ("reason", reason))
         self.env.metrics.proto_errors += 1
 
-    def on_message(self, msg: YodelMessage) -> None:
+    def on_message(self, msg: YodelMessage,
+                   meta: Optional[_Meta] = None) -> None:
+        """Receive one copy. `meta` is its data metadata as
+        `parse_data_metadata` read it on the way in; None on control kinds,
+        on metadata that did not parse, and on a copy handed over without
+        going through `transmit`, whose metadata `_read_data` parses."""
         raise NotImplementedError
 
     def send_op(self, dest: Yni, op: bytes, valley_id: Optional[int] = None,
@@ -350,7 +371,7 @@ class Node:
                 namespace_id: Optional[int] = None,
                 app_id: Optional[int] = None) -> None:
         """The send step for ops: one control message carrying `op`."""
-        msg = YodelMessage(MessageKind.CONTROL_YPP, self.yni, dest, FloatingHeader(
+        msg = YodelMessage(_CONTROL, self.yni, dest, FloatingHeader(
             valley_id=valley_id, channel_id=channel_id,
             namespace_id=namespace_id, application_id=app_id, metadata=op))
         self.env.transmit(self, [(dest, msg)])
@@ -364,16 +385,19 @@ class Node:
             self.proto_error(str(exc))
             return None
 
-    def _read_data(self, msg: YodelMessage) -> Optional[tuple[
-            int, Optional[AnycastMode], list[tuple[Yni, YodelMessage]]]]:
+    def _read_data(self, msg: YodelMessage, meta: Optional[_Meta]
+                   ) -> Optional[tuple[int, Optional[AnycastMode],
+                                       list[tuple[Yni, YodelMessage]]]]:
         """The receive step for data: the send serial, the anycast mode
         (None on plain kinds) and, on sync kinds, one message per child of
         this node's tree root (else none). None once a mis-rooted tree or
-        malformed metadata is reported."""
+        malformed metadata is reported. The serial and share come from
+        `meta`; without it the metadata is parsed here."""
         try:
             children = pop_path_root(msg, self.yni) \
                 if msg.kind in _PUSH_OF_SYNC else []
-            serial, q = parse_data_metadata(msg.kind, msg.floating.metadata)
+            serial, q = meta or parse_data_metadata(msg.kind,
+                                                    msg.floating.metadata)
         except (RootMismatch, MalformedFloating) as exc:
             self.proto_error(str(exc))
             return None
@@ -382,7 +406,7 @@ class Node:
     def strategic_send(self, pairs: list[tuple[Yni, YodelMessage]]) -> None:
         """Send one message per child using the fewest transmissions the
         strategy table allows; children with no route are dropped."""
-        unrouted, batches = self.act.route(tuple(y for y, _ in pairs))
+        unrouted, batches = self.act.route(tuple([y for y, _ in pairs]))
         for child in unrouted:
             self.drop("no_route", ("to", child))
         for mcast, indices in batches:
@@ -503,23 +527,24 @@ class HostNode(Node):
 
     # -- receive path ---------------------------------------------------------
 
-    def on_message(self, msg: YodelMessage) -> None:
-        if msg.kind is MessageKind.CONTROL_YPP:
+    def on_message(self, msg: YodelMessage,
+                   meta: Optional[_Meta] = None) -> None:
+        if msg.kind is _CONTROL:
             self._handle_op(msg)
             return
         if msg.kind in _SYNC_OF_PUSH:
-            self._handle_data(msg)
+            self._handle_data(msg, meta)
             return
         self.drop("unhandled_kind", ("k", msg.kind.name))
 
-    def _handle_data(self, msg: YodelMessage) -> None:
+    def _handle_data(self, msg: YodelMessage, meta: Optional[_Meta]) -> None:
         valley = msg.floating.valley_id
         channel = msg.floating.channel_id
         community = self.by_channel.get((valley, channel))
         if community is None:
             self.drop("unknown_channel", ("channel", channel))
             return
-        read = self._read_data(msg)
+        read = self._read_data(msg, meta)
         if read is None:
             return
         serial, mode, _ = read
@@ -669,11 +694,22 @@ class FibRow:
     edge_locked: bool = False
     active: bool = False
     producer_apps: dict[tuple[Yni, int], bool] = field(default_factory=dict)
-    consumer_apps: set[tuple[Yni, int]] = field(default_factory=set)
+    # replaced on every change, never changed in place, so that
+    # `consumer_hosts` can keep its answer until the set is replaced
+    consumer_apps: frozenset[tuple[Yni, int]] = frozenset()
     locked_hosts: set[Yni] = field(default_factory=set)
+    # the `consumer_apps` last sorted by `consumer_hosts`, and its hosts
+    _hosts: tuple[Optional[frozenset[tuple[Yni, int]]], tuple[Yni, ...]] = \
+        field(default=(None, ()), init=False, repr=False, compare=False)
 
-    def consumer_hosts(self) -> list[Yni]:
-        return sorted({h for h, _ in self.consumer_apps})
+    def consumer_hosts(self) -> tuple[Yni, ...]:
+        """The hosts of `consumer_apps`, sorted; sorted again only once the
+        set has been replaced, as every edge copy of a community asks."""
+        apps, hosts = self._hosts
+        if apps is not self.consumer_apps:
+            hosts = tuple(sorted({h for h, _ in self.consumer_apps}))
+            self._hosts = self.consumer_apps, hosts
+        return hosts
 
     def unlocked_producers(self) -> list[tuple[Yni, int]]:
         return sorted(k for k, locked in self.producer_apps.items() if not locked)
@@ -706,13 +742,14 @@ class EdgeNode(Node):
 
     # -- receive path ---------------------------------------------------------
 
-    def on_message(self, msg: YodelMessage) -> None:
-        if msg.kind is MessageKind.CONTROL_YPP:
+    def on_message(self, msg: YodelMessage,
+                   meta: Optional[_Meta] = None) -> None:
+        if msg.kind is _CONTROL:
             self._handle_op(msg)
         elif msg.kind in _SYNC_OF_PUSH:
-            self._handle_producer_data(msg)
+            self._handle_producer_data(msg, meta)
         elif msg.kind in _PUSH_OF_SYNC:
-            self._handle_network_data(msg)
+            self._handle_network_data(msg, meta)
         else:
             self.drop("unhandled_kind", ("k", msg.kind.name))
 
@@ -758,7 +795,7 @@ class EdgeNode(Node):
         roles = roles_for_join(row.model, role)
         lock_host = False
         if "consumer" in roles:
-            row.consumer_apps.add((host, app_id))
+            row.consumer_apps |= {(host, app_id)}
         if "producer" in roles:
             lock_host = admit_producer(
                 row.model,
@@ -874,7 +911,7 @@ class EdgeNode(Node):
             return
         roles = role_rows(role)
         if "consumer" in roles:
-            row.consumer_apps.discard((host, app_id))
+            row.consumer_apps -= {(host, app_id)}
         if "producer" in roles:
             was = row.producer_apps.pop((host, app_id), None)
             if was is False:  # the unlocked producer left
@@ -946,7 +983,8 @@ class EdgeNode(Node):
 
     # -- data path -------------------------------------------------------------
 
-    def _handle_producer_data(self, msg: YodelMessage) -> None:
+    def _handle_producer_data(self, msg: YodelMessage,
+                              meta: Optional[_Meta]) -> None:
         valley = msg.floating.valley_id
         channel = msg.floating.channel_id
         fib = self.fibs.get(valley)
@@ -962,17 +1000,19 @@ class EdgeNode(Node):
         if all(row.producer_apps[k] for k in sender_apps):
             self.drop("producer_locked", ("host", sender))
             return
-        read = self._read_data(msg)
+        read = self._read_data(msg, meta)
         if read is None:
             return
-        self._deliver_to_local_consumers(row, msg, exclude=sender,
+        self._deliver_to_local_consumers(row, msg.kind, msg.floating,
+                                         msg.payload, exclude=sender,
                                          mode=read[1])
         tree = self.aft.get((valley, channel))
         if tree is not None:
             self._originate_sync(msg, tree)
 
-    def _handle_network_data(self, msg: YodelMessage) -> None:
-        read = self._read_data(msg)
+    def _handle_network_data(self, msg: YodelMessage,
+                             meta: Optional[_Meta]) -> None:
+        read = self._read_data(msg, meta)
         if read is None:
             return
         _, mode, children = read
@@ -981,20 +1021,22 @@ class EdgeNode(Node):
         fib = self.fibs.get(valley)
         row = None if fib is None else fib.row_for_channel(channel)
         if row is not None and "consumer" in row.roles:
-            local = YodelMessage(_PUSH_OF_SYNC[msg.kind], msg.sender, self.yni,
-                                 FloatingHeader(valley_id=valley,
-                                                channel_id=channel,
-                                                metadata=msg.floating.metadata),
-                                 msg.payload)
-            self._deliver_to_local_consumers(row, local, exclude=None,
+            # one push header, without the tree, for every host's copy
+            push = FloatingHeader(valley_id=valley, channel_id=channel,
+                                  metadata=msg.floating.metadata)
+            self._deliver_to_local_consumers(row, _PUSH_OF_SYNC[msg.kind],
+                                             push, msg.payload, exclude=None,
                                              mode=mode)
         elif row is None and not children:
             self.drop("unknown_channel", ("channel", channel))
         self.strategic_send(children)
 
-    def _deliver_to_local_consumers(self, row: FibRow, msg: YodelMessage,
+    def _deliver_to_local_consumers(self, row: FibRow, kind: MessageKind,
+                                    floating: FloatingHeader, payload: bytes,
                                     exclude: Optional[Yni],
                                     mode: Optional[AnycastMode]) -> None:
+        """Send each local consumer host, but `exclude`, its own push copy
+        of (kind, floating, payload), or buffer it at the host's twin."""
         targets = [h for h in row.consumer_hosts()
                    if h != exclude and h not in row.locked_hosts]
         if mode is not None:
@@ -1002,8 +1044,7 @@ class EdgeNode(Node):
                                      self.env.rng(self.label))
         pairs = []
         for host in targets:
-            out = YodelMessage(msg.kind, self.yni, host, msg.floating,
-                               msg.payload)
+            out = YodelMessage(kind, self.yni, host, floating, payload)
             if self.twin.is_active(host):
                 self.twin.buffer_message(host, out)
             else:
@@ -1084,8 +1125,8 @@ class EdgeNode(Node):
                 row = fib.rows.get(key)
                 if row is None:
                     continue
-                row.consumer_apps = {(h, a) for h, a in row.consumer_apps
-                                     if h != host}
+                row.consumer_apps = frozenset(
+                    (h, a) for h, a in row.consumer_apps if h != host)
                 for k in [k for k in row.producer_apps if k[0] == host]:
                     del row.producer_apps[k]
                 row.locked_hosts.discard(host)
@@ -1100,11 +1141,12 @@ class ConnectorNode(Node):
     """Transit node: no valley, namespace or channel state at all. It reads
     and rejects malformed data in the same step as every other node."""
 
-    def on_message(self, msg: YodelMessage) -> None:
+    def on_message(self, msg: YodelMessage,
+                   meta: Optional[_Meta] = None) -> None:
         if msg.kind not in _PUSH_OF_SYNC:
             self.drop("unhandled_kind", ("k", msg.kind.name))
             return
-        read = self._read_data(msg)
+        read = self._read_data(msg, meta)
         if read is None:
             return
         _, mode, children = read

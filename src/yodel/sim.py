@@ -43,6 +43,12 @@ __all__ = ["SimConfig", "Simulation", "build", "run_world"]
 
 # Enum.name is a Python-level property; SEND and RECV lines read a plain dict
 _KIND_NAMES = {kind: kind.name for kind in MessageKind}
+_CONTROL = MessageKind.CONTROL_YPP
+
+# what `Simulation._port` resolves a destination to: the node, the record of
+# the wire to it, whether both ends are infrastructure, and the `to` field
+# of SEND lines and the `from` field of RECV lines
+_Port = tuple[Node, Link, bool, tuple[str, str], tuple[str, str]]
 
 
 class Simulation:
@@ -69,7 +75,7 @@ class Simulation:
         # label -> far label -> the record of that direction of their wire
         self.links: dict[str, dict[str, Link]] = {}
         # sender label -> destination id -> what `_port` resolves it to
-        self._ports: dict[str, dict[Yni, tuple[Node, Link, bool]]] = {}
+        self._ports: dict[str, dict[Yni, _Port]] = {}
         self._crashed: set[str] = set()
         # edge label -> sorted ticks of the scenario faults that name the
         # edge or one of its hosts
@@ -101,18 +107,25 @@ class Simulation:
 
     def transmit(self, src: Node, pairs: list[tuple[Yni, YodelMessage]],
                  mcast: bool = False) -> None:
+        """Send each (destination, message) copy: a SEND line, then a RECV
+        line and the receiver's `on_message` one link latency later, or a
+        DROP line. A data copy's metadata is parsed here once, for the
+        serial on its trace lines, and the parse goes to the receiver with
+        the copy, so no node parses it again."""
         if not pairs:
             return
         now, label, emit = self._now, src.label, self.trace.emit
-        if mcast and pairs[0][1].kind is not MessageKind.CONTROL_YPP:
+        if mcast and pairs[0][1].kind is not _CONTROL:
             # one underlay transmission covers the whole batch
             self.metrics.transmission(src.domain, True)
         ports = self._ports[label]
         crashed = label in self._crashed
         # the kind and, on parseable data, the serial: one tuple shared by
-        # the SEND and RECV lines of every copy of one kind and metadata;
-        # copies popped from one parent share their metadata object
-        wire_kind = wire_metadata = wire = None
+        # the SEND and RECV lines of every copy of one kind and metadata,
+        # with the parsed (serial, q), or None for control and for data
+        # that did not parse; copies popped from one parent share their
+        # metadata object
+        wire_kind = wire_metadata = wire = meta = None
         for dst_yni, msg in pairs:
             port = ports.get(dst_yni) or self._port(src, dst_yni)
             if port is None:
@@ -120,37 +133,37 @@ class Simulation:
                      ("to", str(dst_yni)))
                 self.metrics.dropped(label, "unknown_destination")
                 continue
-            dst, link, overlay = port
+            dst, link, overlay, to, _ = port
             kind = msg.kind
-            if overlay and not mcast and kind is not MessageKind.CONTROL_YPP:
+            if overlay and not mcast and kind is not _CONTROL:
                 self.metrics.transmission(src.domain, src.domain == dst.domain)
                 link.unicast += 1
             metadata = msg.floating.metadata
             if kind is not wire_kind or metadata is not wire_metadata:
                 wire_kind, wire_metadata = kind, metadata
                 wire = (("k", _KIND_NAMES[kind]),)
-                if kind is not MessageKind.CONTROL_YPP:
+                meta = None
+                if kind is not _CONTROL:
                     try:
-                        serial, _ = parse_data_metadata(kind, metadata)
-                        wire += (("serial", serial),)
+                        meta = parse_data_metadata(kind, metadata)
+                        wire += (("serial", meta[0]),)
                     except YodelError:
                         pass
-            emit(now, label, "SEND", ("to", dst.label), *wire)
+            emit(now, label, "SEND", to, *wire)
             link.sent += 1
             if not link.up or crashed:
                 link.lost += 1
-                emit(now, label, "DROP", ("reason", "link_down"),
-                     ("to", dst.label))
+                emit(now, label, "DROP", ("reason", "link_down"), to)
                 self.metrics.dropped(label, "link_down")
                 continue
             link.in_flight += 1
             self.schedule(now + link.latency,
-                          partial(self._arrive, link, src, dst, msg, wire))
+                          partial(self._arrive, src, port, msg, wire, meta))
 
-    def _port(self, src: Node, dst_yni: Yni
-              ) -> Optional[tuple[Node, Link, bool]]:
+    def _port(self, src: Node, dst_yni: Yni) -> Optional[_Port]:
         """The node `dst_yni` names, the record of the wire from `src` to
-        it, and whether both ends are infrastructure nodes; cached per
+        it, whether both ends are infrastructure nodes, and the `to` and
+        `from` fields of the copies' SEND and RECV lines; cached per
         sender. None for an id no node has, which is never cached."""
         dst = self.by_yni.get(dst_yni)
         if dst is None:
@@ -164,16 +177,21 @@ class Simulation:
         # infrastructure nodes; host access lines don't count
         overlay = (not isinstance(src, HostNode)
                    and not isinstance(dst, HostNode))
-        port = self._ports[src.label][dst_yni] = dst, link, overlay
+        port = self._ports[src.label][dst_yni] = (
+            dst, link, overlay, ("to", dst.label), ("from", src.label))
         return port
 
-    def _arrive(self, link: Link, src: Node, dst: Node, msg: YodelMessage,
-                wire: tuple[tuple[str, object], ...]) -> None:
+    def _arrive(self, src: Node, port: _Port, msg: YodelMessage,
+                wire: tuple[tuple[str, object], ...],
+                meta: Optional[tuple[int, Optional[int]]]) -> None:
+        """Land one copy `transmit` sent from `src` through `port`: a RECV
+        line and the receiver's `on_message` with the metadata `transmit`
+        parsed, or a DROP line."""
+        dst, link, _, _, from_src = port
         if not self._lands(link, src, dst):
             return
-        self.trace.emit(self._now, dst.label, "RECV", ("from", src.label),
-                        *wire)
-        dst.on_message(msg)
+        self.trace.emit(self._now, dst.label, "RECV", from_src, *wire)
+        dst.on_message(msg, meta)
 
     def _lands(self, link: Link, src: Node, dst: Node) -> bool:
         """Count a copy reaching the far end of `link`: received, or lost

@@ -110,3 +110,33 @@ def test_traced_run_renders_the_same_bytes_and_schedules_every_event(
               if start < s and e < end]
     assert inside
     assert [row for row in inside if row[1] == 0] == []
+
+
+# the names a data copy's trip from send to delivery passes, as `aggregate`
+# reports them: defining module and qualified name
+DATA_PATH = [
+    "codec.pop_path_root",
+    "dataplane.Node.strategic_send",
+    "dataplane.EdgeNode.on_message",
+    "dataplane.ConnectorNode.on_message",
+    "dataplane.HostNode.on_message",
+    "sim.Simulation.transmit",
+    "trace.Trace.emit",
+]
+
+
+def test_traced_run_calls_every_data_path_layer():
+    """Every data-path name the tracer wraps is still on the call path: a
+    refactor that routes around one, say by binding `pop_path_root` where
+    the tracer does not look, would read 0 calls in `--trace 1` and fail
+    nothing else. The fanout-group world has no connector, so the hello
+    world, whose copies cross one, runs under the same tracer."""
+    layers = _bench_layers()
+    tracer = layers.Tracer()
+    with tracer.patch():
+        _run("fanout-group.topo", "fanout.scen")
+        _run("hello.topo", "hello.scen")
+    calls = {name: agg["calls"]
+             for name, agg in layers.aggregate(tracer).items()}
+    assert set(DATA_PATH) <= set(calls)
+    assert [name for name in DATA_PATH if calls[name] < 1] == []

@@ -4,9 +4,10 @@ world text and stepped by raising `config.until` (tests/textworld.py).
 A test asserts what a run shows: trace lines, report counters and the
 nodes' tables between steps. Malformed input (a mis-rooted tree, bad
 metadata, an unknown channel or kind, a foreign-rooted advertisement, a
-forged sender) is hand-crafted and handed to the node between steps. The
-op codec, the strategy table and its reference `plan` and `route` are
-tested as pure functions.
+forged sender) is hand-crafted and handed to the node between steps, or
+sent to it over the wire with `Simulation.transmit`. The op codec, the
+strategy table and its reference `plan` and `route` are tested as pure
+functions.
 """
 
 import inspect
@@ -945,7 +946,8 @@ class TestConnectorNode:
 
 # ---------------------------------------------------------------------------
 # the data receive step every node kind shares: a well-formed copy of what
-# each receiver gets in a LINE world where h1 on e1 sends to h2 on e2
+# each receiver gets in a LINE world where h1 on e1 sends to h2 on e2, sent
+# over the wire by the node it would come from
 
 
 # (receiver, sender, the labels down the message's path-tree branch); with
@@ -959,8 +961,8 @@ RECEIVERS = {
 
 
 def data_at(where, anycast, metadata):
-    """A joined world, its receiver and a data message addressed to it with
-    the given metadata."""
+    """A joined world, its receiver, its sender and a data message from the
+    sender addressed to the receiver with the given metadata."""
     sim = world(JOINED, topo=LINE, until=8)
     receiver, sender, branch = RECEIVERS[where]
     tree = None
@@ -971,10 +973,18 @@ def data_at(where, anycast, metadata):
     else:
         kind = MessageKind.ANYCAST_DATA_YSYNC if anycast \
             else MessageKind.DATA_YSYNC
-    node = sim.nodes[receiver]
-    msg = data(kind, sim.nodes[sender].yni, node.yni, row(sim).channel_id,
-               metadata, tree)
-    return sim, node, msg
+    node, src = sim.nodes[receiver], sim.nodes[sender]
+    msg = data(kind, src.yni, node.yni, row(sim).channel_id, metadata, tree)
+    return sim, node, src, msg
+
+
+def over_the_wire(sim, src, node, msg):
+    """Send `msg` from `src` to `node` and run until it lands; the events
+    of the trace lines this adds."""
+    before = len(sim.trace)
+    sim.transmit(src, [(node.yni, msg)])
+    step(sim, sim.config.until + sim.links[src.label][node.label].latency)
+    return [r.event for r in sim.trace.records[before:]]
 
 
 @pytest.mark.parametrize("where", RECEIVERS)
@@ -984,10 +994,13 @@ def data_at(where, anycast, metadata):
 ], ids=["plain", "anycast"])
 def test_malformed_data_metadata_is_one_protocol_error(where, anycast,
                                                        metadata):
-    sim, node, msg = data_at(where, anycast, metadata)
-    before = len(sim.trace)
-    node.on_message(msg)
-    assert [r.event for r in sim.trace.records[before:]] == ["PROTO_ERROR"]
+    sim, node, src, msg = data_at(where, anycast, metadata)
+    with pytest.raises(MalformedFloating) as err:
+        parse_data_metadata(msg.kind, metadata)
+    assert over_the_wire(sim, src, node, msg) \
+        == ["SEND", "RECV", "PROTO_ERROR"]
+    assert sim.trace.select("PROTO_ERROR", n=node.label)[0].fields \
+        == (("reason", str(err.value)),)
     assert sim.metrics.proto_errors == 1
     assert sim.trace.count("DELIVER") == 0
 
@@ -998,10 +1011,10 @@ def test_malformed_data_metadata_is_one_protocol_error(where, anycast,
     (True, data_metadata(1, 65535)),
 ], ids=["plain", "anycast"])
 def test_well_formed_data_is_delivered_or_forwarded(where, anycast, metadata):
-    sim, node, msg = data_at(where, anycast, metadata)
-    before = len(sim.trace)
-    node.on_message(msg)
-    events = [r.event for r in sim.trace.records[before:]]
+    sim, node, src, msg = data_at(where, anycast, metadata)
+    events = over_the_wire(sim, src, node, msg)
+    assert events[:2] == ["SEND", "RECV"]
+    events = events[2:]
     assert sim.metrics.proto_errors == 0
     assert events.count("DELIVER") + events.count("SEND") > 0
 

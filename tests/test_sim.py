@@ -283,11 +283,11 @@ def test_run_pauses_the_collector_and_restores_it(monkeypatch, enabled,
     paused = []
     on_message = EdgeNode.on_message
 
-    def watched(self, msg):
+    def watched(self, msg, meta):
         paused.append(not gc.isenabled())
         if raises:
             raise _Raised(self.label)
-        on_message(self, msg)
+        on_message(self, msg, meta)
 
     monkeypatch.setattr(EdgeNode, "on_message", watched)
     sim = build_text(TWO_DOMAINS, scen(body=TestBasicWorld.BODY))
@@ -340,6 +340,37 @@ def test_serials_count_data_sends_not_events():
     busier = build_text(world.topology, world.scenario, 1)
     busier.schedule(1, lambda: None)
     assert outputs(busier.run()) == outputs(sim)
+
+
+# the wire kinds of data copies; a host's own SEND line reads k=data
+DATA_KINDS = {kind.name for kind in MessageKind} - {"CONTROL_YPP"}
+
+
+@pytest.mark.parametrize("name", ["fanout-group", "mcast-fanout"])
+def test_data_metadata_is_parsed_once_per_copy(monkeypatch, name):
+    """`transmit` parses a data copy's metadata for the serial on its trace
+    lines and hands the parse to the receiver with the copy, so no node
+    parses it again: the parses number at most the data SEND lines."""
+    from yodel import dataplane, sim as sim_module
+    parses = []
+    parse = dataplane.parse_data_metadata
+
+    def spy(kind, meta):
+        parses.append(kind)
+        return parse(kind, meta)
+
+    for module in (sim_module, dataplane):
+        monkeypatch.setattr(module, "parse_data_metadata", spy)
+    if name == "fanout-group":
+        texts = ((WORLDS / "fanout-group.topo").read_text(),
+                 (WORLDS / "fanout.scen").read_text(), 3)
+    else:
+        texts = _world_texts(name)
+    sim = build_text(*texts).run()
+    data_sends = sum(dict(r.fields)["k"] in DATA_KINDS
+                     for r in sim.trace.select("SEND"))
+    assert sim.trace.count("RECV") and data_sends
+    assert len(parses) <= data_sends
 
 
 def _world_texts(name):
