@@ -1,9 +1,10 @@
 """Data-plane node state machines: hosts, edge nodes, connector nodes.
 
 Hosts own registration rows (producer and consumer tables) and deliver to
-their apps; each delivery is one DELIVER trace line. Edge nodes keep one FIB
-per valley (producer and consumer host tables plus the installed path table)
-and translate between point-to-point and transit message kinds. Each edge
+their apps; each delivery is one DELIVER trace line. Edge nodes keep one
+row per community, found by its (valley, namespace, community) or by the
+(valley, channel) a data copy carries, plus the installed path table, and
+translate between point-to-point and transit message kinds. Each edge
 also owns one twin table (`twin.TwinManager`), built with the edge, that
 stands in for its silent hosts. Connectors know nothing but their
 neighbors: they pop the in-message tree and pick forwarding strategies.
@@ -30,6 +31,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Protocol
 
 from .codec import (
@@ -67,7 +69,7 @@ __all__ = [
     "op_hello", "op_hello_ack", "op_channel_update", "op_host_consumer_lock",
     "parse_op", "data_metadata", "parse_data_metadata",
     "Strategy", "AcTable", "NodeEnv", "Node",
-    "HostRow", "HostNode", "FibRow", "EdgeFib", "EdgeNode", "ConnectorNode",
+    "HostRow", "HostNode", "FibRow", "EdgeNode", "ConnectorNode",
 ]
 
 
@@ -684,6 +686,11 @@ class HostNode(Node):
 
 @dataclass
 class FibRow:
+    """One community at an edge: its channel and service model, the roles
+    the edge holds for it, and the local host apps on either side. The row
+    carries its whole key: `EdgeNode.rows` holds it under (valley,
+    namespace, community) and `EdgeNode.channels` under (valley, channel)."""
+    valley_id: int
     namespace_id: int
     community: str
     channel_id: int
@@ -715,22 +722,14 @@ class FibRow:
         return sorted(k for k, locked in self.producer_apps.items() if not locked)
 
 
-class EdgeFib:
-    def __init__(self):
-        self.rows: dict[tuple[int, str], FibRow] = {}
-        self.by_channel: dict[int, tuple[int, str]] = {}
-
-    def row_for_channel(self, channel_id: int) -> Optional[FibRow]:
-        key = self.by_channel.get(channel_id)
-        return None if key is None else self.rows.get(key)
-
-
 class EdgeNode(Node):
-    """Border node: valley FIBs, path table, host attachment, twin hosting."""
+    """Border node: community rows, path table, host attachment, twin
+    hosting. `channels` and the path table `aft` share a data copy's key."""
 
     def __init__(self, label: str, yni: Yni, domain: str, env: NodeEnv):
         super().__init__(label, yni, domain, env)
-        self.fibs: dict[int, EdgeFib] = {}
+        self.rows: dict[tuple[int, int, str], FibRow] = {}
+        self.channels: dict[tuple[int, int], FibRow] = {}
         self.aft: dict[tuple[int, int], PathTree] = {}
         self.twin = TwinManager(self)
         self._pending: dict[tuple[int, int, str, str], list[tuple[Yni, int]]] = {}
@@ -778,10 +777,9 @@ class EdgeNode(Node):
 
     def _handle_host_join(self, host: Yni, valley_id: int, namespace_id: int,
                           community: str, role: str, app_id: int) -> None:
-        fib = self.fibs.setdefault(valley_id, EdgeFib())
-        row = fib.rows.get((namespace_id, community))
+        row = self.rows.get((valley_id, namespace_id, community))
         if row is not None and roles_for_join(row.model, role) <= row.roles:
-            self._admit_locally(row, valley_id, host, app_id, role)
+            self._admit_locally(row, host, app_id, role)
             return
         key = (valley_id, namespace_id, community, role)
         waiters = self._pending.setdefault(key, [])
@@ -790,8 +788,8 @@ class EdgeNode(Node):
             self.env.controller_rpc(self, JoinRequest(
                 self.yni, valley_id, namespace_id, community, role, host, app_id))
 
-    def _admit_locally(self, row: FibRow, valley_id: int, host: Yni,
-                       app_id: int, role: str) -> None:
+    def _admit_locally(self, row: FibRow, host: Yni, app_id: int,
+                       role: str) -> None:
         roles = roles_for_join(row.model, role)
         lock_host = False
         if "consumer" in roles:
@@ -806,14 +804,14 @@ class EdgeNode(Node):
             if lock_host:
                 self.emit("LOCK", ("table", "ppt"), ("community", row.community),
                           ("host", host), ("app", app_id))
-        self._send_join_reply(valley_id, row, host, app_id, role, lock_host)
+        self._send_join_reply(row, host, app_id, role, lock_host)
 
-    def _send_join_reply(self, valley_id: int, row: FibRow, host: Yni,
-                         app_id: int, role: str, lock_host: bool) -> None:
+    def _send_join_reply(self, row: FibRow, host: Yni, app_id: int, role: str,
+                         lock_host: bool) -> None:
         self.send_op(host, op_join_reply(role, row.community,
                                          lock_host=lock_host, model=row.model,
                                          randomized=row.randomized, q=row.q),
-                     valley_id=valley_id, channel_id=row.channel_id,
+                     valley_id=row.valley_id, channel_id=row.channel_id,
                      namespace_id=row.namespace_id, app_id=app_id)
 
     # -- controller plane ------------------------------------------------------
@@ -833,15 +831,13 @@ class EdgeNode(Node):
             self.drop("unhandled_rpc", ("k", type(payload).__name__))
 
     def _on_join_reply(self, reply) -> None:
-        fib = self.fibs.setdefault(reply.valley_id, EdgeFib())
-        key = (reply.namespace_id, reply.community)
-        row = fib.rows.get(key)
+        key = (reply.valley_id, reply.namespace_id, reply.community)
+        row = self.rows.get(key)
         if row is None:
-            row = FibRow(reply.namespace_id, reply.community, reply.channel_id,
-                         reply.service_model, reply.anycast_randomized,
-                         reply.anycast_q)
-            fib.rows[key] = row
-            fib.by_channel[reply.channel_id] = key
+            row = self.rows[key] = FibRow(
+                *key, reply.channel_id, reply.service_model,
+                reply.anycast_randomized, reply.anycast_q)
+            self.channels[(reply.valley_id, reply.channel_id)] = row
         roles = roles_for_join(reply.service_model, reply.role)
         row.roles |= roles
         if "producer" in roles:
@@ -854,7 +850,7 @@ class EdgeNode(Node):
             (reply.valley_id, reply.namespace_id, reply.community, reply.role),
             [])
         for host, app_id in waiters:
-            self._admit_locally(row, reply.valley_id, host, app_id, reply.role)
+            self._admit_locally(row, host, app_id, reply.role)
 
     def _on_path_advertisement(self, adv) -> None:
         from .codec import decode
@@ -870,27 +866,21 @@ class EdgeNode(Node):
         self.aft[(msg.floating.valley_id, msg.floating.channel_id)] = tree
 
     def _on_activate(self, act) -> None:
-        fib = self.fibs.get(act.valley_id)
-        row = None if fib is None else fib.rows.get((act.namespace_id,
-                                                     act.community))
+        row = self.rows.get((act.valley_id, act.namespace_id, act.community))
         if row is None:
             return
         row.active = True
         row.edge_locked = False
         self.emit("UNLOCK", ("table", "ppt"), ("scope", "edge"),
                   ("community", row.community))
-        self._unlock_next_producer(act.valley_id, row)
+        self._unlock_next_producer(row)
 
     def _on_channel_update(self, upd) -> None:
-        fib = self.fibs.get(upd.valley_id)
-        if fib is None:
+        row = self.channels.pop((upd.valley_id, upd.old_channel_id), None)
+        if row is None:
             return
-        key = fib.by_channel.pop(upd.old_channel_id, None)
-        if key is None:
-            return
-        row = fib.rows[key]
         row.channel_id = upd.new_channel_id
-        fib.by_channel[upd.new_channel_id] = key
+        self.channels[(upd.valley_id, upd.new_channel_id)] = row
         self.twin.rekey_buffered(upd.valley_id, upd.old_channel_id,
                                  upd.new_channel_id)
         hosts = sorted({h for h, _ in row.producer_apps}
@@ -905,8 +895,7 @@ class EdgeNode(Node):
 
     def _handle_withdraw(self, host: Yni, valley_id: int, namespace_id: int,
                          community: str, role: str, app_id: int) -> None:
-        fib = self.fibs.get(valley_id)
-        row = None if fib is None else fib.rows.get((namespace_id, community))
+        row = self.rows.get((valley_id, namespace_id, community))
         if row is None:
             return
         roles = role_rows(role)
@@ -915,10 +904,10 @@ class EdgeNode(Node):
         if "producer" in roles:
             was = row.producer_apps.pop((host, app_id), None)
             if was is False:  # the unlocked producer left
-                self._unlock_next_producer(valley_id, row)
-        self._maybe_release_roles(valley_id, namespace_id, row)
+                self._unlock_next_producer(row)
+        self._maybe_release_roles(row)
 
-    def _unlock_next_producer(self, valley_id: int, row: FibRow) -> None:
+    def _unlock_next_producer(self, row: FibRow) -> None:
         """Local producer failover: unlock the lowest on-hold (host, app) on a
         reachable host. Twin-active hosts cannot answer, so they are skipped;
         their registrations stay."""
@@ -937,11 +926,10 @@ class EdgeNode(Node):
         self.emit("UNLOCK", ("table", "ppt"), ("community", row.community),
                   ("host", host), ("app", app_id))
         self.send_op(host, op_unlock_producer(row.community),
-                     valley_id=valley_id, channel_id=row.channel_id,
+                     valley_id=row.valley_id, channel_id=row.channel_id,
                      app_id=app_id)
 
-    def _maybe_release_roles(self, valley_id: int, namespace_id: int,
-                             row: FibRow) -> None:
+    def _maybe_release_roles(self, row: FibRow) -> None:
         """Drop edge-level registrations whose last host app is gone, telling
         the controller; delete the row once both sides are empty."""
         released = []
@@ -960,19 +948,15 @@ class EdgeNode(Node):
                 released.append("consumer")
         for role in released:
             self.env.controller_rpc(self, RemoveRole(
-                self.yni, valley_id, namespace_id, row.community, role))
+                self.yni, row.valley_id, row.namespace_id, row.community, role))
         if not row.roles and not row.producer_apps and not row.consumer_apps:
-            fib = self.fibs[valley_id]
-            fib.rows.pop((namespace_id, row.community), None)
-            fib.by_channel.pop(row.channel_id, None)
+            self.rows.pop((row.valley_id, row.namespace_id, row.community), None)
+            self.channels.pop((row.valley_id, row.channel_id), None)
 
     def _set_host_consumer_lock(self, host: Yni, valley_id: int,
                                 community: str, locked: bool) -> None:
-        fib = self.fibs.get(valley_id)
-        if fib is None:
-            return
-        for (ns, comm), row in fib.rows.items():
-            if comm != community:
+        for row in self.rows.values():
+            if row.valley_id != valley_id or row.community != community:
                 continue
             if locked:
                 row.locked_hosts.add(host)
@@ -987,8 +971,7 @@ class EdgeNode(Node):
                               meta: Optional[_Meta]) -> None:
         valley = msg.floating.valley_id
         channel = msg.floating.channel_id
-        fib = self.fibs.get(valley)
-        row = None if fib is None else fib.row_for_channel(channel)
+        row = self.channels.get((valley, channel))
         if row is None:
             self.drop("unknown_channel", ("channel", channel))
             return
@@ -1018,8 +1001,7 @@ class EdgeNode(Node):
         _, mode, children = read
         valley = msg.floating.valley_id
         channel = msg.floating.channel_id
-        fib = self.fibs.get(valley)
-        row = None if fib is None else fib.row_for_channel(channel)
+        row = self.channels.get((valley, channel))
         if row is not None and "consumer" in row.roles:
             # one push header, without the tree, for every host's copy
             push = FloatingHeader(valley_id=valley, channel_id=channel,
@@ -1029,7 +1011,8 @@ class EdgeNode(Node):
                                              mode=mode)
         elif row is None and not children:
             self.drop("unknown_channel", ("channel", channel))
-        self.strategic_send(children)
+        if children:
+            self.strategic_send(children)
 
     def _deliver_to_local_consumers(self, row: FibRow, kind: MessageKind,
                                     floating: FloatingHeader, payload: bytes,
@@ -1062,57 +1045,55 @@ class EdgeNode(Node):
 
     # -- twin hooks ------------------------------------------------------------
 
-    def producer_rows_for_host(self, host: Yni) -> list[tuple[int, FibRow]]:
-        out = []
-        for valley_id, fib in sorted(self.fibs.items()):
-            for row in fib.rows.values():
-                if any(h == host for h, _ in row.producer_apps):
-                    out.append((valley_id, row))
-        return out
+    def consumer_rows_of(self, host: Yni) -> int:
+        """How many rows hold a consumer app of the host."""
+        return sum(any(h == host for h, _ in row.consumer_apps)
+                   for row in self.rows.values())
 
-    def fail_over_producer(self, valley_id: int, row: FibRow, host: Yni) -> None:
-        """The given host went unreachable: re-lock its unlocked producer app
-        if any, then run the local failover chain; with no local candidate on
-        an active row, resign the producer role so the controller can move."""
-        held = [k for k, locked in row.producer_apps.items()
-                if k[0] == host and not locked]
-        for k in held:
-            row.producer_apps[k] = True
-            self.emit("LOCK", ("table", "ppt"), ("community", row.community),
-                      ("host", host), ("app", k[1]))
-        if not held:
-            return
-        self._unlock_next_producer(valley_id, row)
-        if row.model.single_source and row.active \
-                and not row.unlocked_producers():
-            # no reachable local producer; resign the active role so the
-            # control plane can move it to an on-hold edge. Multi-source
-            # trees stay up: other edges are unaffected and the host's
-            # registrations survive for its return.
-            row.roles.discard("producer")
-            row.active = False
-            self.env.controller_rpc(self, RemoveRole(
-                self.yni, valley_id, row.namespace_id, row.community,
-                "producer"))
+    def fail_over_host(self, host: Yni) -> None:
+        """The host went unreachable: in each row, by valley and then in
+        table order, re-lock its unlocked producer app if any and run the
+        local failover chain; with no local candidate on an active row,
+        resign the producer role so the controller can move."""
+        for row in sorted(self.rows.values(), key=attrgetter("valley_id")):
+            held = [k for k, locked in row.producer_apps.items()
+                    if k[0] == host and not locked]
+            if not held:
+                continue
+            for k in held:
+                row.producer_apps[k] = True
+                self.emit("LOCK", ("table", "ppt"),
+                          ("community", row.community), ("host", host),
+                          ("app", k[1]))
+            self._unlock_next_producer(row)
+            if row.model.single_source and row.active \
+                    and not row.unlocked_producers():
+                # no reachable local producer; resign the active role so
+                # the control plane can move it to an on-hold edge.
+                # Multi-source trees stay up: other edges are unaffected
+                # and the host's registrations survive for its return.
+                row.roles.discard("producer")
+                row.active = False
+                self.env.controller_rpc(self, RemoveRole(
+                    self.yni, row.valley_id, row.namespace_id, row.community,
+                    "producer"))
 
     def resync_host(self, host: Yni) -> None:
         """Reconnect corrections: refresh every row the host appears in so
         its lock and channel state match the edge before anything else
         reaches it. On a many-to-many row one member refresh per app covers
         both of its rows."""
-        for valley_id, fib in sorted(self.fibs.items()):
-            for _, row in sorted(fib.rows.items()):
-                mmm = row.model is ServiceModel.MMM
-                refresh = [("member" if mmm else "producer", app_id, locked)
-                           for (h, app_id), locked
-                           in sorted(row.producer_apps.items()) if h == host]
-                if not mmm:
-                    refresh += [("consumer", app_id, False)
-                                for h, app_id in sorted(row.consumer_apps)
-                                if h == host]
-                for role, app_id, locked in refresh:
-                    self._send_join_reply(valley_id, row, host, app_id, role,
-                                          locked)
+        for _, row in sorted(self.rows.items()):
+            mmm = row.model is ServiceModel.MMM
+            refresh = [("member" if mmm else "producer", app_id, locked)
+                       for (h, app_id), locked
+                       in sorted(row.producer_apps.items()) if h == host]
+            if not mmm:
+                refresh += [("consumer", app_id, False)
+                            for h, app_id in sorted(row.consumer_apps)
+                            if h == host]
+            for role, app_id, locked in refresh:
+                self._send_join_reply(row, host, app_id, role, locked)
 
     def send_hello_ack(self, host: Yni) -> None:
         self.send_op(host, op_hello_ack())
@@ -1120,17 +1101,13 @@ class EdgeNode(Node):
     def purge_host(self, host: Yni) -> None:
         """Drop every registration held by the host; the record that kept
         them alive is gone."""
-        for valley_id, fib in sorted(self.fibs.items()):
-            for key in sorted(fib.rows):
-                row = fib.rows.get(key)
-                if row is None:
-                    continue
-                row.consumer_apps = frozenset(
-                    (h, a) for h, a in row.consumer_apps if h != host)
-                for k in [k for k in row.producer_apps if k[0] == host]:
-                    del row.producer_apps[k]
-                row.locked_hosts.discard(host)
-                self._maybe_release_roles(valley_id, key[0], row)
+        for _, row in sorted(self.rows.items()):
+            row.consumer_apps = frozenset(
+                (h, a) for h, a in row.consumer_apps if h != host)
+            for k in [k for k in row.producer_apps if k[0] == host]:
+                del row.producer_apps[k]
+            row.locked_hosts.discard(host)
+            self._maybe_release_roles(row)
 
 
 # ---------------------------------------------------------------------------

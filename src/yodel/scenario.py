@@ -169,126 +169,122 @@ def _kv(token: str) -> Optional[tuple[str, str]]:
     return (k, v) if k and v else None
 
 
+class _Rejected(Exception):
+    """A world-file line that fails its check; the message is the reason."""
+
+
 def parse_topology(text: str, path: str = "<topology>"):
     spec = TopologySpec()
     errors: list[ScenarioError] = []
-    seen: set[str] = set()
+    names: set[str] = set()
     linked: set[frozenset[str]] = set()
-
-    def err(line, reason):
-        errors.append(ScenarioError(path, line, reason))
-
     for line_no, tok in _lines(text):
         kind, rest = tok[0], tok[1:]
-        if kind == "domain":
-            if len(rest) != 1:
-                err(line_no, "domain takes exactly one name")
-            elif rest[0] in spec.domains:
-                err(line_no, f"duplicate domain {rest[0]!r}")
+        try:
+            if kind == "domain":
+                spec.domains.append(_domain(rest, spec.domains))
+            elif kind == "node":
+                node = _node(rest, names)
+                names.add(node.name)
+                spec.nodes.append(node)
+            elif kind == "link":
+                link = _link(rest, linked)
+                linked.add(frozenset((link.a, link.b)))
+                spec.links.append(link)
+            elif kind == "mcastgroup":
+                spec.groups.append(_group(rest))
+            elif kind == "host":
+                host = _host(rest, names)
+                names.add(host.name)
+                spec.hosts.append(host)
             else:
-                spec.domains.append(rest[0])
-        elif kind == "node":
-            if len(rest) < 3:
-                err(line_no, "node needs <name> <role> <domain>")
-                continue
-            name, role, domain = rest[0], rest[1], rest[2]
-            if role not in ("edge", "connector"):
-                err(line_no, f"node role must be edge or connector, got {role!r}")
-                continue
-            if name in seen:
-                err(line_no, f"duplicate node name {name!r}")
-                continue
-            stats = []
-            bad = False
-            for extra in rest[3:]:
-                kv = _kv(extra)
-                if kv is None:
-                    err(line_no, f"expected key=value stat, got {extra!r}")
-                    bad = True
-                    break
-                try:
-                    value = float(kv[1])
-                except ValueError:
-                    err(line_no, f"stat {kv[0]!r} is not a number")
-                    bad = True
-                    break
-                if not math.isfinite(value):
-                    # placement compares stats; nan has no order
-                    err(line_no, f"stat {kv[0]!r} is not finite")
-                    bad = True
-                    break
-                stats.append((kv[0], value))
-            if bad:
-                continue
-            seen.add(name)
-            spec.nodes.append(NodeSpec(name, role, domain, tuple(stats)))
-        elif kind == "link":
-            if len(rest) != 3:
-                err(line_no, "link needs <a> <b> <latency>")
-                continue
-            try:
-                latency = int(rest[2])
-            except ValueError:
-                err(line_no, f"latency {rest[2]!r} is not an integer")
-                continue
-            if latency < 1:
-                err(line_no, "latency must be at least 1")
-                continue
-            if rest[0] == rest[1]:
-                err(line_no, "link endpoints must differ")
-                continue
-            pair = frozenset(rest[:2])
-            if pair in linked:
-                err(line_no, f"duplicate link {rest[0]!r} {rest[1]!r}")
-                continue
-            linked.add(pair)
-            spec.links.append(LinkSpec(rest[0], rest[1], latency))
-        elif kind == "mcastgroup":
-            if len(rest) < 3:
-                err(line_no, "mcastgroup needs <domain> and at least two nodes")
-                continue
-            members = rest[1:]
-            if len(set(members)) != len(members):
-                err(line_no, "mcastgroup members must be distinct")
-                continue
-            spec.groups.append(GroupSpec(rest[0], tuple(members)))
-        elif kind == "host":
-            if len(rest) < 2:
-                err(line_no, "host needs <name> <user>")
-                continue
-            name, user = rest[0], rest[1]
-            if name in seen:
-                err(line_no, f"duplicate node name {name!r}")
-                continue
-            domain = None
-            max_latency = None
-            bad = False
-            for extra in rest[2:]:
-                kv = _kv(extra)
-                if kv is None:
-                    err(line_no, f"expected key=value, got {extra!r}")
-                    bad = True
-                    break
-                if kv[0] == "domain":
-                    domain = kv[1]
-                elif kv[0] == "max_latency":
-                    try:
-                        max_latency = int(kv[1])
-                    except ValueError:
-                        err(line_no, "max_latency is not an integer")
-                        bad = True
-                        break
-                else:
-                    err(line_no, f"unknown host option {kv[0]!r}")
-                    bad = True
-                    break
-            if bad:
-                continue
-            seen.add(name)
-            spec.hosts.append(HostSpec(name, user, domain, max_latency))
-        else:
-            err(line_no, f"unknown directive {kind!r}")
+                raise _Rejected(f"unknown directive {kind!r}")
+        except _Rejected as exc:
+            errors.append(ScenarioError(path, line_no, str(exc)))
     return spec, errors
+
+
+def _domain(rest: list[str], domains: list[str]) -> str:
+    if len(rest) != 1:
+        raise _Rejected("domain takes exactly one name")
+    if rest[0] in domains:
+        raise _Rejected(f"duplicate domain {rest[0]!r}")
+    return rest[0]
+
+
+def _node(rest: list[str], names: set[str]) -> NodeSpec:
+    if len(rest) < 3:
+        raise _Rejected("node needs <name> <role> <domain>")
+    name, role, domain = rest[:3]
+    if role not in ("edge", "connector"):
+        raise _Rejected(f"node role must be edge or connector, got {role!r}")
+    if name in names:
+        raise _Rejected(f"duplicate node name {name!r}")
+    return NodeSpec(name, role, domain, tuple(_stat(t) for t in rest[3:]))
+
+
+def _stat(token: str) -> tuple[str, float]:
+    kv = _kv(token)
+    if kv is None:
+        raise _Rejected(f"expected key=value stat, got {token!r}")
+    try:
+        value = float(kv[1])
+    except ValueError:
+        raise _Rejected(f"stat {kv[0]!r} is not a number") from None
+    if not math.isfinite(value):
+        # placement compares stats; nan has no order
+        raise _Rejected(f"stat {kv[0]!r} is not finite")
+    return kv[0], value
+
+
+def _link(rest: list[str], linked: set[frozenset[str]]) -> LinkSpec:
+    if len(rest) != 3:
+        raise _Rejected("link needs <a> <b> <latency>")
+    a, b, raw = rest
+    try:
+        latency = int(raw)
+    except ValueError:
+        raise _Rejected(f"latency {raw!r} is not an integer") from None
+    if latency < 1:
+        raise _Rejected("latency must be at least 1")
+    if a == b:
+        raise _Rejected("link endpoints must differ")
+    if frozenset((a, b)) in linked:
+        raise _Rejected(f"duplicate link {a!r} {b!r}")
+    return LinkSpec(a, b, latency)
+
+
+def _group(rest: list[str]) -> GroupSpec:
+    if len(rest) < 3:
+        raise _Rejected("mcastgroup needs <domain> and at least two nodes")
+    members = rest[1:]
+    if len(set(members)) != len(members):
+        raise _Rejected("mcastgroup members must be distinct")
+    return GroupSpec(rest[0], tuple(members))
+
+
+def _host(rest: list[str], names: set[str]) -> HostSpec:
+    if len(rest) < 2:
+        raise _Rejected("host needs <name> <user>")
+    name, user = rest[:2]
+    if name in names:
+        raise _Rejected(f"duplicate node name {name!r}")
+    domain = max_latency = None
+    for extra in rest[2:]:
+        kv = _kv(extra)
+        if kv is None:
+            raise _Rejected(f"expected key=value, got {extra!r}")
+        key, value = kv
+        if key == "domain":
+            domain = value
+        elif key == "max_latency":
+            try:
+                max_latency = int(value)
+            except ValueError:
+                raise _Rejected("max_latency is not an integer") from None
+        else:
+            raise _Rejected(f"unknown host option {key!r}")
+    return HostSpec(name, user, domain, max_latency)
 
 
 _COMMAND_ARITY = {
@@ -308,10 +304,6 @@ _COMMAND_ARITY = {
     "partition-now": (3, 3),
     "report": (0, 0),
 }
-
-
-class _Rejected(Exception):
-    """A scenario line that fails its check; the message is the reason."""
 
 
 def parse_scenario(text: str, path: str = "<scenario>"):

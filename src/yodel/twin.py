@@ -56,8 +56,10 @@ class TwinManager:
     """Twin table for one edge node.
 
     The edge owns the wire and its tables, which always name the real host;
-    this class owns the records, keyed by that host id, and drives the edge
-    through its failover/resync/purge hooks. It asks the edge's environment
+    this class owns the records, keyed by that host id, and reads none of
+    the edge's tables: it drives the edge through its failover, resync and
+    purge hooks, and asks it how many consumer rows a host holds for the
+    TWIN_SWAP line. It asks the edge's environment
     whether a host's link is usable (`host_attached`), for trace-friendly
     node names (`label_of`) and for the twin settings (`config`).
     """
@@ -190,8 +192,7 @@ class TwinManager:
         self.edge.emit("TWIN_ACTIVE", ("host", self.env.label_of(rec.host)),
                        ("alphorn", str(rec.alphorn)))
         self._trace_swap(rec.host, "in")
-        for valley_id, row in self.edge.producer_rows_for_host(rec.host):
-            self.edge.fail_over_producer(valley_id, row, rec.host)
+        self.edge.fail_over_host(rec.host)
 
     def buffer_message(self, host: Yni, msg: YodelMessage) -> None:
         rec = self.records[host]
@@ -205,9 +206,7 @@ class TwinManager:
     def _trace_swap(self, host: Yni, direction: str) -> None:
         """One TWIN_SWAP line per turn of the stand-in, counting the
         consumer rows it covers; none when it covers no row."""
-        rows = sum(any(h == host for h, _ in row.consumer_apps)
-                   for fib in self.edge.fibs.values()
-                   for row in fib.rows.values())
+        rows = self.edge.consumer_rows_of(host)
         if rows:
             self.edge.emit("TWIN_SWAP", ("host", self.env.label_of(host)),
                            ("dir", direction), ("rows", rows))

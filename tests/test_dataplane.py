@@ -125,7 +125,7 @@ at 2 join h2 vale chat room consumer 1
 at 30 partition-now vale chat room
 """
 
-ROOM = (1, "room")      # an edge's row key: (namespace, community)
+ROOM = (1, 1, "room")   # an edge's row key: (valley, namespace, community)
 
 
 def key(app):
@@ -149,7 +149,7 @@ def send_lines(count, first, host="h1"):
 
 
 def row(sim, edge="e1"):
-    return sim.edges[edge].fibs[1].rows[ROOM]
+    return sim.edges[edge].rows[ROOM]
 
 
 def delivered(sim, label):
@@ -741,8 +741,8 @@ class TestEdgeJoins:
     def test_row_deleted_when_both_sides_empty(self):
         sim = world(JOINED + "at 8 withdraw h1 vale chat room producer 1\n"
                     "at 8 withdraw h2 vale chat room consumer 1\n", until=12)
-        assert sim.edges["e1"].fibs[1].rows == {}
-        assert sim.edges["e1"].fibs[1].by_channel == {}
+        assert sim.edges["e1"].rows == {}
+        assert sim.edges["e1"].channels == {}
 
     def test_member_withdraw_releases_member(self):
         sim = world("at 2 join h1 vale chat room member 1\n"
@@ -853,7 +853,7 @@ class TestEdgeData:
             ChannelIdUpdate(1, old, 250)))
         step(sim, 12)
         assert row(sim).channel_id == 250
-        assert e1.fibs[1].by_channel == {250: ROOM}
+        assert e1.channels == {(1, 250): e1.rows[ROOM]}
         assert "t=10 n=e1 ev=SEND to=h1 k=CONTROL_YPP" in sim.trace.lines()
         h1 = sim.hosts["h1"]
         assert h1.prt[key(1)].channel_id == 250

@@ -35,6 +35,7 @@ PAIRS = [
     ("flap.topo", "flap.scen"),
     ("anycast.topo", "anycast.scen"),
     ("twin-late-join.topo", "twin-late-join.scen"),
+    ("two-valleys.topo", "two-valleys.scen"),
 ]
 SEEDS = (0, 7)
 
