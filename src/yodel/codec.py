@@ -15,14 +15,21 @@ appearing at most once:
 
 Namespace and application ids ride only on control messages; a path tree rides
 on control messages and the sync kinds, never on the data push kinds. A path
-tree serializes preorder as yni(10) | child_count(1) | children.
+tree serializes preorder as yni(10) | child_count(1) | children, so it is a
+run of 11-byte records.
 
-decode() is total over arbitrary bytes: it either returns a message or raises
-a CodecError subclass, and a successful decode re-encodes to the same bytes.
+The fixed header is read and written with `struct`, with no object of its
+own; the floating header's elements are framed with `struct` at their
+offsets. A path tree is read in one pass over its records and built by
+`PathTree.from_preorder`, with no recursion, so a tree's depth is bounded
+only by the 64 KiB floating header. decode() is total over arbitrary bytes:
+it either returns a message or raises a CodecError subclass, and a
+successful decode re-encodes to the same bytes.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import IntEnum
 from typing import Iterator, Optional
@@ -42,7 +49,6 @@ __all__ = [
     "MessageKind",
     "PathTree",
     "FloatingHeader",
-    "FixedHeader",
     "YodelMessage",
     "encode",
     "decode",
@@ -80,12 +86,14 @@ class PathTree:
     """Delivery tree node; serialized preorder, children in stored order.
 
     Immutable, compared and hashed by `yni` and `children`. `members` is the
-    set of node ids in this subtree, built from the children's sets, so
-    checking a new node for repeats costs one union (a leaf needs none); it
-    takes no part in `==`, `hash` or `repr`. Written out by hand, with the
-    slots set through their own setters, because a tree is built node by
-    node for every advertisement the controller computes and every one an
-    edge decodes.
+    set of node ids in this subtree; it takes no part in `==`, `hash` or
+    `repr`. Every tree the package builds, each one the controller computes
+    and each one a node decodes, comes from `from_preorder`, one loop over
+    preorder ids and child counts. `PathTree(yni, children)` builds one
+    node over subtrees already built, checking that node for repeats and
+    fan-out; it is for trees written out by hand. Comparison, hashing,
+    `walk`, `edges` and `serialize` are loops, so a tree of any depth works
+    with all of them.
     """
 
     __slots__ = ("yni", "children", "members")
@@ -109,13 +117,72 @@ class PathTree:
                         f"repeated node in path tree: {node.yni}")
                 seen.add(node.yni)
 
+    @classmethod
+    def from_preorder(cls, ids: list[Yni], counts) -> "PathTree":
+        """The tree whose nodes in preorder are `ids`, node i having
+        `counts[i]` children; the counts must describe one whole tree.
+
+        Built bottom-up in one loop: the stack holds the subtrees built so
+        far, the next one in preorder on top, and each node's `members` is
+        the run of `ids` its subtree spans. The root's members are the one
+        set over all ids that shows a repeat. Raises InvariantViolation on
+        a fan-out above 255, or on a repeated id, naming the first one in
+        preorder that repeats an earlier one.
+        """
+        n = len(ids)
+        nodes: list[PathTree] = []
+        starts: list[int] = []  # where each stacked subtree starts in `ids`
+        for i in range(n - 1, -1, -1):
+            node = _new_tree(cls)
+            yni = ids[i]
+            _set_yni(node, yni)
+            count = counts[i]
+            if count:
+                if count > 255:
+                    raise InvariantViolation("path-tree fan-out above 255")
+                kids = nodes[-count:]
+                del nodes[-count:], starts[-count:]
+                kids.reverse()
+                _set_children(node, tuple(kids))
+                _set_members(node,
+                             frozenset(ids[i:starts[-1] if starts else n]))
+            else:
+                _set_children(node, ())
+                _set_members(node, frozenset((yni,)))
+            nodes.append(node)
+            starts.append(i)
+        root = nodes[0]
+        if len(root.members) != n:
+            seen = set()
+            for yni in ids:
+                if yni in seen:
+                    raise InvariantViolation(
+                        f"repeated node in path tree: {yni}")
+                seen.add(yni)
+        return root
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.yni == other.yni and self.children == other.children
+        # both trees in step, stopping at the first difference; a shared
+        # subtree is equal without a look inside
+        stack = [(self, other)]
+        while stack:
+            one, two = stack.pop()
+            if one is two:
+                continue
+            if (one.yni != two.yni
+                    or len(one.children) != len(two.children)):
+                return False
+            stack += zip(one.children, two.children)
+        return True
 
     def __hash__(self):
-        return hash((self.yni, self.children))
+        # the preorder (yni, child count) sequence determines the tree
+        flat = []
+        for node in self.walk():
+            flat += (node.yni, len(node.children))
+        return hash(tuple(flat))
 
     def __repr__(self):
         return (f"{type(self).__qualname__}(yni={self.yni!r}, "
@@ -142,9 +209,11 @@ class PathTree:
     def edges(self) -> list[tuple[Yni, Yni]]:
         """Parent/child pairs in depth-first order, i.e. recursive pop order."""
         out = []
-        for child in self.children:
-            out.append((self.yni, child.yni))
-            out.extend(child.edges())
+        stack = [(self.yni, c) for c in reversed(self.children)]
+        while stack:
+            parent, node = stack.pop()
+            out.append((parent, node.yni))
+            stack += [(node.yni, c) for c in reversed(node.children)]
         return out
 
     def size(self) -> int:
@@ -152,42 +221,83 @@ class PathTree:
 
     def serialize(self) -> bytes:
         parts = []
-        for node in self.walk():
-            parts += (node.yni, _COUNTS[len(node.children)])
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            children = node.children
+            parts += (node.yni, _BYTES[len(children)])
+            stack += reversed(children)
         return b"".join(parts)
 
     @classmethod
     def deserialize(cls, raw: bytes) -> "PathTree":
-        tree, used = _read_tree(raw, 0)
-        if used != len(raw):
-            raise LengthMismatch("trailing bytes after path tree")
-        return tree
+        return _read_tree(raw, 0, len(raw))
 
 
 # the slots' own setters, which `PathTree.__setattr__` cannot block
 _set_yni = PathTree.yni.__set__
 _set_children = PathTree.children.__set__
 _set_members = PathTree.members.__set__
-# the child-count byte of a serialized tree node, by count
-_COUNTS = [bytes((n,)) for n in range(256)]
+_new_tree = object.__new__
+# a node id over ten bytes of a buffer, without `Yni.from_bytes`'s length check
+_new_yni = bytes.__new__
+# one byte of each value: a tree node's child count, a message's kind
+_BYTES = [bytes((n,)) for n in range(256)]
 
 
-def _read_tree(raw: bytes, off: int) -> tuple[PathTree, int]:
-    if off + 11 > len(raw):
+def _read_tree(raw: bytes, off: int, end: int) -> PathTree:
+    """The path tree that fills raw[off:end], read in one pass over its
+    11-byte preorder records, yni(10) | child_count(1).
+
+    Raises MalformedFloating for a repeated node, TruncatedMessage when the
+    records end before the tree does, and LengthMismatch when bytes follow
+    it, in that order of precedence.
+    """
+    counts = raw[off + 10:end:11]  # the count byte of each whole record
+    ids = [_new_yni(Yni, raw[k:k + 10])
+           for k in range(off, off + 11 * len(counts), 11)]
+    owed = 1  # records the tree still needs: the root, then each child
+    for n, count in enumerate(counts, 1):
+        owed += count - 1
+        if not owed:
+            break
+    else:
+        # cut short. A subtree that ends before the cut is checked for
+        # repeats first, as a reader that checks each subtree as it ends
+        # would before it reads on.
+        for start, stop in _finished_subtrees(counts):
+            _assemble(ids[start:stop], counts[start:stop])
         raise TruncatedMessage("path tree cut short")
-    yni = Yni.from_bytes(raw[off:off + 10])
-    count = raw[off + 10]
-    off += 11
-    children = []
-    for _ in range(count):
-        child, off = _read_tree(raw, off)
-        children.append(child)
+    tree = _assemble(ids[:n], counts)
+    if off + 11 * n != end:
+        raise LengthMismatch("trailing bytes after path tree")
+    return tree
+
+
+def _assemble(ids: list[Yni], counts) -> PathTree:
     try:
-        return PathTree(yni, tuple(children)), off
+        return PathTree.from_preorder(ids, counts)
     except InvariantViolation as exc:
         # A repeated node in received bytes is a malformed header, not a
         # locally constructed contract violation.
         raise MalformedFloating(str(exc)) from exc
+
+
+def _finished_subtrees(counts) -> list[tuple[int, int]]:
+    """(start, stop) of each largest subtree that ends within `counts`,
+    the child counts of the first preorder records of a tree, in preorder."""
+    spans: list[tuple[int, int]] = []
+    open_nodes: list[list[int]] = []  # [start, children still to read]
+    for i, count in enumerate(counts):
+        open_nodes.append([i, count])
+        while open_nodes and not open_nodes[-1][1]:
+            start = open_nodes.pop()[0]
+            while spans and spans[-1][0] > start:
+                spans.pop()  # nested in the subtree that just ended
+            spans.append((start, i + 1))
+            if open_nodes:
+                open_nodes[-1][1] -= 1
+    return spans
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -225,68 +335,24 @@ class FloatingHeader:
 
     def encode(self) -> bytes:
         parts = []
-
-        def tlv(tag: int, value: bytes):
-            if len(value) > 0xFFFF:
-                raise InvariantViolation(f"element 0x{tag:02x} too long")
-            parts.append(bytes([tag]) + len(value).to_bytes(2, "big") + value)
-
-        if self.valley_id is not None:
-            tlv(_TAG_VALLEY, _uint(self.valley_id, 4, "valley id"))
-        if self.channel_id is not None:
-            tlv(_TAG_CHANNEL, _uint(self.channel_id, 8, "channel id"))
-        if self.namespace_id is not None:
-            tlv(_TAG_NAMESPACE, _uint(self.namespace_id, 4, "namespace id"))
-        if self.application_id is not None:
-            tlv(_TAG_APPLICATION, _uint(self.application_id, 4, "application id"))
+        for (tag, what, element), value in zip(_FIXED, (
+                self.valley_id, self.channel_id, self.namespace_id,
+                self.application_id)):
+            if value is not None:
+                size = element.size - 3
+                if not 0 <= value < 1 << (8 * size):
+                    raise InvariantViolation(f"{what} out of range: {value}")
+                parts.append(element.pack(tag, size, value))
         if self.metadata is not None:
-            tlv(_TAG_METADATA, self.metadata)
+            parts += (_tlv_head(_TAG_METADATA, self.metadata), self.metadata)
         if self.path_tree is not None:
-            tlv(_TAG_PATH_TREE, self.path_tree.serialize())
+            tree = self.path_tree.serialize()
+            parts += (_tlv_head(_TAG_PATH_TREE, tree), tree)
         return b"".join(parts)
 
     @classmethod
     def decode(cls, raw: bytes) -> "FloatingHeader":
-        fields: dict[int, bytes] = {}
-        off = 0
-        last_tag = 0
-        while off < len(raw):
-            if off + 3 > len(raw):
-                raise TruncatedMessage("floating element header cut short")
-            tag = raw[off]
-            length = int.from_bytes(raw[off + 1:off + 3], "big")
-            off += 3
-            if off + length > len(raw):
-                raise TruncatedMessage("floating element value cut short")
-            value = raw[off:off + length]
-            off += length
-            if tag in fields:
-                raise DuplicateTlv(f"tag 0x{tag:02x} repeated")
-            if tag < last_tag:
-                raise MalformedFloating("tags out of ascending order")
-            last_tag = tag
-            fields[tag] = value
-
-        def fixed(tag: int, size: int) -> Optional[int]:
-            if tag not in fields:
-                return None
-            value = fields.pop(tag)
-            if len(value) != size:
-                raise LengthMismatch(f"tag 0x{tag:02x} needs {size} bytes, got {len(value)}")
-            return int.from_bytes(value, "big")
-
-        valley = fixed(_TAG_VALLEY, 4)
-        channel = fixed(_TAG_CHANNEL, 8)
-        namespace = fixed(_TAG_NAMESPACE, 4)
-        application = fixed(_TAG_APPLICATION, 4)
-        metadata = fields.pop(_TAG_METADATA, None)
-        tree = None
-        if _TAG_PATH_TREE in fields:
-            tree = PathTree.deserialize(fields.pop(_TAG_PATH_TREE))
-        if fields:
-            bad = min(fields)
-            raise MalformedFloating(f"unknown tag 0x{bad:02x}")
-        return cls(valley, channel, namespace, application, metadata, tree)
+        return _read_floating(raw, 0, len(raw))
 
 
 _set_valley = FloatingHeader.valley_id.__set__
@@ -297,40 +363,62 @@ _set_metadata = FloatingHeader.metadata.__set__
 _set_path_tree = FloatingHeader.path_tree.__set__
 
 
-def _uint(value: int, size: int, what: str) -> bytes:
-    if not 0 <= value < 1 << (8 * size):
-        raise InvariantViolation(f"{what} out of range: {value}")
-    return value.to_bytes(size, "big")
+_TLV = struct.Struct(">BH")  # an element's tag and value length
+# the fixed-size elements in tag order: tag, name, and the whole element,
+# tag | length | value
+_FIXED = ((_TAG_VALLEY, "valley id", struct.Struct(">BHI")),
+          (_TAG_CHANNEL, "channel id", struct.Struct(">BHQ")),
+          (_TAG_NAMESPACE, "namespace id", struct.Struct(">BHI")),
+          (_TAG_APPLICATION, "application id", struct.Struct(">BHI")))
 
 
-@dataclass(frozen=True)
-class FixedHeader:
-    kind: MessageKind
-    sender: Yni
-    receiver: Yni
-    floating_len: int
-    payload_len: int
+def _tlv_head(tag: int, value: bytes) -> bytes:
+    if len(value) > 0xFFFF:
+        raise InvariantViolation(f"element 0x{tag:02x} too long")
+    return _TLV.pack(tag, len(value))
 
-    def encode(self) -> bytes:
-        return (bytes([self.kind])
-                + self.sender
-                + self.receiver
-                + self.floating_len.to_bytes(2, "big")
-                + self.payload_len.to_bytes(4, "big"))
 
-    @classmethod
-    def decode(cls, raw: bytes) -> "FixedHeader":
-        if len(raw) < FIXED_HEADER_LEN:
-            raise TruncatedMessage(f"fixed header needs {FIXED_HEADER_LEN} bytes, got {len(raw)}")
-        try:
-            kind = MessageKind(raw[0])
-        except ValueError:
-            raise UnknownKind(f"kind byte 0x{raw[0]:02x}") from None
-        return cls(kind,
-                   Yni.from_bytes(raw[1:11]),
-                   Yni.from_bytes(raw[11:21]),
-                   int.from_bytes(raw[21:23], "big"),
-                   int.from_bytes(raw[23:27], "big"))
+def _read_floating(raw: bytes, off: int, end: int) -> FloatingHeader:
+    """The floating header in raw[off:end]. Every element is framed first,
+    so a cut-short, repeated or out-of-order element is reported before a
+    bad value, and an unknown tag last."""
+    found: dict[int, tuple[int, int]] = {}  # tag -> (value offset, length)
+    last_tag = 0
+    while off < end:
+        if off + 3 > end:
+            raise TruncatedMessage("floating element header cut short")
+        tag, length = _TLV.unpack_from(raw, off)
+        off += 3
+        if off + length > end:
+            raise TruncatedMessage("floating element value cut short")
+        if tag in found:
+            raise DuplicateTlv(f"tag 0x{tag:02x} repeated")
+        if tag < last_tag:
+            raise MalformedFloating("tags out of ascending order")
+        last_tag = tag
+        found[tag] = (off, length)
+        off += length
+    values = []
+    for tag, _, element in _FIXED:
+        if tag not in found:
+            values.append(None)
+            continue
+        at, length = found.pop(tag)
+        size = element.size - 3
+        if length != size:
+            raise LengthMismatch(
+                f"tag 0x{tag:02x} needs {size} bytes, got {length}")
+        values.append(element.unpack_from(raw, at - 3)[2])
+    metadata = tree = None
+    if _TAG_METADATA in found:
+        at, length = found.pop(_TAG_METADATA)
+        metadata = raw[at:at + length]
+    if _TAG_PATH_TREE in found:
+        at, length = found.pop(_TAG_PATH_TREE)
+        tree = _read_tree(raw, at, at + length)
+    if found:
+        raise MalformedFloating(f"unknown tag 0x{min(found):02x}")
+    return FloatingHeader(*values, metadata, tree)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -366,6 +454,11 @@ _set_floating = YodelMessage.floating.__set__
 _set_payload = YodelMessage.payload.__set__
 
 
+# the fixed header after kind, sender and receiver: both lengths
+_LENGTHS = struct.Struct(">HI")
+_KINDS = {int(kind): kind for kind in MessageKind}
+
+
 def _check_kind_rules(msg: YodelMessage) -> None:
     if not msg.kind.is_control:
         if msg.floating.namespace_id is not None:
@@ -384,21 +477,30 @@ def encode(msg: YodelMessage) -> bytes:
         raise InvariantViolation("floating header above 64KiB")
     if len(msg.payload) > 0xFFFFFFFF:
         raise InvariantViolation("payload above 4GiB")
-    head = FixedHeader(msg.kind, msg.sender, msg.receiver, len(floating), len(msg.payload))
-    return head.encode() + floating + msg.payload
+    return b"".join((_BYTES[msg.kind], msg.sender, msg.receiver,
+                     _LENGTHS.pack(len(floating), len(msg.payload)),
+                     floating, msg.payload))
 
 
 def decode(raw: bytes) -> YodelMessage:
     """Inverse of encode on valid input; rejects trailing garbage."""
-    head = FixedHeader.decode(raw)
-    total = FIXED_HEADER_LEN + head.floating_len + head.payload_len
+    if len(raw) < FIXED_HEADER_LEN:
+        raise TruncatedMessage(
+            f"fixed header needs {FIXED_HEADER_LEN} bytes, got {len(raw)}")
+    kind = _KINDS.get(raw[0])
+    if kind is None:
+        raise UnknownKind(f"kind byte 0x{raw[0]:02x}")
+    floating_len, payload_len = _LENGTHS.unpack_from(raw, 21)
+    start = FIXED_HEADER_LEN + floating_len  # where the payload starts
+    total = start + payload_len
     if len(raw) < total:
         raise TruncatedMessage(f"message needs {total} bytes, got {len(raw)}")
     if len(raw) > total:
         raise LengthMismatch(f"{len(raw) - total} trailing bytes")
-    floating = FloatingHeader.decode(raw[FIXED_HEADER_LEN:FIXED_HEADER_LEN + head.floating_len])
-    payload = raw[FIXED_HEADER_LEN + head.floating_len:total]
-    msg = YodelMessage(head.kind, head.sender, head.receiver, floating, payload)
+    msg = YodelMessage(kind, _new_yni(Yni, raw[1:11]),
+                       _new_yni(Yni, raw[11:21]),
+                       _read_floating(raw, FIXED_HEADER_LEN, start),
+                       raw[start:])
     try:
         _check_kind_rules(msg)
     except InvariantViolation as exc:

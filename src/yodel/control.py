@@ -90,17 +90,6 @@ def _search(adjacency: dict[Yni, dict[Yni, int]], source: Yni
     return dist, parent
 
 
-def _build_tree(node: Yni, children: dict[Yni, list[Yni]]) -> PathTree:
-    """The subtree under `node` with its children in id order. A module
-    function rather than a closure, so building a tree leaves no reference
-    cycle behind for the collector."""
-    kids = children[node]
-    if not kids:
-        return PathTree(node)
-    kids.sort()
-    return PathTree(node, tuple([_build_tree(c, children) for c in kids]))
-
-
 @dataclass
 class NodeInfo:
     yni: Yni
@@ -120,11 +109,19 @@ class TopologyGraph:
     it current and returns the links it changed.
 
     Two results that depend only on the nodes and `adjacency` are cached:
-    the shortest-path tree from each source (`shortest_paths`) and the
-    distance of every node to each domain (`domain_distances`). `register`
-    drops both caches when the registering node is new, changes role or
-    domain, or ends with a different adjacency row. Links are symmetric, so
-    when that node's row is unchanged no other row changed either.
+    the shortest-path searches (`shortest_paths`) and the distance of every
+    node to each domain (`domain_distances`). `register` drops both caches
+    when the registering node is new, changes role or domain, or ends with
+    a different adjacency row. Links are symmetric, so when that node's row
+    is unchanged no other row changed either.
+
+    A leaf, a node with one neighbour `c` that has a neighbour besides it,
+    has no search of its own: its paths follow from `c`'s. Every cost from
+    the leaf is `c`'s plus (1, latency of the link), which keeps the order
+    of costs and so every lowest-id tie, and each node's parent is its
+    parent from `c`, except that `c`'s parent is the leaf. So the cache
+    holds one search per node that is not such a leaf; two nodes linked
+    only to each other each search for themselves.
 
     `placement` holds `Controller.provision_host`'s heaps, one per host
     preference pair. Their keys read node stats, which the rule above
@@ -176,12 +173,35 @@ class TopologyGraph:
 
     def shortest_paths(self, source: Yni
                        ) -> tuple[dict[Yni, tuple[int, int]], dict[Yni, Yni]]:
-        """`_search` from a source node over the current links, cached;
-        callers must not modify the result."""
+        """(dist, parent) of `_search` from a source node over the current
+        links; callers must not modify the result. A leaf's pair is derived
+        from its neighbour's cached search on each call, not cached."""
+        hub, dist, parent = self.search_serving(source)
+        if hub == source:
+            return dist, parent
+        lat = self.adjacency[source][hub]
+        leaf_dist = {x: (hops + 1, d + lat) for x, (hops, d) in dist.items()}
+        leaf_dist[source] = (0, 0)
+        leaf_parent = dict(parent)
+        del leaf_parent[source]
+        leaf_parent[hub] = source
+        return leaf_dist, leaf_parent
+
+    def search_serving(self, source: Yni
+                       ) -> tuple[Yni, dict[Yni, tuple[int, int]],
+                                  dict[Yni, Yni]]:
+        """(hub, dist, parent): the cached search that serves a source,
+        from the source itself or, for a leaf, from its one neighbour `hub`
+        (see the class docstring); callers must not modify the result."""
+        row = self.adjacency[source]
+        if len(row) == 1:
+            (hub,) = row
+            if len(self.adjacency[hub]) > 1:
+                source = hub
         cached = self._paths.get(source)
         if cached is None:
             cached = self._paths[source] = _search(self.adjacency, source)
-        return cached
+        return source, *cached
 
     def domain_distances(self, domain: str) -> dict[Yni, int]:
         """Shortest-path latency from every reachable node to the nearest
@@ -265,16 +285,20 @@ def compute_path(graph: TopologyGraph, source: Yni, consumers: Iterable[Yni]
     every consumer edge it reaches (None when it reaches none), and the
     consumer edges it cannot reach, in id order.
 
-    Paths come from `graph.shortest_paths(source)`, so the result is a
-    function of the graph alone, not of registration order. Children are
-    stored in id order. The source is never a consumer of its own tree.
+    Paths come from the search `graph.search_serving(source)` returns, so
+    the result is a function of the graph alone, not of registration order.
+    For a leaf source that is its neighbour's search: the walk up stops at
+    the neighbour, and the tree hangs under the source. The tree is built
+    by `PathTree.from_preorder`, children in id order. The source is never
+    a consumer of its own tree.
     """
     if source not in graph.nodes:
         raise UnknownNode(f"unknown source {source}")
-    reached, parent = graph.shortest_paths(source)
-    children: dict[Yni, list[Yni]] = {source: []}
+    hub, reached, parent = graph.search_serving(source)
+    children: dict[Yni, list[Yni]] = {hub: []}
+    targets = set(consumers) - {source}
     cut = []
-    for c in sorted(set(consumers) - {source}):
+    for c in sorted(targets):
         if c not in reached:
             if c not in graph.nodes:
                 raise UnknownNode(f"unknown consumer edge {c}")
@@ -287,8 +311,19 @@ def compute_path(graph: TopologyGraph, source: Yni, consumers: Iterable[Yni]
             below = [node]
             node = parent[node]
         children[node] += below
-    tree = _build_tree(source, children) if len(children) > 1 else None
-    return tree, tuple(cut)
+    if len(cut) == len(targets):
+        return None, tuple(cut)
+    # preorder ids and child counts; a leaf source is the root above its hub
+    ids, counts = ([], []) if hub == source else ([source], [1])
+    stack = [hub]
+    while stack:
+        node = stack.pop()
+        kids = children[node]
+        ids.append(node)
+        counts.append(len(kids))
+        kids.sort(reverse=True)
+        stack += kids
+    return PathTree.from_preorder(ids, counts), tuple(cut)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,55 @@ def test_tree_serialization_round_trip():
     assert tree.edges() == [(A, B), (B, E), (A, C)]
 
 
+def chain(n):
+    """A path tree n nodes deep, one child per node."""
+    ids = [Yni(i.to_bytes(6, "big"), 0) for i in range(n)]
+    return PathTree.from_preorder(ids, [1] * (n - 1) + [0])
+
+
+def test_a_deep_tree_decodes_and_re_encodes_without_recursion():
+    # far deeper than the interpreter's recursion limit
+    tree = chain(1200)
+    msg = YodelMessage(MessageKind.DATA_YSYNC, SND, RCV,
+                       FloatingHeader(valley_id=1, channel_id=2,
+                                      path_tree=tree), b"payload")
+    raw = encode(msg)
+    again = decode(raw)
+    assert encode(again) == raw
+    assert again.floating.path_tree.size() == 1200
+    assert again == msg and hash(again) == hash(msg)
+    with pytest.raises(TruncatedMessage):
+        decode(raw[:-1])
+    # the tree element itself cut inside its last record
+    tree_raw = tree.serialize()[:-1]
+    floating = (bytes([0x06]) + len(tree_raw).to_bytes(2, "big") + tree_raw)
+    with pytest.raises(TruncatedMessage, match="^path tree cut short$"):
+        decode(_with_floating(MessageKind.DATA_YSYNC, floating.hex()))
+
+
+def test_deep_trees_compare_hash_and_list_edges_by_value():
+    one, two = chain(1500), chain(1500)
+    assert one is not two and one == two and hash(one) == hash(two)
+    assert one != chain(1499) and one != chain(1501)
+    assert one.edges() == two.edges()
+    assert [b for _, b in one.edges()] == [n.yni for n in one.walk()][1:]
+
+
+def test_from_preorder_equals_trees_built_by_hand():
+    by_hand = PathTree(A, (PathTree(B, (PathTree(E),)), PathTree(C)))
+    built = PathTree.from_preorder([A, B, E, C], [2, 1, 0, 0])
+    assert built == by_hand and hash(built) == hash(by_hand)
+    assert [n.members for n in built.walk()] \
+        == [n.members for n in by_hand.walk()]
+    with pytest.raises(InvariantViolation,
+                       match=f"^repeated node in path tree: {A}$"):
+        PathTree.from_preorder([A, B, A], [1, 1, 0])
+    kids = [Yni(i.to_bytes(6, "big"), 0) for i in range(256)]
+    with pytest.raises(InvariantViolation,
+                       match="^path-tree fan-out above 255$"):
+        PathTree.from_preorder([A] + kids, [256] + [0] * 256)
+
+
 def test_pop_three_node_tree():
     msg = golden_messages()["sync_with_three_node_tree"]
     out = pop_path_root(msg, A)
@@ -376,6 +425,60 @@ def test_pop_children_equal_replaced_copies(tree, data):
     for child, (dest, fwd) in zip(tree.children, out):
         assert fwd == replace(msg, sender=tree.yni, receiver=child.yni,
                               floating=replace(msg.floating, path_tree=child))
+
+
+def _recursive_read_tree(raw: bytes, off: int) -> tuple[PathTree, int]:
+    """The tree reader the one-pass reader replaced, kept as its reference:
+    one call per node, each subtree checked for repeats as it ends."""
+    if off + 11 > len(raw):
+        raise TruncatedMessage("path tree cut short")
+    yni = Yni.from_bytes(raw[off:off + 10])
+    count = raw[off + 10]
+    off += 11
+    children = []
+    for _ in range(count):
+        child, off = _recursive_read_tree(raw, off)
+        children.append(child)
+    try:
+        return PathTree(yni, tuple(children)), off
+    except InvariantViolation as exc:
+        raise MalformedFloating(str(exc)) from exc
+
+
+def _reference_deserialize(raw: bytes) -> PathTree:
+    tree, used = _recursive_read_tree(raw, 0)
+    if used != len(raw):
+        raise LengthMismatch("trailing bytes after path tree")
+    return tree
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                min_size=0, max_size=14),
+       st.one_of(st.none(), st.integers(0, 160), st.binary(min_size=1,
+                                                           max_size=13)))
+@settings(max_examples=1500, deadline=None)
+def test_one_pass_reader_agrees_with_the_recursive_reader(records, tail):
+    """Preorder (id, child count) records from a pool of four ids, so
+    repeats happen, cut short or followed by stray bytes: the one-pass
+    reader returns an equal tree with equal members at every node, or
+    raises the same exception class."""
+    pool = [A, B, C, E]
+    raw = b"".join(pool[i] + bytes((count,)) for i, count in records)
+    if isinstance(tail, int):
+        raw = raw[:tail]
+    elif tail is not None:
+        raw += tail
+    try:
+        want = _reference_deserialize(raw)
+    except CodecError as exc:
+        with pytest.raises(type(exc)):
+            PathTree.deserialize(raw)
+        return
+    got = PathTree.deserialize(raw)
+    assert got == want
+    pairs = list(zip(got.walk(), want.walk()))
+    assert len(pairs) == want.size()
+    assert all(one.members == two.members for one, two in pairs)
 
 
 @pytest.mark.parametrize("clone", [

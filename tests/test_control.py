@@ -3,11 +3,13 @@
 import gc
 import heapq
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from yodel import control
 from yodel.codec import MessageKind, PathTree, decode
 from yodel.control import (
     ActivateProducerEdge,
@@ -20,6 +22,7 @@ from yodel.control import (
     PathWithdraw,
     RemoveRole,
     TopologyGraph,
+    _search,
     compute_path,
 )
 from yodel.errors import NoEligibleEdge, UnknownNode
@@ -27,6 +30,8 @@ from yodel.model import Directory, Visibility
 from yodel.services import ServiceModel
 from yodel.trace import Metrics, Trace
 from yodel.ynid import Yni
+
+from textworld import build_text
 
 
 def nid(n: int) -> Yni:
@@ -322,6 +327,89 @@ def test_compute_path_matches_parent_walk(case):
         g.register(y, "edge", "d", neigh[y])
     got = compute_path(g, ids[source], [ids[c] for c in consumers])
     assert got == reference_path(g, ids[source], [ids[c] for c in consumers])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, 2**16), min_size=n + 6, max_size=n + 6,
+             unique=True),
+    st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    st.integers(1, 3), max_size=2 * n),
+    st.lists(st.tuples(st.integers(0, n + 3), st.integers(1, 3)),
+             min_size=1, max_size=4),
+    st.integers(1, 3))))
+def test_a_leaf_source_shares_its_neighbours_search(case):
+    """A core graph with leaves hung on it (a leaf may hang on an earlier
+    leaf, or be the only neighbour of its core node) and a two-node
+    component: from every node, `shortest_paths` equals a search from the
+    node itself, and no node served by its neighbour's search has an entry
+    of its own in the cache."""
+    n, labels, pairs, leaves, pair_lat = case
+    ids = [nid(label) for label in labels]
+    neigh = {y: {} for y in ids}
+
+    def link(a, b, lat):
+        neigh[a][b] = neigh[b][a] = lat
+
+    for (a, b), lat in pairs.items():
+        if a != b:
+            link(ids[a], ids[b], lat)
+    for i, (hub, lat) in enumerate(leaves):
+        link(ids[n + i], ids[min(hub, n + i - 1)], lat)
+    link(ids[-2], ids[-1], pair_lat)
+    g = TopologyGraph()
+    for y in ids:
+        if neigh[y] or y in ids[:n]:
+            g.register(y, "edge", "d", neigh[y])
+    for y in g.nodes:
+        assert g.shortest_paths(y) == _search(g.adjacency, y)
+    for y in g._paths:
+        row = g.adjacency[y]
+        assert len(row) != 1 or len(g.adjacency[next(iter(row))]) == 1
+    # two nodes linked only to each other each search for themselves
+    assert {ids[-2], ids[-1]} <= g._paths.keys()
+    assert g.shortest_paths(ids[-1]) == (
+        {ids[-1]: (0, 0), ids[-2]: (1, pair_lat)}, {ids[-2]: ids[-1]})
+
+
+def test_searches_on_a_bench_world_are_at_most_its_non_leaf_nodes(
+        monkeypatch):
+    """On the join-churn world, where every edge hangs on one connector:
+    between two drops of the cache, the controller searches from at most
+    as many sources as there are nodes with two or more links. The
+    searches `change_test` makes over a graph without the new link are
+    counted apart."""
+    import test_replay_golden as golden
+    world = golden._bench_worlds().generate("join-churn", 1)
+    sim = build_text(world.topology, world.scenario, 1)
+    graph = sim.controller.graph
+
+    class Epochs(dict):
+        epoch = 0
+
+        def clear(self):
+            self.epoch += 1
+            super().clear()
+
+    graph._paths = Epochs(graph._paths)
+    cached, apart, non_leaf = Counter(), [], {}
+    search = control._search
+
+    def counting(adjacency, source):
+        if adjacency is graph.adjacency:
+            cached[graph._paths.epoch] += 1
+            non_leaf[graph._paths.epoch] = sum(
+                len(row) > 1 for row in adjacency.values())
+        else:
+            apart.append(source)
+        return search(adjacency, source)
+
+    monkeypatch.setattr(control, "_search", counting)
+    sim.run()
+    assert sim.metrics.deliveries
+    assert len(cached) > 1 and apart
+    assert all(cached[e] <= non_leaf[e] for e in cached), (cached, non_leaf)
 
 
 def build_controller(nodes=None, links=None, cls=Controller):

@@ -902,6 +902,16 @@ class TestConnectorNode:
         assert sent_to(sim, "e3", "DATA_YSYNC") == []
         assert delivered(sim, "h2") == delivered(sim, "h3") == [(1, 1)]
 
+    def test_keeps_no_community_state(self):
+        # a connector forwards by the tree each copy carries: after carrying
+        # data it holds what every node holds and none of an edge's tables
+        sim = world(TRIO + "at 10 send h1 vale room 1 pay\n", topo=FORK,
+                    until=16)
+        assert sorted(sent_to(sim, "c1", "DATA_YSYNC")) == ["e2", "e3"]
+        conn = vars(sim.nodes["c1"])
+        assert sorted(conn) == ["act", "domain", "env", "label", "yni"]
+        assert not conn.keys() & {"rows", "channels", "aft", "twin"}
+
     def test_group_covers_both_children_in_one_transmission(self):
         sim = world(TRIO + "at 10 send h1 vale room 1 pay\n",
                     topo=FORK + "mcastgroup d2 c1 e2 e3\n", until=16)

@@ -269,6 +269,41 @@ def test_run_leaves_no_garbage_cycle():
     assert left == dict.fromkeys(left, 0)
 
 
+def chain_world(n):
+    """e1 - c0 - ... - c{n-1}, with consumer edges e2 and e3 on c{n-1}:
+    every path tree from e1 is a chain n + 2 nodes deep."""
+    lines = ["domain d1", "domain d2", "domain d3", "node e1 edge d1",
+             "node e2 edge d2", "node e3 edge d3"]
+    lines += [f"node c{i} connector d1" for i in range(n)]
+    lines += ["link e1 c0 1"] + [f"link c{i} c{i + 1} 1" for i in range(n - 1)]
+    lines += [f"link c{n - 1} e2 1", f"link c{n - 1} e3 1",
+              "host h1 alice domain=d1", "host h2 bob domain=d2",
+              "host h3 carol domain=d3"]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_tree_of_any_depth_is_computed_compared_and_decoded():
+    """The tree from e1 is advertised when h2 joins and compared with the
+    new one when h3 joins; the edge decodes both. None of it recurses per
+    tree level, so a chain far deeper than the interpreter's recursion
+    limit runs to the end."""
+    n = 1200
+    sim = run_text(chain_world(n), f"""config until {n + 200}
+at 0 valley alice vale
+at 0 member alice vale bob
+at 0 member alice vale carol
+at 1 namespace alice vale chat ssm
+at 2 join h1 vale chat room producer 1
+at 2 join h2 vale chat room consumer 1
+at 30 join h3 vale chat room consumer 1
+at 60 send h1 vale room 1 hello
+""")
+    assert sim.metrics.deliveries == {"h2": 1, "h3": 1}
+    assert sim.metrics.proto_errors == 0
+    assert [dict(r.fields)["nodes"] for r in sim.trace.select("PATH_ADV")] \
+        == [str(n + 2), str(n + 3)]
+
+
 class _Raised(Exception):
     pass
 
