@@ -85,37 +85,26 @@ class MessageKind(IntEnum):
 class PathTree:
     """Delivery tree node; serialized preorder, children in stored order.
 
-    Immutable, compared and hashed by `yni` and `children`. `members` is the
-    set of node ids in this subtree; it takes no part in `==`, `hash` or
-    `repr`. Every tree the package builds, each one the controller computes
+    Immutable, compared and hashed by `yni` and `children`, the only state
+    a node holds. Each hop pops the root, so every subtree is a tree of its
+    own. Every tree the package builds, each one the controller computes
     and each one a node decodes, comes from `from_preorder`, one loop over
     preorder ids and child counts. `PathTree(yni, children)` builds one
-    node over subtrees already built, checking that node for repeats and
-    fan-out; it is for trees written out by hand. Comparison, hashing,
-    `walk`, `edges` and `serialize` are loops, so a tree of any depth works
-    with all of them.
+    node over subtrees already built, checking the whole tree for repeats
+    and the node for fan-out; it is for trees written out by hand.
+    Comparison, hashing, `repr`, copy and pickle, `walk`, `edges` and
+    `serialize` are loops, so a tree of any depth works with all of them.
     """
 
-    __slots__ = ("yni", "children", "members")
+    __slots__ = ("yni", "children")
 
     def __init__(self, yni: Yni, children: tuple["PathTree", ...] = ()):
         _set_yni(self, yni)
         _set_children(self, children)
-        if not children:
-            _set_members(self, frozenset((yni,)))
-            return
-        if len(children) > 255:
-            raise InvariantViolation("path-tree fan-out above 255")
-        members = frozenset((yni,)).union(*[c.members for c in children])
-        _set_members(self, members)
-        if len(members) != 1 + sum([len(c.members) for c in children]):
-            # a repeat; walk in preorder to name its second occurrence
-            seen = set()
-            for node in self.walk():
-                if node.yni in seen:
-                    raise InvariantViolation(
-                        f"repeated node in path tree: {node.yni}")
-                seen.add(node.yni)
+        if children:
+            if len(children) > 255:
+                raise InvariantViolation("path-tree fan-out above 255")
+            _check_repeats([node.yni for node in self.walk()])
 
     @classmethod
     def from_preorder(cls, ids: list[Yni], counts) -> "PathTree":
@@ -123,43 +112,27 @@ class PathTree:
         `counts[i]` children; the counts must describe one whole tree.
 
         Built bottom-up in one loop: the stack holds the subtrees built so
-        far, the next one in preorder on top, and each node's `members` is
-        the run of `ids` its subtree spans. The root's members are the one
-        set over all ids that shows a repeat. Raises InvariantViolation on
+        far, the next one in preorder on top. Raises InvariantViolation on
         a fan-out above 255, or on a repeated id, naming the first one in
         preorder that repeats an earlier one.
         """
-        n = len(ids)
         nodes: list[PathTree] = []
-        starts: list[int] = []  # where each stacked subtree starts in `ids`
-        for i in range(n - 1, -1, -1):
+        for i in range(len(ids) - 1, -1, -1):
             node = _new_tree(cls)
-            yni = ids[i]
-            _set_yni(node, yni)
+            _set_yni(node, ids[i])
             count = counts[i]
             if count:
                 if count > 255:
                     raise InvariantViolation("path-tree fan-out above 255")
                 kids = nodes[-count:]
-                del nodes[-count:], starts[-count:]
+                del nodes[-count:]
                 kids.reverse()
                 _set_children(node, tuple(kids))
-                _set_members(node,
-                             frozenset(ids[i:starts[-1] if starts else n]))
             else:
                 _set_children(node, ())
-                _set_members(node, frozenset((yni,)))
             nodes.append(node)
-            starts.append(i)
-        root = nodes[0]
-        if len(root.members) != n:
-            seen = set()
-            for yni in ids:
-                if yni in seen:
-                    raise InvariantViolation(
-                        f"repeated node in path tree: {yni}")
-                seen.add(yni)
-        return root
+        _check_repeats(ids)
+        return nodes[0]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -185,12 +158,28 @@ class PathTree:
         return hash(tuple(flat))
 
     def __repr__(self):
-        return (f"{type(self).__qualname__}(yni={self.yni!r}, "
-                f"children={self.children!r})")
+        # the text of the nested reprs, `children` a tuple's repr, built
+        # from a stack of nodes still to write and text to write after them
+        parts = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                parts.append(item)
+                continue
+            parts.append(f"{type(item).__qualname__}(yni={item.yni!r}, "
+                         "children=(")
+            kids = item.children
+            stack.append(",))" if len(kids) == 1 else "))")
+            stack += [x for kid in reversed(kids) for x in (kid, ", ")][:-1]
+        return "".join(parts)
 
     def __reduce__(self):
-        # copy and pickle would restore the slots through __setattr__
-        return PathTree, (self.yni, self.children)
+        # copy and pickle would restore the slots through __setattr__, and
+        # rebuilding node by node would recurse once per level
+        nodes = list(self.walk())
+        return PathTree.from_preorder, ([node.yni for node in nodes],
+                                        [len(node.children) for node in nodes])
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -217,7 +206,7 @@ class PathTree:
         return out
 
     def size(self) -> int:
-        return len(self.members)
+        return sum(1 for _ in self.walk())
 
     def serialize(self) -> bytes:
         parts = []
@@ -237,12 +226,22 @@ class PathTree:
 # the slots' own setters, which `PathTree.__setattr__` cannot block
 _set_yni = PathTree.yni.__set__
 _set_children = PathTree.children.__set__
-_set_members = PathTree.members.__set__
 _new_tree = object.__new__
 # a node id over ten bytes of a buffer, without `Yni.from_bytes`'s length check
 _new_yni = bytes.__new__
 # one byte of each value: a tree node's child count, a message's kind
 _BYTES = [bytes((n,)) for n in range(256)]
+
+
+def _check_repeats(ids: list[Yni]) -> None:
+    """Raise InvariantViolation naming the first of a tree's preorder ids
+    that repeats an earlier one."""
+    if len(set(ids)) != len(ids):
+        seen = set()
+        for yni in ids:
+            if yni in seen:
+                raise InvariantViolation(f"repeated node in path tree: {yni}")
+            seen.add(yni)
 
 
 def _read_tree(raw: bytes, off: int, end: int) -> PathTree:
@@ -349,10 +348,6 @@ class FloatingHeader:
             tree = self.path_tree.serialize()
             parts += (_tlv_head(_TAG_PATH_TREE, tree), tree)
         return b"".join(parts)
-
-    @classmethod
-    def decode(cls, raw: bytes) -> "FloatingHeader":
-        return _read_floating(raw, 0, len(raw))
 
 
 _set_valley = FloatingHeader.valley_id.__set__

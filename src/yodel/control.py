@@ -232,18 +232,24 @@ class TopologyGraph:
 
         `removed` and `added` are what `register` returned, with at most
         one added link; the tree must have reached all its targets. A tree
-        keeps the lowest-id parent among equal-cost predecessors, so it is
-        unchanged when a link it does not use goes away (a link with both
-        ends among its members counts as used). It is also unchanged when a
-        link (a, b, l) comes whose paths cost strictly more than the tree's
-        own path to each of its nodes. The test for a tree from s with path
-        cost c(x) to node x is d(s, a) + (1, l) + d(b, x) <= c(x), or the
-        same with a and b swapped, with d searched from a and from b over
-        the current links minus the added one. `<=`, because an equal-cost
-        path can change the lowest-id parent. Two added links can make a
-        shortcut neither makes alone, so more than one is not handled here.
+        keeps the lowest-id parent among equal-cost predecessors, so it
+        changes when a link it uses, one of its (parent, child) pairs either
+        way round, goes away, and only then: a link it does not use is no
+        tree node's parent link, and its loss raises no tree node's cost. It
+        is also unchanged when a link (a, b, l) comes whose paths cost
+        strictly more than the tree's own path to each of its nodes. The
+        test for a tree from s with path cost c(x) to node x is d(s, a) +
+        (1, l) + d(b, x) <= c(x), or the same with a and b swapped, with d
+        searched from a and from b over the current links minus the added
+        one. `<=`, because an equal-cost path can change the lowest-id
+        parent. Two added links can make a shortcut neither makes alone.
         """
-        if added is not None:
+        cut = {*removed, *[(y, x) for x, y in removed]}
+        if added is None:
+            if not cut:
+                return lambda tree: False
+            from_a = from_b = {}  # no way across a new link
+        else:
             a, b, lat = added
             without = dict(self.adjacency)
             without[a] = {n: l for n, l in without[a].items() if n != b}
@@ -252,11 +258,6 @@ class TopologyGraph:
             from_b, _ = _search(without, b)
 
         def touches(tree: PathTree) -> bool:
-            members = tree.members
-            if any(x in members and y in members for x, y in removed):
-                return True
-            if added is None:
-                return False
             # per direction: the cost from the tree's source across the new
             # link, and the distances onward from its far end
             ways = []
@@ -272,6 +273,9 @@ class TopologyGraph:
                     if (rest is not None
                             and (h + rest[0], d + rest[1]) <= (hops, dist)):
                         return True
+                # a removed tree link is gone from the row read below
+                if any((node.yni, c.yni) in cut for c in node.children):
+                    return True
                 row = self.adjacency[node.yni]
                 stack += [(c, hops + 1, dist + row[c.yni]) for c in node.children]
             return False
@@ -499,8 +503,10 @@ class Controller:
         """Record the node, then reconcile, in flow order, each flow whose
         trees its link change can touch (`TopologyGraph.change_test`), and
         each flow with a cut-off consumer, whose UNREACHABLE lines so repeat
-        on every registration. A new node, or more than one added link,
-        touches every flow."""
+        on every registration. A removed link touches only the trees that
+        hold it as a (parent, child) pair: any other link is no tree node's
+        parent link. A new node, or more than one added link, touches every
+        flow."""
         new = yni not in self.graph.nodes
         removed, added = self.graph.register(yni, role, domain, neighbors, stats)
         every = new or len(added) > 1
@@ -568,12 +574,9 @@ class Controller:
 
     # -- flow half -------------------------------------------------------------
 
-    def _flow_key(self, valley_id: int, namespace_id: int, community: str):
-        return (valley_id, namespace_id, community)
-
     def flow(self, valley_id: int, namespace_id: int, community: str) -> FlowObject:
         try:
-            return self.flows[self._flow_key(valley_id, namespace_id, community)]
+            return self.flows[(valley_id, namespace_id, community)]
         except KeyError:
             raise UnknownFlow(f"no flow for community {community!r}") from None
 
@@ -587,7 +590,7 @@ class Controller:
             cid = self.directory.vib(valley_id).allocate_channel_id()
             record.flow = FlowObject(valley_id, namespace_id, community,
                                      ns.service_model, cid)
-            self.flows[self._flow_key(valley_id, namespace_id, community)] = record.flow
+            self.flows[(valley_id, namespace_id, community)] = record.flow
         return record.flow
 
     def handle_edge_join(self, req: JoinRequest) -> None:
@@ -835,14 +838,13 @@ class Controller:
             tree = self._tree_or_partial(flow, source, leaves)
             if tree is not None:
                 desired[(source, channel_id)] = tree
-        for key in sorted(flow.advertised.keys() - desired.keys(),
-                          key=lambda k: (k[0], k[1])):
+        for key in sorted(flow.advertised.keys() - desired.keys()):
             edge, channel_id = key
             del flow.advertised[key]
             self._emit("PATH_WITHDRAW", ("edge", edge),
                        ("valley", flow.valley_id), ("channel", channel_id))
             self.transport(edge, PathWithdraw(flow.valley_id, channel_id))
-        for key in sorted(desired, key=lambda k: (k[0], k[1])):
+        for key in sorted(desired):
             if flow.advertised.get(key) != desired[key]:
                 self._advertise(flow, key[0], key[1], desired[key])
         self._refresh_precomputed(flow)

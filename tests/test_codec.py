@@ -3,6 +3,7 @@
 import copy
 import pathlib
 import pickle
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -187,9 +188,8 @@ def test_equal_trees_hash_equal():
     assert PathTree(A) != (A, ()) and PathTree(A) != A
 
 
-def test_members_take_no_part_in_equality_or_repr():
+def test_equal_trees_share_hash_and_repr():
     one, two = PathTree(A, (PathTree(B),)), PathTree(A, (PathTree(B),))
-    object.__setattr__(two, "members", frozenset())
     assert one == two and hash(one) == hash(two)
     assert repr(one) == repr(two) == (
         f"PathTree(yni={A!r}, children=(PathTree(yni={B!r}, children=()),))")
@@ -197,15 +197,13 @@ def test_members_take_no_part_in_equality_or_repr():
 
 def test_tree_fields_cannot_be_assigned_or_deleted():
     tree = PathTree(A, (PathTree(B),))
-    for name, value in (("yni", C), ("children", ()), ("members", frozenset()),
-                        ("extra", 1)):
+    for name, value in (("yni", C), ("children", ()), ("extra", 1)):
         with pytest.raises(AttributeError):
             setattr(tree, name, value)
-    for name in ("yni", "children", "members"):
+    for name in ("yni", "children"):
         with pytest.raises(AttributeError):
             delattr(tree, name)
     assert tree == PathTree(A, (PathTree(B),))
-    assert tree.members == {A, B}
 
 
 def test_tree_repeat_below_a_child_names_the_node():
@@ -264,12 +262,35 @@ def test_deep_trees_compare_hash_and_list_edges_by_value():
     assert [b for _, b in one.edges()] == [n.yni for n in one.walk()][1:]
 
 
+@pytest.mark.parametrize("clone", [
+    repr, copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))])
+def test_a_deep_tree_survives_repr_copy_and_pickle(clone):
+    tree = chain(1200)
+    got = clone(tree)
+    if clone is repr:
+        ids = [node.yni for node in tree.walk()]
+        assert got == ("".join(f"PathTree(yni={y!r}, children=(" for y in ids)
+                       + "))" + ",))" * (len(ids) - 1))
+        return
+    assert got == tree and type(got) is PathTree
+    assert all(type(node.yni) is Yni for node in got.walk())
+
+
+def test_a_deep_tree_is_built_in_linear_memory():
+    tracemalloc.start()
+    try:
+        tree = chain(1200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tree.size() == 1200
+    assert peak < 1 << 20
+
+
 def test_from_preorder_equals_trees_built_by_hand():
     by_hand = PathTree(A, (PathTree(B, (PathTree(E),)), PathTree(C)))
     built = PathTree.from_preorder([A, B, E, C], [2, 1, 0, 0])
     assert built == by_hand and hash(built) == hash(by_hand)
-    assert [n.members for n in built.walk()] \
-        == [n.members for n in by_hand.walk()]
     with pytest.raises(InvariantViolation,
                        match=f"^repeated node in path tree: {A}$"):
         PathTree.from_preorder([A, B, A], [1, 1, 0])
@@ -379,7 +400,23 @@ def test_mutated_encodings_never_crash_decoder(msg, data):
 @settings(max_examples=200, deadline=None)
 def test_tree_size_counts_every_node(tree):
     assert tree.size() == sum(1 for _ in tree.walk())
-    assert tree.members == {node.yni for node in tree.walk()}
+
+
+def _nested_repr(tree: PathTree) -> str:
+    """The repr of a tree node whose `children` repr is the tuple's own."""
+    kids = tuple(_Shown(_nested_repr(c)) for c in tree.children)
+    return f"PathTree(yni={tree.yni!r}, children={kids!r})"
+
+
+class _Shown(str):
+    def __repr__(self):
+        return str(self)
+
+
+@given(path_trees())
+@settings(max_examples=200, deadline=None)
+def test_tree_repr_is_the_nested_reprs(tree):
+    assert repr(tree) == _nested_repr(tree)
 
 
 @given(path_trees())
@@ -460,8 +497,7 @@ def _reference_deserialize(raw: bytes) -> PathTree:
 def test_one_pass_reader_agrees_with_the_recursive_reader(records, tail):
     """Preorder (id, child count) records from a pool of four ids, so
     repeats happen, cut short or followed by stray bytes: the one-pass
-    reader returns an equal tree with equal members at every node, or
-    raises the same exception class."""
+    reader returns an equal tree, or raises the same exception class."""
     pool = [A, B, C, E]
     raw = b"".join(pool[i] + bytes((count,)) for i, count in records)
     if isinstance(tail, int):
@@ -478,7 +514,6 @@ def test_one_pass_reader_agrees_with_the_recursive_reader(records, tail):
     assert got == want
     pairs = list(zip(got.walk(), want.walk()))
     assert len(pairs) == want.size()
-    assert all(one.members == two.members for one, two in pairs)
 
 
 @pytest.mark.parametrize("clone", [
@@ -491,7 +526,6 @@ def test_copy_and_pickle_keep_trees_messages_and_ids(clone):
                                       path_tree=tree), b"payload")
     got_tree = clone(tree)
     assert got_tree == tree
-    assert got_tree.members == tree.members
     assert all(type(node.yni) is Yni for node in got_tree.walk())
     got_msg = clone(msg)
     assert got_msg == msg

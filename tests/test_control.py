@@ -373,6 +373,25 @@ def test_a_leaf_source_shares_its_neighbours_search(case):
         {ids[-1]: (0, 0), ids[-2]: (1, pair_lat)}, {ids[-2]: ids[-1]})
 
 
+def test_a_removed_link_touches_only_the_trees_that_use_it():
+    """e1's tree reaches e2 and e3 through c1 and does not use the link
+    e2-e3 between two of its nodes: losing that link, reported from
+    either end, leaves the tree as it was, and `change_test` says so.
+    Losing a link of the tree, reported from either end, touches it."""
+    links = {**STAR_LINKS, (E2, E3): 1}
+    for yni, keep, used in ((E2, {C1: 1}, False), (E3, {C1: 2}, False),
+                            (C1, {E1: 1, E3: 2}, True), (E2, {E3: 1}, True)):
+        g = TopologyGraph()
+        register_mesh(g, STAR_NODES, links)
+        tree, _ = compute_path(g, E1, [E2, E3])
+        assert tree.edges() == [(E1, C1), (C1, E2), (C1, E3)]
+        removed, added = g.register(yni, *STAR_NODES[yni], keep)
+        assert len(removed) == 1 and added == []
+        assert g.change_test(removed, None)(tree) is used
+        if not used:
+            assert compute_path(g, E1, [E2, E3]) == (tree, ())
+
+
 def test_searches_on_a_bench_world_are_at_most_its_non_leaf_nodes(
         monkeypatch):
     """On the join-churn world, where every edge hangs on one connector:
