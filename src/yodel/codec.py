@@ -25,6 +25,13 @@ offsets. A path tree is read in one pass over its records and built by
 only by the 64 KiB floating header. decode() is total over arbitrary bytes:
 it either returns a message or raises a CodecError subclass, and a
 successful decode re-encodes to the same bytes.
+
+In a node, a sync copy is not one message per receiver: it is the message
+that arrived, shared by every copy sent on from it, with the receiver's
+subtree riding beside it. `pop_path_root` checks a subtree's root and hands
+back its children; it builds nothing. A tree sits inside a `FloatingHeader`
+only where bytes are made or read: in the controller's path advertisement,
+and in `encode`/`decode`.
 """
 
 from __future__ import annotations
@@ -301,10 +308,10 @@ def _finished_subtrees(counts) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True, slots=True, init=False)
 class FloatingHeader:
-    """The optional elements of a message. Built for every copy at every
-    hop, so `__init__` is written out by hand and sets the slots through
-    their own setters, as `PathTree` does; the dataclass still supplies
-    `==`, `hash`, `repr`, `fields` and `replace`."""
+    """The optional elements of a message. Built on every send, so
+    `__init__` is written out by hand and sets the slots through their own
+    setters, as `PathTree` does; the dataclass still supplies `==`, `hash`,
+    `repr`, `fields` and `replace`."""
 
     valley_id: Optional[int] = None
     channel_id: Optional[int] = None
@@ -503,25 +510,18 @@ def decode(raw: bytes) -> YodelMessage:
     return msg
 
 
-def pop_path_root(msg: YodelMessage, self_yni: Yni) -> list[tuple[Yni, YodelMessage]]:
-    """Segment-routing step: consume the tree root, emit one message per child.
+def pop_path_root(tree: Optional[PathTree],
+                  self_yni: Yni) -> tuple[PathTree, ...]:
+    """Segment-routing step: consume the root of the subtree a sync copy
+    carries beside its message, and return the subtrees of its children,
+    in stored order, one per copy to send on.
 
-    Each output message keeps kind, channel context, metadata and payload but
-    carries only that child's subtree, with sender rewritten to the popping
-    node and receiver to the child. Raises RootMismatch when this node is not
-    the root (mis-forwarded message).
+    Raises RootMismatch when there is no tree or this node is not its root
+    (a mis-forwarded copy). The message itself is not touched: every
+    child's copy shares it.
     """
-    tree = msg.floating.path_tree
     if tree is None:
         raise RootMismatch(f"no path tree to pop at {self_yni}")
     if tree.yni != self_yni:
         raise RootMismatch(f"path root is {tree.yni}, not {self_yni}")
-    # constructors, not dataclasses.replace: this runs for every branch at
-    # every hop, and replace walks the field list on each call
-    kind, f, payload = msg.kind, msg.floating, msg.payload
-    return [(child.yni, YodelMessage(
-                kind, self_yni, child.yni,
-                FloatingHeader(f.valley_id, f.channel_id, f.namespace_id,
-                               f.application_id, f.metadata, child),
-                payload))
-            for child in tree.children]
+    return tree.children

@@ -7,16 +7,31 @@ row per community, found by its (valley, namespace, community) or by the
 translate between point-to-point and transit message kinds. Each edge
 also owns one twin table (`twin.TwinManager`), built with the edge, that
 stands in for its silent hosts. Connectors know nothing but their
-neighbors: they pop the in-message tree and pick forwarding strategies.
+neighbors: they pop the root of the tree a copy carries and pick
+forwarding strategies.
+
+A copy is a message plus, on the sync kinds, the receiver's subtree of the
+delivery tree riding beside it; `on_message(msg, meta, tree)` gets both,
+with `tree` None on every other kind. A node sends on the message it
+received as it is: a connector or a transit edge hands the arriving object
+to every child with the child's own subtree, a producer edge puts the
+host's header in its sync carrier and sends the host's message itself to
+its local hosts, and a consumer edge builds one push message per receipt,
+shared by all of its hosts and twin buffers. So node code reads a
+message's kind, header fields and payload, and its sender only on what a
+host sent its edge, but never its `receiver`, since the port a copy came
+through names that, nor its header's `path_tree`, since the tree rides
+beside; the one header tree a node reads is that of a decoded path
+advertisement.
 
 Data metadata is parsed at most once per copy, in `Simulation.transmit`,
 which needs the serial for the copy's SEND and RECV lines; the parsed
 `(serial, q)` reaches the receiver as the `meta` argument of `on_message`.
 Every node reads and rejects malformed data in one step, `Node._read_data`:
-it pops a sync message's tree root, takes the serial and anycast share from
-`meta`, and reports a mis-rooted tree or malformed metadata as one
-PROTO_ERROR. Metadata that did not parse comes with no `meta` and is parsed
-again there, only to raise the error it reports.
+it pops the root of a sync copy's tree, takes the serial and anycast share
+from `meta`, and reports a mis-rooted or missing tree or malformed metadata
+as one PROTO_ERROR. Metadata that did not parse comes with no `meta` and is
+parsed again there, only to raise the error it reports.
 
 Hosts and edges signal each other with ops, control messages whose metadata
 element starts with an op byte (schemas at the top of this module). Every op
@@ -32,7 +47,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Optional, Protocol
+from typing import TYPE_CHECKING, Iterable, Optional, Protocol, Sequence
 
 from .codec import (
     FloatingHeader,
@@ -197,6 +212,10 @@ _PUSH_OF_SYNC = {sync: push for push, sync in _SYNC_OF_PUSH.items()}
 # delivery fraction out of _Q_SCALE
 _Meta = tuple[int, Optional[int]]
 
+# a copy to send: its destination, its message, which copies to other
+# destinations may share, and on the sync kinds the destination's subtree
+_Copy = tuple[Yni, YodelMessage, Optional[PathTree]]
+
 
 def parse_data_metadata(kind: MessageKind, meta: Optional[bytes]) -> _Meta:
     try:
@@ -315,10 +334,14 @@ class NodeEnv(Protocol):
     """What a node may ask of the world it runs in. `sim.Simulation` is the
     one implementation; node tests run on it too.
 
-    `transmit` lands each copy with a call to its receiver's `on_message`,
+    `transmit` sends (destination, message, tree) copies: `tree` is the
+    destination's subtree on the sync kinds and None on every other kind,
+    and copies to several destinations share one message object. It lands
+    each copy with a call to its receiver's `on_message(msg, meta, tree)`,
     passing as `meta` the copy's data metadata, parsed once on the way for
     the trace; None for control copies and for metadata that did not
-    parse."""
+    parse. The receiver reads neither `msg.receiver`, which names no one
+    copy's destination, nor `msg.floating.path_tree`, which is None."""
 
     trace: Trace
     metrics: Metrics
@@ -327,7 +350,7 @@ class NodeEnv(Protocol):
     def now(self) -> int: ...
     def rng(self, label: str): ...
     def next_serial(self) -> int: ...       # numbers data sends from 1
-    def transmit(self, src: "Node", pairs: list[tuple[Yni, YodelMessage]],
+    def transmit(self, src: "Node", copies: list[_Copy],
                  mcast: bool = False) -> None: ...
     def controller_rpc(self, src: "Node", payload: object) -> None: ...
     # twin keepalives: a round sent as events, the rounds from now on a
@@ -360,12 +383,14 @@ class Node:
         self.emit("PROTO_ERROR", ("reason", reason))
         self.env.metrics.proto_errors += 1
 
-    def on_message(self, msg: YodelMessage,
-                   meta: Optional[_Meta] = None) -> None:
-        """Receive one copy. `meta` is its data metadata as
-        `parse_data_metadata` read it on the way in; None on control kinds,
-        on metadata that did not parse, and on a copy handed over without
-        going through `transmit`, whose metadata `_read_data` parses."""
+    def on_message(self, msg: YodelMessage, meta: Optional[_Meta] = None,
+                   tree: Optional[PathTree] = None) -> None:
+        """Receive one copy: a message, perhaps shared with other copies,
+        and on the sync kinds this node's subtree of the delivery tree.
+        `meta` is its data metadata as `parse_data_metadata` read it on the
+        way in; None on control kinds, on metadata that did not parse, and
+        on a copy handed over without going through `transmit`, whose
+        metadata `_read_data` parses."""
         raise NotImplementedError
 
     def send_op(self, dest: Yni, op: bytes, valley_id: Optional[int] = None,
@@ -376,7 +401,7 @@ class Node:
         msg = YodelMessage(_CONTROL, self.yni, dest, FloatingHeader(
             valley_id=valley_id, channel_id=channel_id,
             namespace_id=namespace_id, application_id=app_id, metadata=op))
-        self.env.transmit(self, [(dest, msg)])
+        self.env.transmit(self, [(dest, msg, None)])
 
     def _read_op(self, msg: YodelMessage) -> Optional[dict]:
         """The receive step for ops: the parsed op, or None once a
@@ -387,17 +412,19 @@ class Node:
             self.proto_error(str(exc))
             return None
 
-    def _read_data(self, msg: YodelMessage, meta: Optional[_Meta]
+    def _read_data(self, msg: YodelMessage, meta: Optional[_Meta],
+                   tree: Optional[PathTree] = None
                    ) -> Optional[tuple[int, Optional[AnycastMode],
-                                       list[tuple[Yni, YodelMessage]]]]:
+                                       tuple[PathTree, ...]]]:
         """The receive step for data: the send serial, the anycast mode
-        (None on plain kinds) and, on sync kinds, one message per child of
-        this node's tree root (else none). None once a mis-rooted tree or
-        malformed metadata is reported. The serial and share come from
-        `meta`; without it the metadata is parsed here."""
+        (None on plain kinds) and, on sync kinds, the subtrees of the
+        children of `tree`, whose root must be this node (else none). None
+        once a mis-rooted or missing tree or malformed metadata is
+        reported. The serial and share come from `meta`; without it the
+        metadata is parsed here."""
         try:
-            children = pop_path_root(msg, self.yni) \
-                if msg.kind in _PUSH_OF_SYNC else []
+            children = pop_path_root(tree, self.yni) \
+                if msg.kind in _PUSH_OF_SYNC else ()
             serial, q = meta or parse_data_metadata(msg.kind,
                                                     msg.floating.metadata)
         except (RootMismatch, MalformedFloating) as exc:
@@ -405,14 +432,17 @@ class Node:
             return None
         return serial, None if q is None else _mode_from_q(q), children
 
-    def strategic_send(self, pairs: list[tuple[Yni, YodelMessage]]) -> None:
-        """Send one message per child using the fewest transmissions the
-        strategy table allows; children with no route are dropped."""
-        unrouted, batches = self.act.route(tuple([y for y, _ in pairs]))
+    def strategic_send(self, msg: YodelMessage,
+                       subtrees: Sequence[PathTree]) -> None:
+        """Send `msg` to the root of each subtree, with that subtree beside
+        it, using the fewest transmissions the strategy table allows;
+        children with no route are dropped. Every copy shares `msg`."""
+        unrouted, batches = self.act.route(tuple([t.yni for t in subtrees]))
         for child in unrouted:
             self.drop("no_route", ("to", child))
         for mcast, indices in batches:
-            self.env.transmit(self, [pairs[i] for i in indices], mcast=mcast)
+            self.env.transmit(self, [(subtrees[i].yni, msg, subtrees[i])
+                                     for i in indices], mcast=mcast)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +533,7 @@ class HostNode(Node):
                                           channel_id=row.channel_id,
                                           metadata=data_metadata(serial, q)),
                            payload)
-        self.env.transmit(self, [(self.edge, msg)])
+        self.env.transmit(self, [(self.edge, msg, None)])
 
     def set_consumer_lock(self, valley_id: int, community: str, app_id: int,
                           locked: bool) -> None:
@@ -529,8 +559,8 @@ class HostNode(Node):
 
     # -- receive path ---------------------------------------------------------
 
-    def on_message(self, msg: YodelMessage,
-                   meta: Optional[_Meta] = None) -> None:
+    def on_message(self, msg: YodelMessage, meta: Optional[_Meta] = None,
+                   tree: Optional[PathTree] = None) -> None:
         if msg.kind is _CONTROL:
             self._handle_op(msg)
             return
@@ -741,14 +771,14 @@ class EdgeNode(Node):
 
     # -- receive path ---------------------------------------------------------
 
-    def on_message(self, msg: YodelMessage,
-                   meta: Optional[_Meta] = None) -> None:
+    def on_message(self, msg: YodelMessage, meta: Optional[_Meta] = None,
+                   tree: Optional[PathTree] = None) -> None:
         if msg.kind is _CONTROL:
             self._handle_op(msg)
         elif msg.kind in _SYNC_OF_PUSH:
             self._handle_producer_data(msg, meta)
         elif msg.kind in _PUSH_OF_SYNC:
-            self._handle_network_data(msg, meta)
+            self._handle_network_data(msg, meta, tree)
         else:
             self.drop("unhandled_kind", ("k", msg.kind.name))
 
@@ -986,16 +1016,16 @@ class EdgeNode(Node):
         read = self._read_data(msg, meta)
         if read is None:
             return
-        self._deliver_to_local_consumers(row, msg.kind, msg.floating,
-                                         msg.payload, exclude=sender,
+        # the host's own message is every local host's copy
+        self._deliver_to_local_consumers(row, msg, exclude=sender,
                                          mode=read[1])
         tree = self.aft.get((valley, channel))
         if tree is not None:
             self._originate_sync(msg, tree)
 
-    def _handle_network_data(self, msg: YodelMessage,
-                             meta: Optional[_Meta]) -> None:
-        read = self._read_data(msg, meta)
+    def _handle_network_data(self, msg: YodelMessage, meta: Optional[_Meta],
+                             tree: Optional[PathTree]) -> None:
+        read = self._read_data(msg, meta, tree)
         if read is None:
             return
         _, mode, children = read
@@ -1003,45 +1033,41 @@ class EdgeNode(Node):
         channel = msg.floating.channel_id
         row = self.channels.get((valley, channel))
         if row is not None and "consumer" in row.roles:
-            # one push header, without the tree, for every host's copy
-            push = FloatingHeader(valley_id=valley, channel_id=channel,
-                                  metadata=msg.floating.metadata)
-            self._deliver_to_local_consumers(row, _PUSH_OF_SYNC[msg.kind],
-                                             push, msg.payload, exclude=None,
+            # one push message, on the header that arrived, for every
+            # host's copy
+            push = YodelMessage(_PUSH_OF_SYNC[msg.kind], self.yni, self.yni,
+                                msg.floating, msg.payload)
+            self._deliver_to_local_consumers(row, push, exclude=None,
                                              mode=mode)
         elif row is None and not children:
             self.drop("unknown_channel", ("channel", channel))
         if children:
-            self.strategic_send(children)
+            self.strategic_send(msg, children)
 
-    def _deliver_to_local_consumers(self, row: FibRow, kind: MessageKind,
-                                    floating: FloatingHeader, payload: bytes,
+    def _deliver_to_local_consumers(self, row: FibRow, msg: YodelMessage,
                                     exclude: Optional[Yni],
                                     mode: Optional[AnycastMode]) -> None:
-        """Send each local consumer host, but `exclude`, its own push copy
-        of (kind, floating, payload), or buffer it at the host's twin."""
+        """Send `msg` to each local consumer host but `exclude`, or buffer
+        it at the host's twin; every copy and buffer shares it."""
         targets = [h for h in row.consumer_hosts()
                    if h != exclude and h not in row.locked_hosts]
         if mode is not None:
             targets = anycast_filter("edge", targets, mode,
                                      self.env.rng(self.label))
-        pairs = []
+        copies = []
         for host in targets:
-            out = YodelMessage(kind, self.yni, host, floating, payload)
             if self.twin.is_active(host):
-                self.twin.buffer_message(host, out)
+                self.twin.buffer_message(host, msg)
             else:
-                pairs.append((host, out))
-        self.env.transmit(self, pairs)
+                copies.append((host, msg, None))
+        self.env.transmit(self, copies)
 
     def _originate_sync(self, msg: YodelMessage, tree: PathTree) -> None:
-        floating = FloatingHeader(valley_id=msg.floating.valley_id,
-                                  channel_id=msg.floating.channel_id,
-                                  metadata=msg.floating.metadata,
-                                  path_tree=tree)
+        """Start a host's message down this edge's installed tree: one
+        sync carrier on the host's header, the tree beside it."""
         carrier = YodelMessage(_SYNC_OF_PUSH[msg.kind], self.yni, self.yni,
-                               floating, msg.payload)
-        self.strategic_send(pop_path_root(carrier, self.yni))
+                               msg.floating, msg.payload)
+        self.strategic_send(carrier, pop_path_root(tree, self.yni))
 
     # -- twin hooks ------------------------------------------------------------
 
@@ -1118,16 +1144,16 @@ class ConnectorNode(Node):
     """Transit node: no valley, namespace or channel state at all. It reads
     and rejects malformed data in the same step as every other node."""
 
-    def on_message(self, msg: YodelMessage,
-                   meta: Optional[_Meta] = None) -> None:
+    def on_message(self, msg: YodelMessage, meta: Optional[_Meta] = None,
+                   tree: Optional[PathTree] = None) -> None:
         if msg.kind not in _PUSH_OF_SYNC:
             self.drop("unhandled_kind", ("k", msg.kind.name))
             return
-        read = self._read_data(msg, meta)
+        read = self._read_data(msg, meta, tree)
         if read is None:
             return
         _, mode, children = read
         if mode is not None:
             children = anycast_filter("connector", children, mode,
                                       self.env.rng(self.label))
-        self.strategic_send(children)
+        self.strategic_send(msg, children)

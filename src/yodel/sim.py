@@ -27,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from functools import partial
 from typing import Callable, Iterable, Optional
 
-from .codec import MessageKind, YodelMessage
+from .codec import MessageKind, PathTree, YodelMessage
 from .control import Controller, HostPrefs
 from .dataplane import (ConnectorNode, EdgeNode, HostNode, Node,
                         parse_data_metadata)
@@ -105,28 +105,28 @@ class Simulation:
             heapq.heappush(self._ticks, tick)
         self._events[tick].append(fn)
 
-    def transmit(self, src: Node, pairs: list[tuple[Yni, YodelMessage]],
+    def transmit(self, src: Node,
+                 copies: list[tuple[Yni, YodelMessage, Optional[PathTree]]],
                  mcast: bool = False) -> None:
-        """Send each (destination, message) copy: a SEND line, then a RECV
-        line and the receiver's `on_message` one link latency later, or a
-        DROP line. A data copy's metadata is parsed here once, for the
-        serial on its trace lines, and the parse goes to the receiver with
-        the copy, so no node parses it again."""
-        if not pairs:
+        """Send each (destination, message, tree) copy: a SEND line, then a
+        RECV line and the receiver's `on_message(msg, meta, tree)` one link
+        latency later, or a DROP line. A data copy's metadata is parsed
+        here once, for the serial on its trace lines, and the parse goes to
+        the receiver with the copy, so no node parses it again."""
+        if not copies:
             return
         now, label, emit = self._now, src.label, self.trace.emit
-        if mcast and pairs[0][1].kind is not _CONTROL:
+        if mcast and copies[0][1].kind is not _CONTROL:
             # one underlay transmission covers the whole batch
             self.metrics.transmission(src.domain, True)
         ports = self._ports[label]
         crashed = label in self._crashed
         # the kind and, on parseable data, the serial: one tuple shared by
-        # the SEND and RECV lines of every copy of one kind and metadata,
-        # with the parsed (serial, q), or None for control and for data
-        # that did not parse; copies popped from one parent share their
-        # metadata object
-        wire_kind = wire_metadata = wire = meta = None
-        for dst_yni, msg in pairs:
+        # the SEND and RECV lines of every copy of one message, with the
+        # parsed (serial, q), or None for control and for data that did
+        # not parse; the copies a node sends on from one message share it
+        wire_msg = wire = meta = None
+        for dst_yni, msg, tree in copies:
             port = ports.get(dst_yni) or self._port(src, dst_yni)
             if port is None:
                 emit(now, label, "DROP", ("reason", "unknown_destination"),
@@ -138,14 +138,14 @@ class Simulation:
             if overlay and not mcast and kind is not _CONTROL:
                 self.metrics.transmission(src.domain, src.domain == dst.domain)
                 link.unicast += 1
-            metadata = msg.floating.metadata
-            if kind is not wire_kind or metadata is not wire_metadata:
-                wire_kind, wire_metadata = kind, metadata
+            if msg is not wire_msg:
+                wire_msg = msg
                 wire = (("k", _KIND_NAMES[kind]),)
                 meta = None
                 if kind is not _CONTROL:
                     try:
-                        meta = parse_data_metadata(kind, metadata)
+                        meta = parse_data_metadata(kind,
+                                                   msg.floating.metadata)
                         wire += (("serial", meta[0]),)
                     except YodelError:
                         pass
@@ -158,7 +158,8 @@ class Simulation:
                 continue
             link.in_flight += 1
             self.schedule(now + link.latency,
-                          partial(self._arrive, src, port, msg, wire, meta))
+                          partial(self._arrive, src, port, msg, wire, meta,
+                                  tree))
 
     def _port(self, src: Node, dst_yni: Yni) -> Optional[_Port]:
         """The node `dst_yni` names, the record of the wire from `src` to
@@ -183,15 +184,16 @@ class Simulation:
 
     def _arrive(self, src: Node, port: _Port, msg: YodelMessage,
                 wire: tuple[tuple[str, object], ...],
-                meta: Optional[tuple[int, Optional[int]]]) -> None:
+                meta: Optional[tuple[int, Optional[int]]],
+                tree: Optional[PathTree]) -> None:
         """Land one copy `transmit` sent from `src` through `port`: a RECV
         line and the receiver's `on_message` with the metadata `transmit`
-        parsed, or a DROP line."""
+        parsed and the copy's tree, or a DROP line."""
         dst, link, _, _, from_src = port
         if not self._lands(link, src, dst):
             return
         self.trace.emit(self._now, dst.label, "RECV", from_src, *wire)
-        dst.on_message(msg, meta)
+        dst.on_message(msg, meta, tree)
 
     def _lands(self, link: Link, src: Node, dst: Node) -> bool:
         """Count a copy reaching the far end of `link`: received, or lost

@@ -216,7 +216,10 @@ class TwinManager:
     def rekey_buffered(self, valley_id: int, old_channel: int,
                        new_channel: int) -> None:
         """A community changed channel while a host was away; buffered
-        messages must carry the id the corrected host will know."""
+        messages must carry the id the corrected host will know. A buffered
+        message may be shared with other buffers and with copies already
+        sent, so each slot gets a rekeyed copy and the message stays as it
+        is."""
         for rec in self.records.values():
             for i, msg in enumerate(rec.buffer):
                 f = msg.floating
@@ -245,7 +248,8 @@ class TwinManager:
         self.edge.resync_host(host)
         flushed, rec.buffer = rec.buffer, []
         if flushed:
-            self.env.transmit(self.edge, [(host, msg) for msg in flushed])
+            self.env.transmit(self.edge,
+                              [(host, msg, None) for msg in flushed])
         if was_active:
             self.edge.emit("TWIN_FLUSH", ("host", self.env.label_of(host)),
                            ("count", len(flushed)))

@@ -3,6 +3,7 @@
 import copy
 import pathlib
 import pickle
+import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -20,6 +21,7 @@ from yodel.codec import (
     encode,
     pop_path_root,
 )
+from yodel.dataplane import data_metadata
 from yodel.errors import (
     CodecError,
     DuplicateTlv,
@@ -31,6 +33,8 @@ from yodel.errors import (
     UnknownKind,
 )
 from yodel.ynid import Yni
+
+from textworld import build_text, step
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "wire_golden.txt"
 
@@ -301,30 +305,27 @@ def test_from_preorder_equals_trees_built_by_hand():
 
 
 def test_pop_three_node_tree():
-    msg = golden_messages()["sync_with_three_node_tree"]
-    out = pop_path_root(msg, A)
-    assert [dest for dest, _ in out] == [B, C]
-    for dest, fwd in out:
-        assert fwd.sender == A
-        assert fwd.receiver == dest
-        assert fwd.floating.path_tree == PathTree(dest)
-        assert fwd.payload == msg.payload
-        assert fwd.kind == msg.kind
-        assert fwd.floating.channel_id == msg.floating.channel_id
+    # a tree read off the wire, where a tree rides in the header
+    tree = decode(golden()["sync_with_three_node_tree"]).floating.path_tree
+    out = pop_path_root(tree, A)
+    assert out == (PathTree(B), PathTree(C))
+    # the children themselves, not copies of them
+    assert all(child is kid for child, kid in zip(out, tree.children))
 
 
 def test_pop_leaf_yields_nothing():
-    msg = YodelMessage(MessageKind.DATA_YSYNC, E, A,
-                       FloatingHeader(valley_id=1, channel_id=2, path_tree=PathTree(A)))
-    assert pop_path_root(msg, A) == []
+    assert pop_path_root(PathTree(A), A) == ()
 
 
 def test_pop_root_mismatch():
-    msg = golden_messages()["sync_with_three_node_tree"]
-    with pytest.raises(RootMismatch):
-        pop_path_root(msg, B)
-    with pytest.raises(RootMismatch):
-        pop_path_root(YodelMessage(MessageKind.DATA_YSYNC, E, A), A)
+    tree = golden_messages()["sync_with_three_node_tree"].floating.path_tree
+    with pytest.raises(RootMismatch,
+                       match=f"^{re.escape(f'path root is {A}, not {B}')}$"):
+        pop_path_root(tree, B)
+    # a sync copy that came with no tree beside it
+    with pytest.raises(RootMismatch,
+                       match=f"^{re.escape(f'no path tree to pop at {A}')}$"):
+        pop_path_root(None, A)
 
 
 # --- property tests ---------------------------------------------------------
@@ -422,46 +423,53 @@ def test_tree_repr_is_the_nested_reprs(tree):
 @given(path_trees())
 @settings(max_examples=200, deadline=None)
 def test_recursive_pop_visits_every_edge_once(tree):
-    base = YodelMessage(MessageKind.DATA_YSYNC, E if E != tree.yni else A, tree.yni,
-                        FloatingHeader(valley_id=1, channel_id=1, path_tree=tree),
-                        b"p")
     visited = []
 
-    def pump(msg):
-        for dest, fwd in pop_path_root(msg, msg.receiver):
-            visited.append((msg.receiver, dest))
-            pump(fwd)
+    def pump(node):
+        for child in pop_path_root(node, node.yni):
+            visited.append((node.yni, child.yni))
+            pump(child)
 
-    pump(base)
+    pump(tree)
     assert visited == tree.edges()
 
 
-@given(path_trees(), st.data())
-@settings(max_examples=200, deadline=None)
-def test_pop_children_equal_replaced_copies(tree, data):
-    kind = data.draw(st.sampled_from([MessageKind.CONTROL_YPP,
-                                      MessageKind.DATA_YSYNC,
-                                      MessageKind.ANYCAST_DATA_YSYNC]))
-    header = dict(
-        valley_id=data.draw(st.integers(0, 2**32 - 1)),
-        channel_id=data.draw(st.integers(0, 2**64 - 1)),
-        namespace_id=data.draw(st.integers(0, 2**32 - 1)),
-        application_id=data.draw(st.integers(0, 2**32 - 1)),
-        metadata=data.draw(st.binary(max_size=16)),
-        path_tree=tree)
-    # pop_path_root passes these fields by position: a new or reordered
-    # field must be set here, and copied there
-    assert tuple(header) == tuple(f.name for f in fields(FloatingHeader))
-    assert [f.name for f in fields(YodelMessage)] == [
-        "kind", "sender", "receiver", "floating", "payload"]
-    msg = YodelMessage(kind, data.draw(ynis), tree.yni,
-                       FloatingHeader(**header),
-                       data.draw(st.binary(max_size=32)))
-    out = pop_path_root(msg, tree.yni)
-    assert [dest for dest, _ in out] == [c.yni for c in tree.children]
-    for child, (dest, fwd) in zip(tree.children, out):
-        assert fwd == replace(msg, sender=tree.yni, receiver=child.yni,
-                              floating=replace(msg.floating, path_tree=child))
+# c1 with four edge neighbours and a fifth that sends to it
+STAR = "domain d\nnode c1 connector d\n" + "".join(
+    f"node e{i} edge d\nlink c1 e{i} 1\n" for i in range(1, 6))
+
+
+@given(path_trees(), st.sampled_from([MessageKind.DATA_YSYNC,
+                                      MessageKind.ANYCAST_DATA_YSYNC]),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_forward_shares_the_arriving_message(drawn, kind, grouped):
+    """A connector sends every child of the tree that arrives beside a
+    sync copy the arriving message object itself, with the child's own
+    subtree beside it, over unicast or a local multicast group alike."""
+    topo = STAR + ("mcastgroup d c1 e1 e2 e3 e4\n" if grouped else "")
+    sim = build_text(topo, "")
+    c1, sender = sim.nodes["c1"], sim.nodes["e5"]
+    edges = [sim.nodes[f"e{i}"] for i in range(1, 5)]
+    # the drawn tree's shape, its root and children renamed to the world's
+    tree = PathTree(c1.yni, tuple(PathTree(edge.yni, sub.children)
+                                  for edge, sub in zip(edges, drawn.children)))
+    got = []
+    for edge in edges:
+        edge.on_message = (lambda msg, meta, tree, label=edge.label:
+                           got.append((label, msg, tree)))
+    msg = YodelMessage(kind, sender.yni, c1.yni, FloatingHeader(
+        valley_id=1, channel_id=1,
+        metadata=data_metadata(1, None if kind is MessageKind.DATA_YSYNC
+                               else 65535)), b"p")
+    sim.transmit(sender, [(c1.yni, msg, tree)])
+    step(sim, 2)
+    assert sorted(label for label, _, _ in got) \
+        == [edge.label for edge in edges[:len(tree.children)]]
+    subtree = {edge.label: child for edge, child in zip(edges, tree.children)}
+    for label, arrived, beside in got:
+        assert arrived is msg
+        assert beside is subtree[label]
 
 
 def _recursive_read_tree(raw: bytes, off: int) -> tuple[PathTree, int]:

@@ -21,6 +21,7 @@ from yodel.codec import (FloatingHeader, MessageKind, PathTree, YodelMessage,
 from yodel.control import ChannelIdUpdate, PathAdvertisement
 from yodel.dataplane import (
     AcTable,
+    ConnectorNode,
     NodeEnv,
     OP_CHANNEL_UPDATE,
     OP_HELLO,
@@ -166,14 +167,34 @@ def sent_to(sim, label, kind):
             for r in sim.trace.select("SEND", n=label, k=kind)]
 
 
+def serial_of(msg):
+    return parse_data_metadata(msg.kind, msg.floating.metadata)[0]
+
+
+def watch_data(host):
+    """The data messages `host` receives from now on, in order; each is
+    handled as before."""
+    seen = []
+    handle = host.on_message
+
+    def on_message(msg, meta=None, tree=None):
+        if msg.kind is not MessageKind.CONTROL_YPP:
+            seen.append(msg)
+        handle(msg, meta, tree)
+    host.on_message = on_message
+    return seen
+
+
 def roles_removed(sim):
     return [dict(r.fields)["role"] for r in sim.trace.select("ROLE_REMOVED")]
 
 
-def data(kind, sender, receiver, channel, metadata, tree=None):
+def data(kind, sender, receiver, channel, metadata):
+    """A data message; a sync copy's tree goes beside it, to `on_message`
+    or `transmit`."""
     return YodelMessage(kind, sender, receiver,
                         FloatingHeader(valley_id=1, channel_id=channel,
-                                       metadata=metadata, path_tree=tree),
+                                       metadata=metadata),
                         b"p")
 
 
@@ -827,7 +848,7 @@ class TestEdgeData:
         e1 = sim.nodes["e1"].yni
         sim.edges["e1"].on_message(data(
             MessageKind.DATA_YSYNC, STRANGER, e1, row(sim).channel_id,
-            data_metadata(7), PathTree(STRANGER, (PathTree(e1),))))
+            data_metadata(7)), tree=PathTree(STRANGER, (PathTree(e1),)))
         # the codec's reason, as at a connector
         reason = f"path root is {STRANGER}, not {e1}"
         assert sim.trace.count("PROTO_ERROR", reason=reason) == 1
@@ -925,8 +946,8 @@ class TestConnectorNode:
         c1, e2 = sim.nodes["c1"].yni, sim.nodes["e2"].yni
         sim.nodes["c1"].on_message(data(
             MessageKind.DATA_YSYNC, sim.nodes["e1"].yni, c1, 1,
-            data_metadata(1),
-            PathTree(c1, (PathTree(e2), PathTree(STRANGER)))))
+            data_metadata(1)),
+            tree=PathTree(c1, (PathTree(e2), PathTree(STRANGER))))
         assert sim.trace.count("DROP", n="c1", reason="no_route") == 1
         assert sent_to(sim, "c1", "DATA_YSYNC") == ["e2"]
 
@@ -935,7 +956,7 @@ class TestConnectorNode:
         c1 = sim.nodes["c1"].yni
         sim.nodes["c1"].on_message(data(
             MessageKind.DATA_YSYNC, sim.nodes["e1"].yni, c1, 1,
-            data_metadata(1), PathTree(STRANGER)))
+            data_metadata(1)), tree=PathTree(STRANGER))
         reason = f"path root is {STRANGER}, not {c1}"
         assert sim.trace.count("PROTO_ERROR", reason=reason) == 1
         assert sim.metrics.proto_errors == 1
@@ -971,8 +992,9 @@ RECEIVERS = {
 
 
 def data_at(where, anycast, metadata):
-    """A joined world, its receiver, its sender and a data message from the
-    sender addressed to the receiver with the given metadata."""
+    """A joined world, its receiver, its sender, a data message from the
+    sender addressed to the receiver with the given metadata, and the
+    receiver's branch of the tree (None on push kinds)."""
     sim = world(JOINED, topo=LINE, until=8)
     receiver, sender, branch = RECEIVERS[where]
     tree = None
@@ -984,15 +1006,15 @@ def data_at(where, anycast, metadata):
         kind = MessageKind.ANYCAST_DATA_YSYNC if anycast \
             else MessageKind.DATA_YSYNC
     node, src = sim.nodes[receiver], sim.nodes[sender]
-    msg = data(kind, src.yni, node.yni, row(sim).channel_id, metadata, tree)
-    return sim, node, src, msg
+    msg = data(kind, src.yni, node.yni, row(sim).channel_id, metadata)
+    return sim, node, src, msg, tree
 
 
-def over_the_wire(sim, src, node, msg):
-    """Send `msg` from `src` to `node` and run until it lands; the events
-    of the trace lines this adds."""
+def over_the_wire(sim, src, node, msg, tree):
+    """Send `msg` with `tree` beside it from `src` to `node` and run until
+    it lands; the events of the trace lines this adds."""
     before = len(sim.trace)
-    sim.transmit(src, [(node.yni, msg)])
+    sim.transmit(src, [(node.yni, msg, tree)])
     step(sim, sim.config.until + sim.links[src.label][node.label].latency)
     return [r.event for r in sim.trace.records[before:]]
 
@@ -1004,10 +1026,10 @@ def over_the_wire(sim, src, node, msg):
 ], ids=["plain", "anycast"])
 def test_malformed_data_metadata_is_one_protocol_error(where, anycast,
                                                        metadata):
-    sim, node, src, msg = data_at(where, anycast, metadata)
+    sim, node, src, msg, tree = data_at(where, anycast, metadata)
     with pytest.raises(MalformedFloating) as err:
         parse_data_metadata(msg.kind, metadata)
-    assert over_the_wire(sim, src, node, msg) \
+    assert over_the_wire(sim, src, node, msg, tree) \
         == ["SEND", "RECV", "PROTO_ERROR"]
     assert sim.trace.select("PROTO_ERROR", n=node.label)[0].fields \
         == (("reason", str(err.value)),)
@@ -1021,12 +1043,57 @@ def test_malformed_data_metadata_is_one_protocol_error(where, anycast,
     (True, data_metadata(1, 65535)),
 ], ids=["plain", "anycast"])
 def test_well_formed_data_is_delivered_or_forwarded(where, anycast, metadata):
-    sim, node, src, msg = data_at(where, anycast, metadata)
-    events = over_the_wire(sim, src, node, msg)
+    sim, node, src, msg, tree = data_at(where, anycast, metadata)
+    events = over_the_wire(sim, src, node, msg, tree)
     assert events[:2] == ["SEND", "RECV"]
     events = events[2:]
     assert sim.metrics.proto_errors == 0
     assert events.count("DELIVER") + events.count("SEND") > 0
+
+
+@pytest.mark.parametrize("name", ["hello", "mcast-fanout"])
+def test_forwarding_builds_no_header_or_message(monkeypatch, name):
+    """A copy in flight is one shared message with the receiver's subtree
+    beside it, so no hop rebuilds a message: a connector builds no header
+    or message at all, and the headers a run builds are at most one per
+    host data send, one per control SEND line and two per path
+    advertisement (the one the controller encodes and the one the edge
+    decodes). The hello world's copies cross a connector."""
+    from test_sim import _world_texts
+    sim = build_text(*_world_texts(name))
+    built = []              # (class, whether inside a connector's receive)
+    inside = []
+
+    def spy(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append((cls, bool(inside)))
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    receive = ConnectorNode.on_message
+
+    def watched(self, *args):
+        inside.append(self)
+        try:
+            receive(self, *args)
+        finally:
+            inside.pop()
+
+    spy(FloatingHeader)
+    spy(YodelMessage)
+    monkeypatch.setattr(ConnectorNode, "on_message", watched)
+    sim.run()
+    connectors = [label for label, node in sim.nodes.items()
+                  if isinstance(node, ConnectorNode)]
+    assert sum(sim.trace.count("RECV", n=label) for label in connectors)
+    assert [cls for cls, in_connector in built if in_connector] == []
+    headers = sum(cls is FloatingHeader for cls, _ in built)
+    trace = sim.trace
+    assert headers <= (trace.count("SEND", k="data")
+                       + trace.count("SEND", k="CONTROL_YPP")
+                       + 2 * trace.count("PATH_ADV"))
 
 
 # ---------------------------------------------------------------------------
@@ -1138,6 +1205,40 @@ class TestTwin:
         assert sim.trace.count("TWIN_FLUSH", host="h2",
                                count=str(len(flushed))) == 1
         assert not sim.edges["e2"].twin.records[sim.nodes["h2"].yni].buffer
+
+    def test_shared_buffered_message_rekeys_copy_by_copy(self):
+        # e2 builds one push message per copy it receives, shared by the
+        # copy to h6 and the buffers of h2 and h5, away from 8; the split
+        # at 30 moves room to a new channel while they are away
+        sim = world(SPLIT + "at 2 join h5 vale chat room consumer 1\n"
+                    "at 2 join h6 vale chat room consumer 1\n"
+                    "at 8 fault host-down h2\nat 8 fault host-down h5\n"
+                    + send_lines(3, 21)
+                    + "at 40 fault host-up h2\nat 40 fault host-up h5\n",
+                    model="slsm partition=manual",
+                    topo=LINE + "host h5 alice domain=d2\n"
+                    "host h6 alice domain=d2\n")
+        got = {label: watch_data(sim.hosts[label])
+               for label in ("h2", "h5", "h6")}
+        step(sim, 29)
+        old = row(sim, "e2").channel_id
+        records = sim.edges["e2"].twin.records
+        h2_buffer, h5_buffer = (records[sim.nodes[h].yni].buffer
+                                for h in ("h2", "h5"))
+        assert len(got["h6"]) == len(h2_buffer) == len(h5_buffer) == 3
+        assert all(a is b is c for a, b, c
+                   in zip(got["h6"], h2_buffer, h5_buffer))
+        step(sim, 45)
+        new = row(sim, "e2").channel_id
+        assert new != old
+        for label in ("h2", "h5"):
+            assert [(m.floating.channel_id, serial_of(m))
+                    for m in got[label]] == [(new, 1), (new, 2), (new, 3)]
+            assert delivered(sim, label) == [(1, 1), (1, 2), (1, 3)]
+        # what h6 was handed is as it was
+        assert [(m.floating.channel_id, serial_of(m))
+                for m in got["h6"]] == [(old, 1), (old, 2), (old, 3)]
+        assert delivered(sim, "h6") == [(1, 1), (1, 2), (1, 3)]
 
     def test_producer_loss_fails_over_to_locked_local(self):
         sim = world(TRIO + "at 2 join h3 vale chat room producer 2\n"

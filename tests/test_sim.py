@@ -318,11 +318,11 @@ def test_run_pauses_the_collector_and_restores_it(monkeypatch, enabled,
     paused = []
     on_message = EdgeNode.on_message
 
-    def watched(self, msg, meta):
+    def watched(self, msg, meta, tree):
         paused.append(not gc.isenabled())
         if raises:
             raise _Raised(self.label)
-        on_message(self, msg, meta)
+        on_message(self, msg, meta, tree)
 
     monkeypatch.setattr(EdgeNode, "on_message", watched)
     sim = build_text(TWO_DOMAINS, scen(body=TestBasicWorld.BODY))
@@ -409,7 +409,7 @@ def test_data_metadata_is_parsed_once_per_copy(monkeypatch, name):
 
 
 def _world_texts(name):
-    """(topology, scenario, seed) of a twin demo or benchmark world."""
+    """(topology, scenario, seed) of a demo or benchmark world."""
     import test_replay_golden as golden
     if name in golden.BENCH_WORKLOADS:
         world = golden._bench_worlds().generate(name, 1)
@@ -668,7 +668,7 @@ at 20 send h1 vale room 1 still travelling
         sim = Simulation(topo, scen_spec, SimConfig.from_scenario(scen_spec, 1))
         e1, e2 = sim.nodes["e1"], sim.nodes["e2"]
         msg = YodelMessage(MessageKind.CONTROL_YPP, e1.yni, e2.yni)
-        sim.schedule(3, lambda: sim.transmit(e1, [(e2.yni, msg)]))
+        sim.schedule(3, lambda: sim.transmit(e1, [(e2.yni, msg, None)]))
         sim.run()
         lines = sim.trace.lines()
         i = lines.index("t=3 n=e1 ev=SEND to=e2 k=CONTROL_YPP")
@@ -691,8 +691,7 @@ at 20 send h1 vale room 1 still travelling
             return dst, YodelMessage(
                 MessageKind.DATA_YSYNC, c1.yni, dst,
                 FloatingHeader(valley_id=1, channel_id=9,
-                               metadata=data_metadata(serial),
-                               path_tree=PathTree(dst)))
+                               metadata=data_metadata(serial))), PathTree(dst)
         batch = [copy(e1.yni, 41), copy(stranger, 42), copy(e2.yni, 43)]
         sim.schedule(3, lambda: sim.transmit(c1, batch))
         sim.run()
