@@ -464,6 +464,7 @@ class HostRow:
 
 
 _RowKey = tuple[int, str, int]  # (valley, community, app)
+_APP_ORDER = attrgetter("app_id")
 
 
 class HostNode(Node):
@@ -587,13 +588,17 @@ class HostNode(Node):
             self._deliver_app(row.app_id, serial, community)
 
     def _live_consumer_rows(self, valley_id: int, community: str) -> list[HostRow]:
+        """The community's unlocked consumer rows in app order; a row past
+        its ttl is dropped here, with its EXPIRE line."""
+        rows = []
+        for (v, c, _), row in self.crt.items():
+            if v == valley_id and c == community:
+                rows.append(row)
+        rows.sort(key=_APP_ORDER)
         out = []
-        for (v, c, _), row in sorted(self.crt.items()):
-            if v != valley_id or c != community:
-                continue
-            if self._expired(self.crt, row) or row.locked:
-                continue
-            out.append(row)
+        for row in rows:
+            if not self._expired(self.crt, row) and not row.locked:
+                out.append(row)
         return out
 
     def _deliver_in_host(self, prow: HostRow, serial: int,

@@ -27,14 +27,46 @@ class TraceRecord(NamedTuple):
     fields: tuple[tuple[str, str], ...] = ()
 
     def line(self) -> str:
-        return _line(*self)
+        return _one_line(self, {})
 
 
-def _line(tick: int, node: str, event: str,
-          fields: tuple[tuple[str, object], ...]) -> str:
-    # `!s`, not plain format(): an IntEnum formats as its number on 3.10
-    return " ".join([f"t={tick} n={node} ev={event}",
-                     *[f"{k}={v!s}" for k, v in fields]])
+def _pieces(events, memo: dict) -> list[str]:
+    """The lines of `events` as one flat list of text pieces, each line
+    closed by a newline piece, for one join.
+
+    `memo` maps a `(key, value)` field pair to the exact type of its value
+    and its printed ` key=value` piece, so each distinct pair is formatted
+    once. The type is checked on every hit: `("a", 1)` and `("a", True)` are
+    one dict key but print differently, and so do an IntEnum and its int.
+    Equal values of one admitted type print alike (a float would not:
+    0.0 == -0.0)."""
+    out = []
+    append = out.append
+    get = memo.get
+    _type = type
+    last = head = None
+    for tick, node, event, fields in events:
+        # identity, not equality, which would take True for 1; a run hands
+        # every event of one tick the same int object
+        if tick is not last:
+            last = tick
+            head = f"t={tick} n="
+        append(f"{head}{node} ev={event}")
+        for pair in fields:
+            hit = get(pair)
+            if hit is None or hit[0] is not _type(pair[1]):
+                # `!s`, not plain format(): an IntEnum formats as its number
+                # on 3.10
+                hit = memo[pair] = (_type(pair[1]), f" {pair[0]}={pair[1]!s}")
+            append(hit[1])
+        append("\n")
+    return out
+
+
+def _one_line(event, memo: dict) -> str:
+    pieces = _pieces((event,), memo)
+    pieces.pop()   # the newline
+    return "".join(pieces)
 
 
 def _record(tick: int, node: str, event: str,
@@ -46,7 +78,11 @@ def _record(tick: int, node: str, event: str,
 class Trace:
     """Events as emitted: `(tick, node, event, fields)` tuples whose field
     values are turned into text only when the trace is read. Every value
-    must therefore be immutable (str, int, bool, None or Yni)."""
+    must therefore be immutable (str, int, bool, None or Yni).
+
+    A read formats each distinct `(key, value)` field pair once per call
+    and keeps nothing between calls: each `text()` or `lines()` formats
+    from the events as they are then."""
 
     def __init__(self):
         self._events: list[tuple[int, str, str,
@@ -65,10 +101,11 @@ class Trace:
         return [_record(*e) for e in self._events]
 
     def lines(self) -> list[str]:
-        return [_line(*e) for e in self._events]
+        memo = {}
+        return [_one_line(e, memo) for e in self._events]
 
     def text(self) -> str:
-        return "\n".join(self.lines()) + ("\n" if self._events else "")
+        return "".join(_pieces(self._events, {}))
 
     def count(self, event: str, **match: str) -> int:
         return len(self.select(event, **match))

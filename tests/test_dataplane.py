@@ -600,6 +600,32 @@ class TestHostNode:
             "t=12 n=h1 ev=DROP reason=no_registration community=room"]
         assert sim.trace.count("EXPIRE") == 1
 
+    def test_delivery_reads_one_community_in_app_order(self):
+        # h2's room apps join as 3, 1, 2, and 3 and 1 lapse together; so
+        # does its hall consumer, which room's delivery leaves alone until
+        # h2's own hall send delivers in the host
+        sim = world("at 2 join h1 vale chat room producer 1\n"
+                    "at 2 join h2 vale chat room consumer 3 ttl=5\n"
+                    "at 2 join h2 vale chat hall producer 9\n"
+                    "at 2 join h2 vale chat hall consumer 4 ttl=5\n"
+                    "at 3 join h2 vale chat room consumer 1 ttl=5\n"
+                    "at 3 join h2 vale chat room consumer 2\n"
+                    "at 20 send h1 vale room 1 x\n"
+                    "at 30 send h2 vale hall 9 y\n", until=25)
+        h2 = sim.hosts["h2"]
+        assert sorted(h2.crt) == [(1, "hall", 4), (1, "room", 2)]
+        step(sim, 35)
+        assert [line for line in sim.trace.lines()
+                if line.startswith(("t=22 n=h2", "t=30 n=h2"))] == [
+            "t=22 n=h2 ev=RECV from=e1 k=DATA_YPP serial=1",
+            "t=22 n=h2 ev=EXPIRE community=room app=1",
+            "t=22 n=h2 ev=EXPIRE community=room app=3",
+            "t=22 n=h2 ev=DELIVER app=2 community=room serial=1",
+            "t=30 n=h2 ev=SEND k=data community=hall app=9 serial=2",
+            "t=30 n=h2 ev=EXPIRE community=hall app=4",
+            "t=30 n=h2 ev=SEND to=e1 k=DATA_YPP serial=2"]
+        assert sorted(h2.crt) == [(1, "room", 2)]
+
     def test_rejoin_renews_the_registration_ttl(self):
         # a re-join answered at 10 renews h2's row to 110 and clears h3's
         # timer; the resync reply after h2's return at 31 answers no join

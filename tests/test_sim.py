@@ -3,6 +3,7 @@
 import contextlib
 import gc
 import pathlib
+from enum import IntEnum
 from functools import partial
 
 from yodel.codec import FloatingHeader, MessageKind, PathTree, YodelMessage
@@ -151,6 +152,48 @@ at 40 report
         assert sim.metrics.latency_hist == {5: 1}
 
 
+def reference_line(tick, node, event, fields):
+    """The line formatter trace reads used before they became one pass: one
+    join per line, each field printed on its own."""
+    return " ".join([f"t={tick} n={node} ev={event}",
+                     *[f"{k}={v!s}" for k, v in fields]])
+
+
+class Kind(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+# 1, True and Kind.ONE are one dict key, but True prints apart, and so does
+# Kind.ONE on 3.10; "1" prints as 1 does but is another key
+SHARED_VALUES = [0, 1, 2, True, False, None, "1", "True", "", Kind.ONE,
+                 Kind.TWO, Yni(b"\x0f" * 6, 3), Yni(b"\x0f" * 6, 1)]
+FIELDS = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "serial"]),
+              st.sampled_from(SHARED_VALUES) | st.integers()
+              | st.text(max_size=3)),
+    max_size=5).map(tuple)
+EVENTS = st.lists(
+    st.tuples(st.integers(0, 2) | st.integers(10**12, 10**12 + 1),
+              st.sampled_from(["e1", "h2"]), st.sampled_from(["SEND", "X"]),
+              FIELDS),
+    max_size=12)
+
+
+def golden_world_traces():
+    """The trace of every replay-golden world, demo and benchmark."""
+    import test_replay_golden as golden
+    worlds = [((golden.WORLDS / t).read_text(), (golden.WORLDS / s).read_text(),
+               seed) for t, s in golden.PAIRS for seed in golden.SEEDS]
+    bench = golden._bench_worlds()
+    for workload in golden.BENCH_WORKLOADS:
+        for seed in golden.BENCH_SEEDS:
+            world = bench.generate(workload, seed)
+            worlds.append((world.topology, world.scenario, seed))
+    for topo_text, scen_text, seed in worlds:
+        yield build_text(topo_text, scen_text, seed).run().trace
+
+
 class TestTraceFormat:
     def test_line_without_fields_has_no_trailing_space(self):
         assert TraceRecord(3, "e1", "FAULT").line() == "t=3 n=e1 ev=FAULT"
@@ -224,6 +267,41 @@ class TestTraceFormat:
         assert [k for k, _ in recv.fields] == ["from", "k", "serial"]
         control = sim.trace.select("SEND", k="CONTROL_YPP")
         assert control and all(len(r.fields) == 2 for r in control)
+
+    @settings(max_examples=200, deadline=None)
+    @given(EVENTS)
+    @example([(1, "e1", "X", (("a", 1), ("a", True), ("a", Kind.ONE),
+                              ("a", "1"))),
+              (1, "h2", "X", (("a", True), ("a", 1), ("a", Kind.ONE))),
+              (2, "h2", "SEND", ())])
+    def test_reads_match_the_reference_formatter(self, events):
+        trace = Trace()
+        for tick, node, event, fields in events:
+            trace.emit(tick, node, event, *fields)
+        want = [reference_line(*e) for e in events]
+        assert trace.lines() == want
+        assert trace.text() == "".join(line + "\n" for line in want)
+        assert [r.line() for r in trace.records] == want
+        assert [TraceRecord(*e).line() for e in events] == want
+
+    def test_golden_worlds_read_as_the_reference_formatter(self):
+        for trace in golden_world_traces():
+            want = [reference_line(*e) for e in trace._events]
+            assert trace.lines() == want
+            assert trace.text() == "".join(line + "\n" for line in want)
+            assert [r.line() for r in trace.records] == want
+
+    def test_nothing_is_kept_between_reads(self):
+        trace = Trace()
+        trace.emit(1, "e1", "X", ("a", 1))
+        first = trace.text()
+        trace.emit(1, "e1", "X", ("a", True), ("b", "1"))
+        trace.emit(2, "h2", "X", ("a", 1))
+        assert trace.text() == first + (
+            "t=1 n=e1 ev=X a=True b=1\nt=2 n=h2 ev=X a=1\n")
+        assert trace.lines() == ["t=1 n=e1 ev=X a=1",
+                                 "t=1 n=e1 ev=X a=True b=1",
+                                 "t=2 n=h2 ev=X a=1"]
 
 
 # what a field value may be: formatting waits until the trace is read, so
