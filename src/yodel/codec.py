@@ -61,9 +61,12 @@ __all__ = [
     "decode",
     "pop_path_root",
     "FIXED_HEADER_LEN",
+    "MAX_FANOUT",
 ]
 
 FIXED_HEADER_LEN = 27
+# a tree node's child count is one byte
+MAX_FANOUT = 255
 
 _TAG_VALLEY = 0x01
 _TAG_CHANNEL = 0x02
@@ -109,8 +112,9 @@ class PathTree:
         _set_yni(self, yni)
         _set_children(self, children)
         if children:
-            if len(children) > 255:
-                raise InvariantViolation("path-tree fan-out above 255")
+            if len(children) > MAX_FANOUT:
+                raise InvariantViolation(
+                    f"path-tree fan-out above {MAX_FANOUT}")
             _check_repeats([node.yni for node in self.walk()])
 
     @classmethod
@@ -129,8 +133,9 @@ class PathTree:
             _set_yni(node, ids[i])
             count = counts[i]
             if count:
-                if count > 255:
-                    raise InvariantViolation("path-tree fan-out above 255")
+                if count > MAX_FANOUT:
+                    raise InvariantViolation(
+                        f"path-tree fan-out above {MAX_FANOUT}")
                 kids = nodes[-count:]
                 del nodes[-count:]
                 kids.reverse()
@@ -224,10 +229,6 @@ class PathTree:
             parts += (node.yni, _BYTES[len(children)])
             stack += reversed(children)
         return b"".join(parts)
-
-    @classmethod
-    def deserialize(cls, raw: bytes) -> "PathTree":
-        return _read_tree(raw, 0, len(raw))
 
 
 # the slots' own setters, which `PathTree.__setattr__` cannot block

@@ -24,9 +24,11 @@ through names that, nor its header's `path_tree`, since the tree rides
 beside; the one header tree a node reads is that of a decoded path
 advertisement.
 
-Data metadata is parsed at most once per copy, in `Simulation.transmit`,
-which needs the serial for the copy's SEND and RECV lines; the parsed
-`(serial, q)` reaches the receiver as the `meta` argument of `on_message`.
+Data metadata is parsed at most once per host send, in
+`Simulation.transmit`, which needs the serial for the copy's SEND and RECV
+lines; the parsed `(serial, q)` reaches the receiver as the `meta` argument
+of `on_message`, and a node that sends on what arrived, or a push or sync
+built on its header, is not parsed again.
 Every node reads and rejects malformed data in one step, `Node._read_data`:
 it pops the root of a sync copy's tree, takes the serial and anycast share
 from `meta`, and reports a mis-rooted or missing tree or malformed metadata
@@ -338,8 +340,10 @@ class NodeEnv(Protocol):
     destination's subtree on the sync kinds and None on every other kind,
     and copies to several destinations share one message object. It lands
     each copy with a call to its receiver's `on_message(msg, meta, tree)`,
-    passing as `meta` the copy's data metadata, parsed once on the way for
-    the trace; None for control copies and for metadata that did not
+    passing as `meta` the copy's data metadata, parsed for the trace once
+    per host send: the message a node is handling, and a push or sync it
+    builds on that message's header, go out with the parse they arrived
+    with. `meta` is None for control copies and for metadata that did not
     parse. The receiver reads neither `msg.receiver`, which names no one
     copy's destination, nor `msg.floating.path_tree`, which is None."""
 
@@ -476,6 +480,10 @@ class HostNode(Node):
         self.edge: Optional[Yni] = None
         self.prt: dict[_RowKey, HostRow] = {}
         self.crt: dict[_RowKey, HostRow] = {}
+        # (valley, community) -> its rows of `crt` sorted by app; dropped
+        # whenever `crt` gains or loses one of its rows, and rebuilt when
+        # next asked for
+        self._consumers: dict[tuple[int, str], list[HostRow]] = {}
         self.by_channel: dict[tuple[int, int], str] = {}
         self.gated = False          # between hello and hello-ack
         self._held_sends: list[tuple[int, str, int, bytes]] = []
@@ -500,7 +508,10 @@ class HostNode(Node):
                  role: str, app_id: int) -> None:
         key = (valley_id, community, app_id)
         for r in role_rows(role):
-            (self.prt if r == "producer" else self.crt).pop(key, None)
+            if r == "producer":
+                self.prt.pop(key, None)
+            elif self.crt.pop(key, None) is not None:
+                self._consumers.pop((valley_id, community), None)
         self.send_op(self.edge, op_withdraw(role, community),
                      valley_id=valley_id, namespace_id=namespace_id,
                      app_id=app_id)
@@ -590,16 +601,16 @@ class HostNode(Node):
     def _live_consumer_rows(self, valley_id: int, community: str) -> list[HostRow]:
         """The community's unlocked consumer rows in app order; a row past
         its ttl is dropped here, with its EXPIRE line."""
-        rows = []
-        for (v, c, _), row in self.crt.items():
-            if v == valley_id and c == community:
-                rows.append(row)
-        rows.sort(key=_APP_ORDER)
-        out = []
-        for row in rows:
-            if not self._expired(self.crt, row) and not row.locked:
-                out.append(row)
-        return out
+        key = (valley_id, community)
+        rows = self._consumers.get(key)
+        if rows is None:
+            rows = self._consumers[key] = sorted(
+                [row for (v, c, _), row in self.crt.items()
+                 if v == valley_id and c == community], key=_APP_ORDER)
+        crt = self.crt
+        return [row for row in rows
+                if (row.timer is None or not self._expired(crt, row))
+                and not row.locked]
 
     def _deliver_in_host(self, prow: HostRow, serial: int,
                          exclude_app: Optional[int]) -> None:
@@ -612,14 +623,17 @@ class HostNode(Node):
             self._deliver_app(row.app_id, serial, prow.community)
 
     def _deliver_app(self, app_id: int, serial: int, community: str) -> None:
-        self.emit("DELIVER", ("app", app_id), ("community", community),
-                  ("serial", serial))
-        self.env.metrics.delivered(self.label)
-        self.env.metrics.note_delivery_latency(serial, self.env.now())
+        env = self.env
+        now = env.now()
+        env.trace.emit(now, self.label, "DELIVER", ("app", app_id),
+                       ("community", community), ("serial", serial))
+        env.metrics.delivered(self.label, serial, now)
 
     def _expired(self, table: dict, row: HostRow) -> bool:
         if row.timer is not None and self.env.now() > row.timer:
             table.pop((row.valley_id, row.community, row.app_id), None)
+            if table is self.crt:
+                self._consumers.pop((row.valley_id, row.community), None)
             self.emit("EXPIRE", ("community", row.community), ("app", row.app_id))
             return True
         return False
@@ -689,6 +703,8 @@ class HostNode(Node):
                                      f.channel_id, op["model"],
                                      op["randomized"], op["q"],
                                      locked=locked, timer=timer)
+                if table is self.crt:
+                    self._consumers.pop(key[:2], None)
         self.by_channel[channel] = op["community"]
 
     def _rekey_channel(self, valley_id: int, old: int, new: int,
@@ -1059,10 +1075,11 @@ class EdgeNode(Node):
         if mode is not None:
             targets = anycast_filter("edge", targets, mode,
                                      self.env.rng(self.label))
+        twin = self.twin
         copies = []
         for host in targets:
-            if self.twin.is_active(host):
-                self.twin.buffer_message(host, msg)
+            if twin.is_active(host):
+                twin.buffer_message(host, msg)
             else:
                 copies.append((host, msg, None))
         self.env.transmit(self, copies)

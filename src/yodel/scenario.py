@@ -8,7 +8,7 @@ Topology lines:
 
     domain <name>
     node <name> edge|connector <domain> [<key>=<finite number> ...]
-    link <a> <b> <latency>
+    link <a> <b> <latency>        (at most 255 links per node)
     mcastgroup <domain> <node> <node> [<node> ...]
     host <name> <user> [domain=<name>] [max_latency=<ticks>]
 
@@ -50,6 +50,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
 
+from .codec import MAX_FANOUT
 from .errors import ScenarioError
 from .model import Visibility
 from .services import AnycastMode, ServiceModel
@@ -178,6 +179,7 @@ def parse_topology(text: str, path: str = "<topology>"):
     errors: list[ScenarioError] = []
     names: set[str] = set()
     linked: set[frozenset[str]] = set()
+    degree: dict[str, int] = {}     # node name -> links naming it
     for line_no, tok in _lines(text):
         kind, rest = tok[0], tok[1:]
         try:
@@ -188,8 +190,10 @@ def parse_topology(text: str, path: str = "<topology>"):
                 names.add(node.name)
                 spec.nodes.append(node)
             elif kind == "link":
-                link = _link(rest, linked)
+                link = _link(rest, linked, degree)
                 linked.add(frozenset((link.a, link.b)))
+                for end in (link.a, link.b):
+                    degree[end] = degree.get(end, 0) + 1
                 spec.links.append(link)
             elif kind == "mcastgroup":
                 spec.groups.append(_group(rest))
@@ -237,7 +241,8 @@ def _stat(token: str) -> tuple[str, float]:
     return kv[0], value
 
 
-def _link(rest: list[str], linked: set[frozenset[str]]) -> LinkSpec:
+def _link(rest: list[str], linked: set[frozenset[str]],
+          degree: dict[str, int]) -> LinkSpec:
     if len(rest) != 3:
         raise _Rejected("link needs <a> <b> <latency>")
     a, b, raw = rest
@@ -251,6 +256,13 @@ def _link(rest: list[str], linked: set[frozenset[str]]) -> LinkSpec:
         raise _Rejected("link endpoints must differ")
     if frozenset((a, b)) in linked:
         raise _Rejected(f"duplicate link {a!r} {b!r}")
+    for end in (a, b):
+        # a delivery tree may take every link of a node as its children,
+        # and the wire holds a node's child count in one byte
+        if degree.get(end, 0) >= MAX_FANOUT:
+            raise _Rejected(f"node {end!r} has more than {MAX_FANOUT} links: "
+                            f"a path-tree node holds at most {MAX_FANOUT} "
+                            f"children")
     return LinkSpec(a, b, latency)
 
 

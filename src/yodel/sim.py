@@ -44,6 +44,21 @@ __all__ = ["SimConfig", "Simulation", "build", "run_world"]
 # Enum.name is a Python-level property; SEND and RECV lines read a plain dict
 _KIND_NAMES = {kind: kind.name for kind in MessageKind}
 _CONTROL = MessageKind.CONTROL_YPP
+# whether a kind's data metadata carries an anycast share: the parse of a
+# header's metadata depends on nothing else, so a push and the sync built on
+# the same header parse alike
+_ANYCAST = {kind: kind in (MessageKind.ANYCAST_DATA_YPP,
+                           MessageKind.ANYCAST_DATA_YSYNC)
+            for kind in MessageKind}
+
+# what `transmit` reads of one message for its copies: the message, the
+# wire fields of its SEND and RECV lines (the kind and, on data that
+# parsed, the serial), and its parsed data metadata (serial, q), None on
+# control and on data that did not parse
+_Wire = tuple[YodelMessage, tuple[tuple[str, object], ...],
+              Optional[tuple[int, Optional[int]]]]
+# the record `Simulation._landed` starts from, whose message is no message
+_NO_WIRE: _Wire = (None, (), None)
 
 # what `Simulation._port` resolves a destination to: the node, the record of
 # the wire to it, whether both ends are infrastructure, and the `to` field
@@ -81,6 +96,9 @@ class Simulation:
         # edge or one of its hosts
         self._fault_ticks: dict[str, list[int]] = {}
         self._swept = 0                         # tick of the last twin sweep
+        # the wire record of the copy landed last: the one its receiver is
+        # handling while it sends on
+        self._landed: _Wire = _NO_WIRE
         self._build()
 
     # -- environment services (the NodeEnv contract) ---------------------------
@@ -110,22 +128,29 @@ class Simulation:
                  mcast: bool = False) -> None:
         """Send each (destination, message, tree) copy: a SEND line, then a
         RECV line and the receiver's `on_message(msg, meta, tree)` one link
-        latency later, or a DROP line. A data copy's metadata is parsed
-        here once, for the serial on its trace lines, and the parse goes to
-        the receiver with the copy, so no node parses it again."""
+        latency later, or a DROP line.
+
+        Each message's wire fields are read once into one `(msg, wire,
+        meta)` record that every copy's arrival carries. A message the
+        sender is handling, one that landed and is sent on, reuses the
+        record it landed with; a push or sync built on that message's
+        header reuses its parsed metadata, when it parsed. So a data
+        header is parsed once per host send, not once per hop.
+
+        An overlay data copy sent alone counts on its link's `unicast`
+        counter, and a multicast batch of data once for the sender's
+        domain; both count whether or not the copies get through. The
+        report's transmissions are summed from these."""
         if not copies:
             return
         now, label, emit = self._now, src.label, self.trace.emit
         if mcast and copies[0][1].kind is not _CONTROL:
             # one underlay transmission covers the whole batch
-            self.metrics.transmission(src.domain, True)
+            batches = self.metrics.multicast_batches
+            batches[src.domain] = batches.get(src.domain, 0) + 1
         ports = self._ports[label]
         crashed = label in self._crashed
-        # the kind and, on parseable data, the serial: one tuple shared by
-        # the SEND and RECV lines of every copy of one message, with the
-        # parsed (serial, q), or None for control and for data that did
-        # not parse; the copies a node sends on from one message share it
-        wire_msg = wire = meta = None
+        rec = landed = self._landed
         for dst_yni, msg, tree in copies:
             port = ports.get(dst_yni) or self._port(src, dst_yni)
             if port is None:
@@ -136,20 +161,22 @@ class Simulation:
             dst, link, overlay, to, _ = port
             kind = msg.kind
             if overlay and not mcast and kind is not _CONTROL:
-                self.metrics.transmission(src.domain, src.domain == dst.domain)
                 link.unicast += 1
-            if msg is not wire_msg:
-                wire_msg = msg
-                wire = (("k", _KIND_NAMES[kind]),)
-                meta = None
-                if kind is not _CONTROL:
+            if msg is not rec[0]:
+                # data on the landed message's header keeps its parse
+                meta = landed[2]
+                if kind is _CONTROL:
+                    meta = None
+                elif (meta is None or msg.floating is not landed[0].floating
+                        or _ANYCAST[kind] is not _ANYCAST[landed[0].kind]):
                     try:
-                        meta = parse_data_metadata(kind,
-                                                   msg.floating.metadata)
-                        wire += (("serial", meta[0]),)
+                        meta = parse_data_metadata(kind, msg.floating.metadata)
                     except YodelError:
-                        pass
-            emit(now, label, "SEND", to, *wire)
+                        meta = None
+                k = ("k", _KIND_NAMES[kind])
+                rec = (msg, (k,) if meta is None else (k, ("serial", meta[0])),
+                       meta)
+            emit(now, label, "SEND", to, *rec[1])
             link.sent += 1
             if not link.up or crashed:
                 link.lost += 1
@@ -158,8 +185,7 @@ class Simulation:
                 continue
             link.in_flight += 1
             self.schedule(now + link.latency,
-                          partial(self._arrive, src, port, msg, wire, meta,
-                                  tree))
+                          partial(self._arrive, port, rec, tree))
 
     def _port(self, src: Node, dst_yni: Yni) -> Optional[_Port]:
         """The node `dst_yni` names, the record of the wire from `src` to
@@ -169,44 +195,46 @@ class Simulation:
         dst = self.by_yni.get(dst_yni)
         if dst is None:
             return None
-        link = self.links[src.label].get(dst.label)
-        if link is None:
-            # no wire between the two: every copy is sent and lost
-            link = self.links[src.label][dst.label] = self.metrics.link(
-                src.label, dst.label, 0, up=False)
         # transmission efficiency is measured on the overlay between
         # infrastructure nodes; host access lines don't count
         overlay = (not isinstance(src, HostNode)
                    and not isinstance(dst, HostNode))
+        link = self.links[src.label].get(dst.label)
+        if link is None:
+            # no wire between the two: every copy is sent and lost
+            link = self.links[src.label][dst.label] = self.metrics.link(
+                src.label, dst.label, 0, up=False,
+                domain=_shared_domain(src, dst) if overlay else None)
         port = self._ports[src.label][dst_yni] = (
             dst, link, overlay, ("to", dst.label), ("from", src.label))
         return port
 
-    def _arrive(self, src: Node, port: _Port, msg: YodelMessage,
-                wire: tuple[tuple[str, object], ...],
-                meta: Optional[tuple[int, Optional[int]]],
+    def _arrive(self, port: _Port, rec: _Wire,
                 tree: Optional[PathTree]) -> None:
-        """Land one copy `transmit` sent from `src` through `port`: a RECV
-        line and the receiver's `on_message` with the metadata `transmit`
-        parsed and the copy's tree, or a DROP line."""
+        """Land one copy `transmit` sent through `port`: count it on the
+        link, then a RECV line and the receiver's `on_message` with the
+        record's message and metadata and the copy's tree, or a DROP line
+        when the link went down or the receiver crashed meanwhile. The
+        record is kept while the receiver runs, for `transmit` to reuse."""
         dst, link, _, _, from_src = port
-        if not self._lands(link, src, dst):
+        link.in_flight -= 1
+        if not link.up or dst.label in self._crashed:
+            self._lose(link, dst, from_src)
             return
+        link.received += 1
+        self._landed = rec
+        msg, wire, meta = rec
         self.trace.emit(self._now, dst.label, "RECV", from_src, *wire)
         dst.on_message(msg, meta, tree)
 
-    def _lands(self, link: Link, src: Node, dst: Node) -> bool:
-        """Count a copy reaching the far end of `link`: received, or lost
-        to a down link or a crashed receiver."""
-        link.in_flight -= 1
-        if not link.up or dst.label in self._crashed:
-            link.lost += 1
-            self.trace.emit(self._now, dst.label, "DROP",
-                            ("reason", "link_down"), ("from", src.label))
-            self.metrics.dropped(dst.label, "link_down")
-            return False
-        link.received += 1
-        return True
+    def _lose(self, link: Link, dst: Node,
+              from_src: tuple[str, str]) -> None:
+        """Count a copy lost at the far end of `link`, to a down link or a
+        crashed receiver, with its DROP line."""
+        link.lost += 1
+        self.trace.emit(self._now, dst.label, "DROP",
+                        ("reason", "link_down"), from_src)
+        self.metrics.dropped(dst.label, "link_down")
 
     def sync_hosts(self, edge: EdgeNode, hosts: list[Yni]) -> None:
         """One twin sweep's keepalives from `edge`: one event carries the
@@ -265,8 +293,15 @@ class Simulation:
             link.in_flight += 1
 
         def arrive():
-            land([(src, dst) for (src, dst), link in zip(batch, links)
-                  if self._lands(link, src, dst)])
+            landed = []
+            for (src, dst), link in zip(batch, links):
+                link.in_flight -= 1
+                if not link.up or dst.label in self._crashed:
+                    self._lose(link, dst, ("from", src.label))
+                else:
+                    link.received += 1
+                    landed.append((src, dst))
+            land(landed)
         self.schedule(self._now + self.config.host_link_latency, arrive)
 
     def _answer_sync(self, queried: list[tuple[Node, Node]]) -> None:
@@ -322,8 +357,8 @@ class Simulation:
             self.links[spec.name] = {}
             self._ports[spec.name] = {}
         for link in self.topo.links:
-            self._connect(link.a, link.b, link.latency)
             a, b = self.nodes[link.a], self.nodes[link.b]
+            self._connect(link.a, link.b, link.latency, _shared_domain(a, b))
             a.act.add_neighbor(b.yni, link.latency)
             b.act.add_neighbor(a.yni, link.latency)
         for group in self.topo.groups:
@@ -363,9 +398,10 @@ class Simulation:
         for ticks in self._fault_ticks.values():
             ticks.sort()
 
-    def _connect(self, a: str, b: str, latency: int) -> None:
-        self.links[a][b] = self.metrics.link(a, b, latency)
-        self.links[b][a] = self.metrics.link(b, a, latency)
+    def _connect(self, a: str, b: str, latency: int,
+                 domain: Optional[str] = None) -> None:
+        self.links[a][b] = self.metrics.link(a, b, latency, domain=domain)
+        self.links[b][a] = self.metrics.link(b, a, latency, domain=domain)
 
     def _edge_of(self, label: str) -> Optional[EdgeNode]:
         """The edge `label` names, or the edge of the host it names."""
@@ -553,6 +589,12 @@ class Simulation:
         self.controller.register_infrastructure_node(
             self.nodes[spec.name].yni, spec.role, spec.domain, neighbors,
             dict(spec.stats))
+
+
+def _shared_domain(a: Node, b: Node) -> Optional[str]:
+    """The domain of both infrastructure nodes, or None when they are in
+    two domains: the group their link's transmissions count in."""
+    return a.domain if a.domain == b.domain else None
 
 
 def build(topo: TopologySpec, scen: ScenarioSpec,

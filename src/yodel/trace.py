@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 __all__ = ["TraceRecord", "Trace", "Link", "Metrics", "CONTROLLER_NODE"]
 
@@ -137,11 +137,19 @@ class Link:
     lost: int = 0
     in_flight: int = 0   # copies whose arrival is still scheduled
     unicast: int = 0     # overlay data copies, for transmission efficiency
+    # the domain both ends are in, whose transmissions the link's unicast
+    # copies count in; None across domains and on host access lines
+    domain: Optional[str] = None
 
 
 class Metrics:
     """Counters accumulated during a run; serialized with sorted keys so the
-    JSON report is as replay-stable as the trace."""
+    JSON report is as replay-stable as the trace.
+
+    Transmissions are not counted on their own: the report's
+    `transmissions` are summed, when read, from each link's `unicast`
+    counter, grouped by the link's `domain`, and from `multicast_batches`,
+    the data batches each domain's nodes sent as one local multicast."""
 
     def __init__(self):
         self.deliveries: dict[str, int] = {}
@@ -149,9 +157,7 @@ class Metrics:
         self.controller_visits: dict[str, int] = {"joins": 0, "provisions": 0}
         self.join_visits: dict[str, int] = {}
         self.latency_hist: dict[int, int] = {}
-        self.transmissions_total = 0
-        self.transmissions_by_domain: dict[str, int] = {}
-        self.transmissions_interdomain = 0
+        self.multicast_batches: dict[str, int] = {}
         self.links: dict[str, Link] = {}   # "a>b" -> that direction's record
         self.buffer_peaks: dict[str, int] = {}
         self.buffered_total = 0
@@ -162,8 +168,14 @@ class Metrics:
 
     # -- data path -----------------------------------------------------------
 
-    def delivered(self, node: str) -> None:
+    def delivered(self, node: str, serial: int, tick: int) -> None:
+        """One delivery at `node`, at `tick`, of the send numbered `serial`;
+        its latency counts when the send's tick was noted."""
         self.deliveries[node] = self.deliveries.get(node, 0) + 1
+        start = self._send_ticks.get(serial)
+        if start is not None:
+            lat = tick - start
+            self.latency_hist[lat] = self.latency_hist.get(lat, 0) + 1
 
     def dropped(self, node: str, reason: str) -> None:
         per = self.drops.setdefault(node, {})
@@ -172,28 +184,38 @@ class Metrics:
     def note_send_tick(self, serial: int, tick: int) -> None:
         self._send_ticks[serial] = tick
 
-    def note_delivery_latency(self, serial: int, tick: int) -> None:
-        start = self._send_ticks.get(serial)
-        if start is None:
-            return
-        lat = tick - start
-        self.latency_hist[lat] = self.latency_hist.get(lat, 0) + 1
-
     # -- transmissions -------------------------------------------------------
 
-    def transmission(self, domain: str, intra_domain: bool) -> None:
-        self.transmissions_total += 1
-        if intra_domain:
-            self.transmissions_by_domain[domain] = \
-                self.transmissions_by_domain.get(domain, 0) + 1
-        else:
-            self.transmissions_interdomain += 1
+    @property
+    def transmissions_total(self) -> int:
+        """Overlay data transmissions: every multicast batch and every
+        unicast copy between infrastructure nodes."""
+        return (sum(self.multicast_batches.values())
+                + sum(link.unicast for link in self.links.values()))
+
+    @property
+    def transmissions_by_domain(self) -> dict[str, int]:
+        """The transmissions that stay inside one domain, per domain:
+        its multicast batches and the unicast copies on its links."""
+        out = dict(self.multicast_batches)
+        for link in self.links.values():
+            if link.unicast and link.domain is not None:
+                out[link.domain] = out.get(link.domain, 0) + link.unicast
+        return out
+
+    @property
+    def transmissions_interdomain(self) -> int:
+        """The unicast copies on links between two domains."""
+        return sum(link.unicast for link in self.links.values()
+                   if link.domain is None)
 
     # -- links ---------------------------------------------------------------
 
-    def link(self, src: str, dst: str, latency: int, up: bool = True) -> Link:
-        """The record for the src -> dst direction, reported as `src>dst`."""
-        link = Link(latency, up)
+    def link(self, src: str, dst: str, latency: int, up: bool = True,
+             domain: Optional[str] = None) -> Link:
+        """The record for the src -> dst direction, reported as `src>dst`;
+        `domain` as `Link.domain`."""
+        link = Link(latency, up, domain=domain)
         self.links[f"{src}>{dst}"] = link
         return link
 

@@ -36,6 +36,25 @@ at 30 report
 """
 
 
+def star(edges):
+    """(topology, scenario) of one connector `c` linked to `edges` edges,
+    one host each: the last host sends to a multi-source community that
+    every other host consumes."""
+    topo = ("domain d\nnode c connector d\n"
+            + "".join(f"node e{i} edge d\nlink c e{i} 1\n"
+                      for i in range(edges))
+            + "".join(f"host h{i} u{i}\n" for i in range(edges)))
+    last = edges - 1
+    scen = ("config until 40\nat 0 valley u0 vale\n"
+            + "".join(f"at 0 member u0 vale u{i}\n" for i in range(1, edges))
+            + "at 1 namespace u0 vale fan msm\n"
+            + "".join(f"at 2 join h{i} vale fan out consumer 1\n"
+                      for i in range(last))
+            + f"at 3 join h{last} vale fan out producer 1\n"
+            + f"at 20 send h{last} vale out 1 x\n")
+    return topo, scen
+
+
 def write_world(tmp_path, topo=TOPO, scen=SCEN):
     t = tmp_path / "world.topo"
     s = tmp_path / "world.scen"
@@ -90,6 +109,31 @@ class TestValidate:
         assert code == 2
         assert not out.exists()
         assert capsys.readouterr().err.splitlines() == expected
+
+    def test_fan_out_the_wire_cannot_carry_is_rejected(self, tmp_path,
+                                                        capsys):
+        # a delivery tree may take every link of a node as its children and
+        # the wire holds a child count in one byte: from the 256th link of
+        # the star's connector on, each link line is a diagnostic, where
+        # `run` used to stop on the tree
+        topo, scen = star(300)
+        t, s = write_world(tmp_path, topo, scen)
+        assert main(["validate", "--topology", t, "--scenario", s]) == 1
+        reason = ("node 'c' has more than 255 links: "
+                  "a path-tree node holds at most 255 children")
+        # link i is on line 2i + 4
+        assert capsys.readouterr().out.splitlines() == [
+            f"{t}:{2 * i + 4}: {reason}" for i in range(255, 300)]
+        code, out, _ = run_cli(tmp_path, topo=topo, scen=scen)
+        assert code == 2 and not out.exists()
+
+    def test_a_star_at_the_fan_out_limit_runs(self, tmp_path, capsys):
+        topo, scen = star(255)
+        t, s = write_world(tmp_path, topo, scen)
+        assert main(["validate", "--topology", t, "--scenario", s]) == 0
+        code, out, _ = run_cli(tmp_path, topo=topo, scen=scen)
+        assert code == 0
+        assert out.read_text().count(" ev=DELIVER ") == 254
 
     def test_missing_file(self, tmp_path, capsys):
         t, _ = write_world(tmp_path)

@@ -694,6 +694,72 @@ class TestHostNode:
 # edge behavior
 
 
+def fresh_consumer_rows(host, valley_id, community):
+    """The host's consumer rows of one community, scanned afresh from
+    `crt` and sorted by app: the reference for the lists the host keeps."""
+    return sorted([row for (v, c, _), row in host.crt.items()
+                   if v == valley_id and c == community],
+                  key=lambda row: row.app_id)
+
+
+# (ticks after the op before, op); a join's reply lands 4 ticks after it
+CONSUMER_OPS = st.lists(st.tuples(st.integers(1, 6), st.one_of(
+    st.tuples(st.just("join"), st.sampled_from(["room", "hall"]),
+              st.integers(1, 4), st.one_of(st.none(), st.integers(1, 8))),
+    st.tuples(st.sampled_from(["withdraw", "lock", "unlock"]),
+              st.sampled_from(["room", "hall"]), st.integers(1, 4)),
+    st.tuples(st.just("send"), st.sampled_from(["h1 vale room 1",
+                                                "h1 vale hall 1",
+                                                "h2 vale hall 9"])))),
+    max_size=16)
+
+
+@given(CONSUMER_OPS)
+@settings(max_examples=150, deadline=None)
+def test_kept_consumer_rows_equal_a_fresh_scan(ops):
+    """h2's consumer apps join (with and without a ttl, and again),
+    withdraw, lapse, lock and unlock in two communities while h1 and h2
+    send. After every tick, each list h2 keeps equals a fresh scan of its
+    `crt`, and its live rows are the scan's unexpired unlocked rows, in
+    app order, with the same rows left behind."""
+    lines = ["at 2 join h1 vale chat room producer 1\n",
+             "at 2 join h1 vale chat hall producer 1\n",
+             "at 2 join h2 vale chat hall producer 9\n"]
+    tick = 2
+    for gap, op in ops:
+        tick += gap
+        at = f"at {tick} "
+        if op[0] == "join":
+            _, community, app, ttl = op
+            lines.append(f"{at}join h2 vale chat {community} consumer {app}"
+                         + (f" ttl={ttl}" if ttl else "") + "\n")
+        elif op[0] == "withdraw":
+            lines.append(f"{at}withdraw h2 vale chat {op[1]} consumer "
+                         f"{op[2]}\n")
+        elif op[0] == "send":
+            lines.append(f"{at}send {op[1]} x\n")
+        else:
+            lines.append(f"{at}{op[0]} h2 vale {op[1]} {op[2]}\n")
+    sim = world("".join(lines), model="ac")
+    h2 = sim.hosts["h2"]
+
+    def ids(rows):
+        return [id(row) for row in rows]
+    for until in range(tick + 12):
+        now = step(sim, until).now()
+        for community in ("room", "hall"):
+            rows = fresh_consumer_rows(h2, 1, community)
+            kept = h2._consumers.get((1, community))
+            assert kept is None or ids(kept) == ids(rows)
+            left = [row for row in rows
+                    if row.timer is None or now <= row.timer]
+            live = [row for row in left if not row.locked]
+            assert ids(h2._live_consumer_rows(1, community)) == ids(live)
+            assert ids(fresh_consumer_rows(h2, 1, community)) == ids(left)
+            kept = h2._consumers.get((1, community))
+            assert kept is None or ids(kept) == ids(left)
+
+
 class TestEdgeJoins:
     def test_first_join_asks_controller(self):
         sim = world("at 2 join h1 vale chat room producer 1\n", until=6)
@@ -1120,6 +1186,41 @@ def test_forwarding_builds_no_header_or_message(monkeypatch, name):
     assert headers <= (trace.count("SEND", k="data")
                        + trace.count("SEND", k="CONTROL_YPP")
                        + 2 * trace.count("PATH_ADV"))
+
+
+@pytest.mark.parametrize("name", ["fanout-unicast", "fanout-group", "anycast",
+                                  "mcast-fanout"])
+def test_data_metadata_is_parsed_once_per_host_send(monkeypatch, name):
+    """A data header's metadata is parsed once per host send, not once per
+    hop: a node that sends on the message it landed, and a push or sync
+    built on that message's header, go out with the parse it landed with.
+    The count is taken where `transmit` and `_read_data` resolve the name.
+    These worlds forward over several hops, on plain and anycast kinds,
+    and flush no twin buffer."""
+    import test_replay_golden as golden
+    import yodel.dataplane
+    import yodel.sim
+    from test_sim import _world_texts
+    if name.startswith("fanout-"):
+        sim = build_text((golden.WORLDS / f"{name}.topo").read_text(),
+                         (golden.WORLDS / "fanout.scen").read_text(), 0)
+    else:
+        sim = build_text(*_world_texts(name))
+    parses = []
+
+    def counted(kind, meta):
+        parses.append(kind)
+        return parse_data_metadata(kind, meta)
+    monkeypatch.setattr(yodel.sim, "parse_data_metadata", counted)
+    monkeypatch.setattr(yodel.dataplane, "parse_data_metadata", counted)
+    sim.run()
+    trace = sim.trace
+    sends = trace.count("SEND", k="data")
+    hops = sum(trace.count("RECV", k=kind.name) for kind in MessageKind
+               if kind is not MessageKind.CONTROL_YPP)
+    assert 0 < sends < hops
+    assert len(parses) == sends
+    assert sim.metrics.proto_errors == 0
 
 
 # ---------------------------------------------------------------------------

@@ -455,37 +455,6 @@ def test_serials_count_data_sends_not_events():
     assert outputs(busier.run()) == outputs(sim)
 
 
-# the wire kinds of data copies; a host's own SEND line reads k=data
-DATA_KINDS = {kind.name for kind in MessageKind} - {"CONTROL_YPP"}
-
-
-@pytest.mark.parametrize("name", ["fanout-group", "mcast-fanout"])
-def test_data_metadata_is_parsed_once_per_copy(monkeypatch, name):
-    """`transmit` parses a data copy's metadata for the serial on its trace
-    lines and hands the parse to the receiver with the copy, so no node
-    parses it again: the parses number at most the data SEND lines."""
-    from yodel import dataplane, sim as sim_module
-    parses = []
-    parse = dataplane.parse_data_metadata
-
-    def spy(kind, meta):
-        parses.append(kind)
-        return parse(kind, meta)
-
-    for module in (sim_module, dataplane):
-        monkeypatch.setattr(module, "parse_data_metadata", spy)
-    if name == "fanout-group":
-        texts = ((WORLDS / "fanout-group.topo").read_text(),
-                 (WORLDS / "fanout.scen").read_text(), 3)
-    else:
-        texts = _world_texts(name)
-    sim = build_text(*texts).run()
-    data_sends = sum(dict(r.fields)["k"] in DATA_KINDS
-                     for r in sim.trace.select("SEND"))
-    assert sim.trace.count("RECV") and data_sends
-    assert len(parses) <= data_sends
-
-
 def _world_texts(name):
     """(topology, scenario, seed) of a demo or benchmark world."""
     import test_replay_golden as golden
@@ -788,6 +757,62 @@ at 20 send h1 vale room 1 still travelling
             assert links[key] == {"sent": 1, "received": 1, "lost": 0,
                                   "in_flight": 0, "ok": True}
         assert sim.metrics.conservation["ok"] is True
+
+    # the transmissions test's world: placement puts h1 on e3, h2 on e2,
+    # h3 on e4 and h4 on e1. e3 reaches c1, and c1 reaches e4, through the
+    # group; c1 reaches e1 by a unicast inside d1 and e2 by one into d2
+    MIXED = """\
+domain d1
+domain d2
+node e1 edge d1
+node c1 connector d1
+node e2 edge d2
+node e3 edge d1
+node e4 edge d1
+link e1 c1 1
+link c1 e2 2
+link c1 e3 1
+link c1 e4 1
+mcastgroup d1 c1 e3 e4
+host h1 alice domain=d1
+host h2 bob domain=d2
+host h3 carol domain=d1
+host h4 dave domain=d1
+"""
+
+    def test_transmissions_are_summed_from_the_link_records(self):
+        # per send: two multicast batches and one unicast in d1, one
+        # unicast between domains; joins, host access copies and the
+        # edges' pushes to their hosts count nothing. The second send's
+        # group copy to e4 is lost to the link going down under it, and
+        # its batch still counts once
+        body = """\
+at 0 member alice vale carol
+at 0 member alice vale dave
+at 2 join h1 vale chat room producer 1
+at 2 join h2 vale chat room consumer 1
+at 2 join h3 vale chat room consumer 1
+at 2 join h4 vale chat room consumer 1
+at 19 report
+at 20 send h1 vale room 1 one
+at 30 report
+at 40 send h1 vale room 1 two
+at 43 fault link-down c1 e3
+at 43 fault link-down c1 e4
+at 50 report
+"""
+        sim = run_text(self.MIXED, scen(body=body))
+        assert {h: sim.label_of(host.edge) for h, host in sim.hosts.items()} \
+            == {"h1": "e3", "h2": "e2", "h3": "e4", "h4": "e1"}
+        assert "t=43 n=e4 ev=DROP reason=link_down from=c1" \
+            in sim.trace.lines()
+        assert sim.metrics.deliveries == {"h2": 2, "h3": 1, "h4": 2}
+        assert [dict(r.fields)["transmissions"]
+                for r in sim.trace.select("REPORT")] == ["0", "4", "8"]
+        assert sim.metrics.to_dict()["transmissions"] == {
+            "total": 8, "by_domain": {"d1": 6}, "interdomain": 2,
+            "unicast_by_link": {"c1>e1": 2, "c1>e2": 2}}
+
 
 class TestTwinOverSim:
     BODY = """\
