@@ -218,7 +218,12 @@ class PathTree:
         return out
 
     def size(self) -> int:
-        return sum(1 for _ in self.walk())
+        count = 0
+        stack = [self]
+        while stack:
+            count += 1
+            stack += stack.pop().children
+        return count
 
     def serialize(self) -> bytes:
         parts = []

@@ -64,29 +64,36 @@ def _search(adjacency: dict[Yni, dict[Yni, int]], source: Yni
     holds exactly the nodes reached.
 
     Cost is (hop count, total latency); remaining ties collapse onto the
-    parent with the lowest node id. Each neighbor is relaxed on its own and
-    heap entries are totally ordered, so the order a row is read in does not
-    matter.
+    parent with the lowest node id. Hops come first, so the search goes by
+    hop layers with no heap: a node first reached at hop h has its least
+    cost through some node at hop h - 1, and every path to it through a
+    node of that layer costs (h, latency there + link latency). So each
+    node of the next layer takes the least (latency + link latency, parent
+    id) over its neighbours in the current layer: the `dist` of a search
+    that pops costs in order, and among the parents of equal cost the
+    lowest id. Each neighbour is compared on its own and the keys are
+    totally ordered, so the order a row is read in does not matter.
     """
     dist: dict[Yni, tuple[int, int]] = {source: (0, 0)}
     parent: dict[Yni, Yni] = {}
-    done: set[Yni] = set()
-    heap = [(0, 0, source)]
-    while heap:
-        hops, lat, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        done.add(node)
+    layer = [(source, 0)]
+    hops = 0
+    while layer:
         hops += 1
-        for nb, edge_lat in adjacency[node].items():
-            cand = (hops, lat + edge_lat)
-            best = dist.get(nb)
-            if best is None or cand < best:
-                dist[nb] = cand
-                parent[nb] = node
-                heapq.heappush(heap, (hops, cand[1], nb))
-            elif cand == best and node < parent[nb]:
-                parent[nb] = node
+        best: dict[Yni, tuple[int, Yni]] = {}  # next layer: (latency, parent)
+        for node, lat in layer:
+            for nb, edge_lat in adjacency[node].items():
+                if nb in dist:
+                    continue
+                cand = (lat + edge_lat, node)
+                old = best.get(nb)
+                if old is None or cand < old:
+                    best[nb] = cand
+        layer = []
+        for nb, cand in best.items():
+            dist[nb] = (hops, cand[0])
+            parent[nb] = cand[1]
+            layer.append((nb, cand[0]))
     return dist, parent
 
 
@@ -243,19 +250,34 @@ class TopologyGraph:
         searched from a and from b over the current links minus the added
         one. `<=`, because an equal-cost path can change the lowest-id
         parent. Two added links can make a shortcut neither makes alone.
+
+        With no added link only the first rule is left, so the test is a
+        walk over the tree's (parent, child) pairs against the removed
+        links: no costs, and no adjacency rows read.
         """
         cut = {*removed, *[(y, x) for x, y in removed]}
         if added is None:
             if not cut:
                 return lambda tree: False
-            from_a = from_b = {}  # no way across a new link
-        else:
-            a, b, lat = added
-            without = dict(self.adjacency)
-            without[a] = {n: l for n, l in without[a].items() if n != b}
-            without[b] = {n: l for n, l in without[b].items() if n != a}
-            from_a, _ = _search(without, a)
-            from_b, _ = _search(without, b)
+
+            def uses_cut(tree: PathTree) -> bool:
+                stack = [tree]
+                while stack:
+                    node = stack.pop()
+                    kids = node.children
+                    for c in kids:
+                        if (node.yni, c.yni) in cut:
+                            return True
+                    stack += kids
+                return False
+
+            return uses_cut
+        a, b, lat = added
+        without = dict(self.adjacency)
+        without[a] = {n: l for n, l in without[a].items() if n != b}
+        without[b] = {n: l for n, l in without[b].items() if n != a}
+        from_a, _ = _search(without, a)
+        from_b, _ = _search(without, b)
 
         def touches(tree: PathTree) -> bool:
             # per direction: the cost from the tree's source across the new

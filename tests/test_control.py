@@ -25,7 +25,7 @@ from yodel.control import (
     _search,
     compute_path,
 )
-from yodel.errors import NoEligibleEdge, UnknownNode
+from yodel.errors import InvariantViolation, NoEligibleEdge, UnknownNode
 from yodel.model import Directory, Visibility
 from yodel.services import ServiceModel
 from yodel.trace import Metrics, Trace
@@ -153,6 +153,102 @@ def test_shortest_path_parent_is_lowest_id_among_equal_cost(case):
                          and (dist[p][0] + 1, dist[p][1] + lat) == dist[x])
                   for x in dist if x != source}
         assert g.shortest_paths(source) == (dist, parent)
+
+
+def heap_search(adjacency, source):
+    """The heap search that `_search` replaced, kept as its reference: a
+    node is settled when its least (hops, latency) cost leaves the heap, and
+    an equal-cost relaxation keeps the lower parent id."""
+    dist = {source: (0, 0)}
+    parent = {}
+    done = set()
+    heap = [(0, 0, source)]
+    while heap:
+        hops, lat, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        done.add(node)
+        hops += 1
+        for nb, edge_lat in adjacency[node].items():
+            cand = (hops, lat + edge_lat)
+            best = dist.get(nb)
+            if best is None or cand < best:
+                dist[nb] = cand
+                parent[nb] = node
+                heapq.heappush(heap, (hops, cand[1], nb))
+            elif cand == best and node < parent[nb]:
+                parent[nb] = node
+    return dist, parent
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 2**16), min_size=n, max_size=n, unique=True),
+    st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    st.integers(1, 3), max_size=3 * n))))
+def test_layered_search_matches_the_heap_search(case):
+    """Random graphs, some cut in parts, with latencies 1-3 so that many
+    nodes have equal-cost parents: from every node, the search by hop
+    layers gives the heap search's `dist` and `parent`."""
+    labels, pairs = case
+    ids = [nid(label) for label in labels]
+    adjacency = {y: {} for y in ids}
+    for (a, b), lat in pairs.items():
+        if a != b:
+            adjacency[ids[a]][ids[b]] = adjacency[ids[b]][ids[a]] = lat
+    for source in ids:
+        assert _search(adjacency, source) == heap_search(adjacency, source)
+
+
+graph_steps = st.lists(st.one_of(
+    # declare a link from both ends: a new link, or a new latency
+    st.tuples(st.just("link"), st.integers(0, 7), st.integers(0, 7),
+              st.integers(1, 3)),
+    # one end stops declaring it
+    st.tuples(st.just("unlink"), st.integers(0, 7), st.integers(0, 7)),
+    # a node registers again, maybe with another role or domain
+    st.tuples(st.just("node"), st.integers(0, 7),
+              st.sampled_from(["edge", "connector"]),
+              st.sampled_from(["d1", "d2"]))),
+    min_size=1, max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_steps)
+def test_cached_searches_equal_a_fresh_search_after_any_change(steps):
+    """After every registration of a random sequence that adds, removes
+    and re-latencies links, adds nodes and changes a node's role or domain:
+    each search left in the cache, and `shortest_paths` from every node,
+    equals the heap search over the current links. The cache is read
+    before `shortest_paths` fills it again, so a search that outlived a
+    change it should have been dropped for is seen."""
+    g = TopologyGraph()
+    declared, kinds = {}, {}
+
+    def register(n):
+        kinds.setdefault(n, ("edge", "d1"))
+        g.register(nid(n), *kinds[n], {nid(m): lat for m, lat
+                                       in declared.setdefault(n, {}).items()})
+        for y, cached in g._paths.items():
+            assert cached == heap_search(g.adjacency, y)
+        for y in g.nodes:
+            assert g.shortest_paths(y) == heap_search(g.adjacency, y)
+
+    for step in steps:
+        if step[0] == "link":
+            _, a, b, lat = step
+            declared.setdefault(a, {})[b] = lat
+            declared.setdefault(b, {})[a] = lat
+            register(a)
+            register(b)
+        elif step[0] == "unlink":
+            _, a, b = step
+            declared.setdefault(a, {}).pop(b, None)
+            register(a)
+        else:
+            _, a, role, domain = step
+            kinds[a] = (role, domain)
+            register(a)
 
 
 def confirmed_links(declared):
@@ -548,6 +644,23 @@ class TestSingleSourceFlows:
         tree = flow.advertised[(E1, flow.current_channel_id)]
         leaf_ids = {t.yni for t in tree.walk()}
         assert E3 in leaf_ids and E4 not in leaf_ids
+
+    @pytest.mark.xfail(strict=True, raises=InvariantViolation,
+                       reason="a tree too large for the 64 KiB floating "
+                       "header stops the controller")
+    def test_a_tree_too_large_to_advertise_cuts_the_consumer_off(self):
+        """e1 and e2 at the ends of a chain of 5 955 connectors: the tree
+        from e1 has 5 957 nodes of 11 bytes, one more than a floating header
+        holds. The join still returns, with the flow marked cut off."""
+        chain = [E1, *(nid(0x10000 + i) for i in range(5955)), E2]
+        nodes = {y: ("connector", "d") for y in chain}
+        nodes[E1] = nodes[E2] = ("edge", "d")
+        ctrl, directory, valley, trace, sent = build_controller(
+            nodes, {pair: 1 for pair in zip(chain, chain[1:])})
+        ns = make_namespace(directory, valley, ServiceModel.SSM)
+        join(ctrl, ns, E1, "producer")
+        join(ctrl, ns, E2, "consumer", host=H2)
+        assert ctrl.flow(ns.valley_id, ns.id, "room").cut_off
 
 
 class TestMultiSourceFlows:

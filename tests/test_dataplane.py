@@ -841,6 +841,18 @@ class TestEdgeJoins:
         assert roles_removed(sim) == ["consumer"]
         assert row(sim).roles == {"producer"}
 
+    @pytest.mark.xfail(strict=True, reason="e1 drops a withdraw that comes "
+                       "before its row exists, and the pending join then "
+                       "completes")
+    def test_withdraw_while_the_join_is_pending_is_kept(self):
+        # h2's withdraw reaches e1 at 7, before the controller's reply
+        # admits h2's app there
+        sim = world("at 2 join h1 vale chat room producer 1\n"
+                    "at 4 join h2 vale chat room consumer 1\n"
+                    "at 6 withdraw h2 vale chat room consumer 1\n"
+                    "at 20 send h1 vale room 1 x\n", until=40)
+        assert delivered(sim, "h2") == []
+
     def test_unlocked_producer_withdraw_fails_over_locally(self):
         sim = world(JOINED + "at 8 join h3 vale chat room producer 1\n"
                     "at 12 withdraw h1 vale chat room producer 1\n", until=11)
