@@ -7,7 +7,6 @@ errors during a run, differing traces), 2 usage or unrunnable input, 3 I/O.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional

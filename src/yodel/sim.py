@@ -104,11 +104,16 @@ class Simulation:
     # -- environment services (the NodeEnv contract) ---------------------------
 
     def rng(self, label: str) -> random.Random:
-        if label not in self._rngs:
-            digest = hashlib.sha256(
-                f"{self.config.seed}:{label}".encode()).digest()
-            self._rngs[label] = random.Random(int.from_bytes(digest, "big"))
-        return self._rngs[label]
+        rng = self._rngs.get(label)
+        if rng is None:
+            rng = self._rngs[label] = self._seeded(label)
+        return rng
+
+    def _seeded(self, label: str) -> random.Random:
+        """A fresh generator seeded from the run seed and `label`; `rng`
+        keeps one per label, for labels drawn from again."""
+        digest = hashlib.sha256(f"{self.config.seed}:{label}".encode()).digest()
+        return random.Random(int.from_bytes(digest, "big"))
 
     def now(self) -> int:
         return self._now
@@ -346,7 +351,8 @@ class Simulation:
                                      transport=self._controller_transport,
                                      clock=self.now)
         for spec in self.topo.nodes:
-            yni = generate_yni(self.rng(f"yni:{spec.name}"), 0)
+            # each id is drawn once, so its generator is not kept
+            yni = generate_yni(self._seeded(f"yni:{spec.name}"), 0)
             if spec.role == "edge":
                 node = EdgeNode(spec.name, yni, spec.domain, self)
                 self.edges[spec.name] = node
@@ -371,7 +377,7 @@ class Simulation:
             self._declare(spec)
         for spec in self.topo.hosts:
             self.directory.register_user(spec.user)
-            yni = generate_yni(self.rng(f"yni:{spec.name}"), 0)
+            yni = generate_yni(self._seeded(f"yni:{spec.name}"), 0)
             host = HostNode(spec.name, yni, self, spec.user)
             self.nodes[spec.name] = host
             self.by_yni[yni] = host

@@ -9,8 +9,8 @@ package-level guarantee, so nothing non-deterministic may reach emit().
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional
 
 __all__ = ["TraceRecord", "Trace", "Link", "Metrics", "CONTROLLER_NODE"]
@@ -143,8 +143,15 @@ class Link:
 
 
 class Metrics:
-    """Counters accumulated during a run; serialized with sorted keys so the
-    JSON report is as replay-stable as the trace.
+    """Counters accumulated during a run, and the JSON report they render.
+
+    The report's bytes are those of `json.dumps(self.to_dict(),
+    sort_keys=True, indent=2)` plus a newline, so the report is as
+    replay-stable as the trace. This module writes them itself, in one pass
+    and not through json's pure-Python indent encoder: it takes dicts with
+    str keys, str, int, bool, None and float (json's float rule: repr, NaN,
+    Infinity, -Infinity), each by its exact type, and raises TypeError on
+    any other value.
 
     Transmissions are not counted on their own: the report's
     `transmissions` are summed, when read, from each link's `unicast`
@@ -221,7 +228,7 @@ class Metrics:
 
     @property
     def unicast_by_link(self) -> dict[str, int]:
-        return {key: link.unicast for key, link in sorted(self.links.items())
+        return {key: link.unicast for key, link in self.links.items()
                 if link.unicast}
 
     # -- twins ---------------------------------------------------------------
@@ -248,7 +255,7 @@ class Metrics:
         nothing crossed are left out."""
         per_link = {}
         ok = True
-        for key, link in sorted(self.links.items()):
+        for key, link in self.links.items():
             entry = {
                 "sent": link.sent,
                 "received": link.received,
@@ -263,19 +270,21 @@ class Metrics:
         self.conservation = {"ok": ok, "links": per_link}
 
     def to_dict(self) -> dict:
+        """The report, its dicts in no set order (`to_json` sorts them) and
+        the counters' own, not copies."""
         return {
-            "deliveries": dict(sorted(self.deliveries.items())),
-            "drops": {k: dict(sorted(v.items())) for k, v in sorted(self.drops.items())},
-            "controller_visits": dict(sorted(self.controller_visits.items())),
-            "join_visits": dict(sorted(self.join_visits.items())),
-            "latency_hist": {str(k): v for k, v in sorted(self.latency_hist.items())},
+            "deliveries": self.deliveries,
+            "drops": self.drops,
+            "controller_visits": self.controller_visits,
+            "join_visits": self.join_visits,
+            "latency_hist": {str(k): v for k, v in self.latency_hist.items()},
             "transmissions": {
                 "total": self.transmissions_total,
-                "by_domain": dict(sorted(self.transmissions_by_domain.items())),
+                "by_domain": self.transmissions_by_domain,
                 "interdomain": self.transmissions_interdomain,
                 "unicast_by_link": self.unicast_by_link,
             },
-            "buffer_peaks": dict(sorted(self.buffer_peaks.items())),
+            "buffer_peaks": self.buffer_peaks,
             "buffered_total": self.buffered_total,
             "buffer_dropped": self.buffer_dropped,
             "proto_errors": self.proto_errors,
@@ -283,4 +292,58 @@ class Metrics:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _json(self.to_dict()) + "\n"
+
+
+_INF = float("inf")
+
+
+def _float(x: float) -> str:
+    """json's rule for a float: its repr, NaN and the infinities by their
+    JavaScript names."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# how each scalar type prints, by exact type: a subclass (an IntEnum, say)
+# is refused rather than printed as json would print its base
+_SCALARS = {
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+    float: _float,
+}
+
+
+def _json(value, indent: str = "") -> str:
+    """`value` as `json.dumps(value, sort_keys=True, indent=2)` prints it, at
+    `indent`: dicts with str keys, str, int, bool, None and float, each by
+    its exact type; any other value raises TypeError. Each dict sorts its
+    keys once and joins its lines once."""
+    kind = type(value)
+    if kind is not dict:
+        text = _SCALARS.get(kind)
+        if text is None:
+            raise TypeError(f"the report has no JSON form for "
+                            f"{kind.__name__} {value!r}")
+        return text(value)
+    if not value:
+        return "{}"
+    inner = indent + "  "
+    lines = []
+    append = lines.append
+    for key in sorted(value):
+        if type(key) is not str:
+            raise TypeError(f"the report has no JSON form for the "
+                            f"{type(key).__name__} key {key!r}")
+        item = value[key]
+        # ints are most of the report; they skip the call
+        append(f"{inner}{encode_basestring_ascii(key)}: "
+               f"{item if type(item) is int else _json(item, inner)}")
+    return "{\n" + ",\n".join(lines) + "\n" + indent + "}"

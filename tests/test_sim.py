@@ -497,6 +497,20 @@ class TestDeterminism:
         b = run_text(TWO_DOMAINS, scen(body=self.BODY), seed=43)
         assert a.trace.text() != b.trace.text()
 
+    def test_id_generators_are_not_kept(self):
+        """Each node's and host's id is drawn once, from a generator the
+        simulation does not keep; labels drawn from again, such as an
+        edge's twin label, are still kept."""
+        import test_replay_golden as golden
+        topo, scen_, errors = load_world(
+            (golden.WORLDS / "twin.topo").read_text(),
+            (golden.WORLDS / "twin.scen").read_text())
+        assert errors == []
+        sim = Simulation(topo, scen_, SimConfig.from_scenario(scen_, 0))
+        assert sorted(sim._rngs) == ["e1:twin", "e2:twin"]
+        sim.run()
+        assert not [label for label in sim._rngs if label.startswith("yni:")]
+
 
 class TestLocalDelivery:
     def test_same_edge_without_wire_tree(self):
