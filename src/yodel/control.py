@@ -130,6 +130,10 @@ class TopologyGraph:
     holds one search per node that is not such a leaf; two nodes linked
     only to each other each search for themselves.
 
+    Every search runs over `adjacency` and is kept in the cache. After a
+    link change, `builds_again` reads the search serving a tree's root to
+    tell whether `compute_path` would build that tree again.
+
     `placement` holds `Controller.provision_host`'s heaps, one per host
     preference pair. Their keys read node stats, which the rule above
     ignores, so every `register` drops them, even one that changes nothing
@@ -232,77 +236,32 @@ class TopologyGraph:
         self._domain_dist[domain] = dist
         return dist
 
-    def change_test(self, removed: list[tuple[Yni, Yni]],
-                    added: Optional[tuple[Yni, Yni, int]]
-                    ) -> Callable[[PathTree], bool]:
-        """Whether a path tree built before a registration can differ now.
+    def builds_again(self, tree: PathTree) -> bool:
+        """Whether `compute_path` from the tree's root would build this
+        tree again over the current links; the tree must be one it built
+        that reached all its targets.
 
-        `removed` and `added` are what `register` returned, with at most
-        one added link; the tree must have reached all its targets. A tree
-        keeps the lowest-id parent among equal-cost predecessors, so it
-        changes when a link it uses, one of its (parent, child) pairs either
-        way round, goes away, and only then: a link it does not use is no
-        tree node's parent link, and its loss raises no tree node's cost. It
-        is also unchanged when a link (a, b, l) comes whose paths cost
-        strictly more than the tree's own path to each of its nodes. The
-        test for a tree from s with path cost c(x) to node x is d(s, a) +
-        (1, l) + d(b, x) <= c(x), or the same with a and b swapped, with d
-        searched from a and from b over the current links minus the added
-        one. `<=`, because an equal-cost path can change the lowest-id
-        parent. Two added links can make a shortcut neither makes alone.
-
-        With no added link only the first rule is left, so the test is a
-        walk over the tree's (parent, child) pairs against the removed
-        links: no costs, and no adjacency rows read.
+        Every (parent, child) pair of a tree it builds is the child's
+        parent in the search serving the root, except that a leaf root is
+        the parent of its hub. So a tree is built again exactly when each
+        of its nodes keeps its parent: then every target's path up is the
+        same, and if one node's parent moved, no tree built now holds the
+        old pair. This holds whatever changed since the tree was built:
+        links lost, added or re-latencied, several at once, new nodes, or
+        the root becoming or ceasing to be a leaf.
         """
-        cut = {*removed, *[(y, x) for x, y in removed]}
-        if added is None:
-            if not cut:
-                return lambda tree: False
-
-            def uses_cut(tree: PathTree) -> bool:
-                stack = [tree]
-                while stack:
-                    node = stack.pop()
-                    kids = node.children
-                    for c in kids:
-                        if (node.yni, c.yni) in cut:
-                            return True
-                    stack += kids
-                return False
-
-            return uses_cut
-        a, b, lat = added
-        without = dict(self.adjacency)
-        without[a] = {n: l for n, l in without[a].items() if n != b}
-        without[b] = {n: l for n, l in without[b].items() if n != a}
-        from_a, _ = _search(without, a)
-        from_b, _ = _search(without, b)
-
-        def touches(tree: PathTree) -> bool:
-            # per direction: the cost from the tree's source across the new
-            # link, and the distances onward from its far end
-            ways = []
-            for near, far in ((from_a, from_b), (from_b, from_a)):
-                to_link = near.get(tree.yni)
-                if to_link is not None:
-                    ways.append((to_link[0] + 1, to_link[1] + lat, far))
-            stack = [(tree, 0, 0)]
-            while stack:
-                node, hops, dist = stack.pop()
-                for h, d, far in ways:
-                    rest = far.get(node.yni)
-                    if (rest is not None
-                            and (h + rest[0], d + rest[1]) <= (hops, dist)):
-                        return True
-                # a removed tree link is gone from the row read below
-                if any((node.yni, c.yni) in cut for c in node.children):
-                    return True
-                row = self.adjacency[node.yni]
-                stack += [(c, hops + 1, dist + row[c.yni]) for c in node.children]
-            return False
-
-        return touches
+        root = tree.yni
+        hub, _, parent = self.search_serving(root)
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            kids = node.children
+            for c in kids:
+                child = c.yni
+                if (root if child == hub else parent.get(child)) != node.yni:
+                    return False
+            stack += kids
+        return True
 
 
 def compute_path(graph: TopologyGraph, source: Yni, consumers: Iterable[Yni]
@@ -522,23 +481,21 @@ class Controller:
     def register_infrastructure_node(self, yni: Yni, role: str, domain: str,
                                      neighbors: dict[Yni, int],
                                      stats: Optional[dict[str, float]] = None) -> None:
-        """Record the node, then reconcile, in flow order, each flow whose
-        trees its link change can touch (`TopologyGraph.change_test`), and
-        each flow with a cut-off consumer, whose UNREACHABLE lines so repeat
-        on every registration. A removed link touches only the trees that
-        hold it as a (parent, child) pair: any other link is no tree node's
-        parent link. A new node, or more than one added link, touches every
-        flow."""
-        new = yni not in self.graph.nodes
+        """Record the node, then reconcile, in flow order, each flow with a
+        cut-off consumer, whose UNREACHABLE lines so repeat on every
+        registration, and, when a link was removed or added, each flow with
+        a tree `compute_path` would not build again
+        (`TopologyGraph.builds_again`): its advertised trees and the ones
+        precomputed for its edges on hold. A registration that changes no
+        link changes no search, so it leaves every other flow as it is."""
         removed, added = self.graph.register(yni, role, domain, neighbors, stats)
-        every = new or len(added) > 1
-        touches = None if every else self.graph.change_test(
-            removed, added[0] if added else None)
+        changed = removed or added
+        builds_again = self.graph.builds_again
         for key in sorted(self.flows):
             flow = self.flows[key]
-            if (every or flow.cut_off
-                    or any(map(touches, flow.advertised.values()))
-                    or any(map(touches, flow.precomputed.values()))):
+            if flow.cut_off or changed and not (
+                    all(map(builds_again, flow.advertised.values()))
+                    and all(map(builds_again, flow.precomputed.values()))):
                 self.reconcile(flow)
 
     def provision_host(self, host: Yni, user: str,
