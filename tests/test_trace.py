@@ -61,7 +61,7 @@ class Label(str):
     [1], (1,), {1}, frozenset(), b"x", object(), Colour.RED, Label("x"),
     {"a": [1]}, {"a": {"b": (2,)}}, {"a": {"b": Colour.RED}},
     {1: 2}, {None: 1}, {("a",): 1}, {"a": {True: 1}},
-], ids=repr)
+], ids=lambda value: "object()" if type(value) is object else repr(value))
 def test_any_other_value_is_a_type_error(value):
     with pytest.raises(TypeError):
         _json(value)
