@@ -24,16 +24,14 @@ through names that, nor its header's `path_tree`, since the tree rides
 beside; the one header tree a node reads is that of a decoded path
 advertisement.
 
-Data metadata is parsed at most once per host send, in
-`Simulation.transmit`, which needs the serial for the copy's SEND and RECV
-lines; the parsed `(serial, q)` reaches the receiver as the `meta` argument
-of `on_message`, and a node that sends on what arrived, or a push or sync
-built on its header, is not parsed again.
-Every node reads and rejects malformed data in one step, `Node._read_data`:
-it pops the root of a sync copy's tree, takes the serial and anycast share
-from `meta`, and reports a mis-rooted or missing tree or malformed metadata
-as one PROTO_ERROR. Metadata that did not parse comes with no `meta` and is
-parsed again there, only to raise the error it reports.
+A data copy carries its metadata read, `(serial, q)`, beside it as `meta`:
+the host that writes the metadata hands the pair to `transmit` with its
+message, and a node passes the `meta` it received on with everything it
+sends or buffers from that copy. Every node reads and rejects malformed data
+in one step, `Node._read_data`: it pops the root of a sync copy's tree,
+takes the serial and anycast share from `meta`, and reports a mis-rooted or
+missing tree as one PROTO_ERROR. A copy handed over with no `meta` has its
+metadata parsed there, and malformed metadata is one PROTO_ERROR too.
 
 Hosts and edges signal each other with ops, control messages whose metadata
 element starts with an op byte (schemas at the top of this module). Every op
@@ -214,8 +212,8 @@ _PUSH_OF_SYNC = {sync: push for push, sync in _SYNC_OF_PUSH.items()}
 # delivery fraction out of _Q_SCALE
 _Meta = tuple[int, Optional[int]]
 
-# a copy to send: its destination, its message, which copies to other
-# destinations may share, and on the sync kinds the destination's subtree
+# a copy to send: its destination, its message, which every copy of one
+# `transmit` call shares, and on the sync kinds the destination's subtree
 _Copy = tuple[Yni, YodelMessage, Optional[PathTree]]
 
 
@@ -336,16 +334,13 @@ class NodeEnv(Protocol):
     """What a node may ask of the world it runs in. `sim.Simulation` is the
     one implementation; node tests run on it too.
 
-    `transmit` sends (destination, message, tree) copies: `tree` is the
-    destination's subtree on the sync kinds and None on every other kind,
-    and copies to several destinations share one message object. It lands
-    each copy with a call to its receiver's `on_message(msg, meta, tree)`,
-    passing as `meta` the copy's data metadata, parsed for the trace once
-    per host send: the message a node is handling, and a push or sync it
-    builds on that message's header, go out with the parse they arrived
-    with. `meta` is None for control copies and for metadata that did not
-    parse. The receiver reads neither `msg.receiver`, which names no one
-    copy's destination, nor `msg.floating.path_tree`, which is None."""
+    `transmit` sends (destination, message, tree) copies of one message
+    object: `tree` is the destination's subtree on the sync kinds and None
+    on every other kind. `meta` is the message's data metadata read,
+    `(serial, q)`, and None on control. It lands each copy with a call to
+    its receiver's `on_message(msg, meta, tree)`. The receiver reads
+    neither `msg.receiver`, which names no one copy's destination, nor
+    `msg.floating.path_tree`, which is None."""
 
     trace: Trace
     metrics: Metrics
@@ -355,7 +350,8 @@ class NodeEnv(Protocol):
     def rng(self, label: str): ...
     def next_serial(self) -> int: ...       # numbers data sends from 1
     def transmit(self, src: "Node", copies: list[_Copy],
-                 mcast: bool = False) -> None: ...
+                 mcast: bool = False,
+                 meta: Optional[_Meta] = None) -> None: ...
     def controller_rpc(self, src: "Node", payload: object) -> None: ...
     # twin keepalives: a round sent as events, the rounds from now on a
     # quiet table may settle in closed form and sleep through, and the
@@ -391,10 +387,9 @@ class Node:
                    tree: Optional[PathTree] = None) -> None:
         """Receive one copy: a message, perhaps shared with other copies,
         and on the sync kinds this node's subtree of the delivery tree.
-        `meta` is its data metadata as `parse_data_metadata` read it on the
-        way in; None on control kinds, on metadata that did not parse, and
-        on a copy handed over without going through `transmit`, whose
-        metadata `_read_data` parses."""
+        `meta` is its data metadata read, `(serial, q)`, as the sender
+        passed it on; None on control kinds and on a data copy handed over
+        without it, whose metadata `_read_data` parses."""
         raise NotImplementedError
 
     def send_op(self, dest: Yni, op: bytes, valley_id: Optional[int] = None,
@@ -418,35 +413,36 @@ class Node:
 
     def _read_data(self, msg: YodelMessage, meta: Optional[_Meta],
                    tree: Optional[PathTree] = None
-                   ) -> Optional[tuple[int, Optional[AnycastMode],
+                   ) -> Optional[tuple[_Meta, Optional[AnycastMode],
                                        tuple[PathTree, ...]]]:
-        """The receive step for data: the send serial, the anycast mode
-        (None on plain kinds) and, on sync kinds, the subtrees of the
-        children of `tree`, whose root must be this node (else none). None
-        once a mis-rooted or missing tree or malformed metadata is
-        reported. The serial and share come from `meta`; without it the
-        metadata is parsed here."""
+        """The receive step for data: the metadata read `(serial, q)` that
+        everything sent on from this copy carries, the anycast mode (None
+        on plain kinds) and, on sync kinds, the subtrees of the children of
+        `tree`, whose root must be this node (else none). None once a
+        mis-rooted or missing tree or malformed metadata is reported. The
+        read is `meta`; a copy handed over without it is parsed here."""
         try:
             children = pop_path_root(tree, self.yni) \
                 if msg.kind in _PUSH_OF_SYNC else ()
-            serial, q = meta or parse_data_metadata(msg.kind,
-                                                    msg.floating.metadata)
+            meta = meta or parse_data_metadata(msg.kind, msg.floating.metadata)
         except (RootMismatch, MalformedFloating) as exc:
             self.proto_error(str(exc))
             return None
-        return serial, None if q is None else _mode_from_q(q), children
+        q = meta[1]
+        return meta, None if q is None else _mode_from_q(q), children
 
-    def strategic_send(self, msg: YodelMessage,
-                       subtrees: Sequence[PathTree]) -> None:
-        """Send `msg` to the root of each subtree, with that subtree beside
-        it, using the fewest transmissions the strategy table allows;
-        children with no route are dropped. Every copy shares `msg`."""
+    def strategic_send(self, msg: YodelMessage, subtrees: Sequence[PathTree],
+                       meta: _Meta) -> None:
+        """Send `msg`, whose metadata read is `meta`, to the root of each
+        subtree, with that subtree beside it, using the fewest
+        transmissions the strategy table allows; children with no route
+        are dropped. Every copy shares `msg`."""
         unrouted, batches = self.act.route(tuple([t.yni for t in subtrees]))
         for child in unrouted:
             self.drop("no_route", ("to", child))
         for mcast, indices in batches:
             self.env.transmit(self, [(subtrees[i].yni, msg, subtrees[i])
-                                     for i in indices], mcast=mcast)
+                                     for i in indices], mcast=mcast, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +541,7 @@ class HostNode(Node):
                                           channel_id=row.channel_id,
                                           metadata=data_metadata(serial, q)),
                            payload)
-        self.env.transmit(self, [(self.edge, msg, None)])
+        self.env.transmit(self, [(self.edge, msg, None)], meta=(serial, q))
 
     def set_consumer_lock(self, valley_id: int, community: str, app_id: int,
                           locked: bool) -> None:
@@ -591,7 +587,7 @@ class HostNode(Node):
         read = self._read_data(msg, meta)
         if read is None:
             return
-        serial, mode, _ = read
+        (serial, _), mode, _ = read
         rows = self._live_consumer_rows(valley, community)
         if mode is not None:
             rows = anycast_filter("host", rows, mode, self.env.rng(self.label))
@@ -1037,19 +1033,20 @@ class EdgeNode(Node):
         read = self._read_data(msg, meta)
         if read is None:
             return
+        meta, mode, _ = read
         # the host's own message is every local host's copy
-        self._deliver_to_local_consumers(row, msg, exclude=sender,
-                                         mode=read[1])
+        self._deliver_to_local_consumers(row, msg, meta, exclude=sender,
+                                         mode=mode)
         tree = self.aft.get((valley, channel))
         if tree is not None:
-            self._originate_sync(msg, tree)
+            self._originate_sync(msg, meta, tree)
 
     def _handle_network_data(self, msg: YodelMessage, meta: Optional[_Meta],
                              tree: Optional[PathTree]) -> None:
         read = self._read_data(msg, meta, tree)
         if read is None:
             return
-        _, mode, children = read
+        meta, mode, children = read
         valley = msg.floating.valley_id
         channel = msg.floating.channel_id
         row = self.channels.get((valley, channel))
@@ -1058,18 +1055,19 @@ class EdgeNode(Node):
             # host's copy
             push = YodelMessage(_PUSH_OF_SYNC[msg.kind], self.yni, self.yni,
                                 msg.floating, msg.payload)
-            self._deliver_to_local_consumers(row, push, exclude=None,
+            self._deliver_to_local_consumers(row, push, meta, exclude=None,
                                              mode=mode)
         elif row is None and not children:
             self.drop("unknown_channel", ("channel", channel))
         if children:
-            self.strategic_send(msg, children)
+            self.strategic_send(msg, children, meta)
 
     def _deliver_to_local_consumers(self, row: FibRow, msg: YodelMessage,
-                                    exclude: Optional[Yni],
+                                    meta: _Meta, exclude: Optional[Yni],
                                     mode: Optional[AnycastMode]) -> None:
-        """Send `msg` to each local consumer host but `exclude`, or buffer
-        it at the host's twin; every copy and buffer shares it."""
+        """Send `msg`, whose metadata read is `meta`, to each local consumer
+        host but `exclude`, or buffer it with `meta` at the host's twin;
+        every copy and buffer shares it."""
         targets = [h for h in row.consumer_hosts()
                    if h != exclude and h not in row.locked_hosts]
         if mode is not None:
@@ -1079,17 +1077,19 @@ class EdgeNode(Node):
         copies = []
         for host in targets:
             if twin.is_active(host):
-                twin.buffer_message(host, msg)
+                twin.buffer_message(host, msg, meta)
             else:
                 copies.append((host, msg, None))
-        self.env.transmit(self, copies)
+        self.env.transmit(self, copies, meta=meta)
 
-    def _originate_sync(self, msg: YodelMessage, tree: PathTree) -> None:
+    def _originate_sync(self, msg: YodelMessage, meta: _Meta,
+                        tree: PathTree) -> None:
         """Start a host's message down this edge's installed tree: one
-        sync carrier on the host's header, the tree beside it."""
+        sync carrier on the host's header, with its metadata read `meta`,
+        the tree beside it."""
         carrier = YodelMessage(_SYNC_OF_PUSH[msg.kind], self.yni, self.yni,
                                msg.floating, msg.payload)
-        self.strategic_send(carrier, pop_path_root(tree, self.yni))
+        self.strategic_send(carrier, pop_path_root(tree, self.yni), meta)
 
     # -- twin hooks ------------------------------------------------------------
 
@@ -1174,8 +1174,8 @@ class ConnectorNode(Node):
         read = self._read_data(msg, meta, tree)
         if read is None:
             return
-        _, mode, children = read
+        meta, mode, children = read
         if mode is not None:
             children = anycast_filter("connector", children, mode,
                                       self.env.rng(self.label))
-        self.strategic_send(msg, children)
+        self.strategic_send(msg, children, meta)

@@ -29,8 +29,7 @@ from typing import Callable, Iterable, Optional
 
 from .codec import MessageKind, PathTree, YodelMessage
 from .control import Controller, HostPrefs
-from .dataplane import (ConnectorNode, EdgeNode, HostNode, Node,
-                        parse_data_metadata)
+from .dataplane import ConnectorNode, EdgeNode, HostNode, Node
 from .errors import AccessDenied, UnknownFlow, YodelError
 from .model import Directory
 from .scenario import (CommandSpec, NodeSpec, ScenarioSpec, SimConfig,
@@ -44,21 +43,12 @@ __all__ = ["SimConfig", "Simulation", "build", "run_world"]
 # Enum.name is a Python-level property; SEND and RECV lines read a plain dict
 _KIND_NAMES = {kind: kind.name for kind in MessageKind}
 _CONTROL = MessageKind.CONTROL_YPP
-# whether a kind's data metadata carries an anycast share: the parse of a
-# header's metadata depends on nothing else, so a push and the sync built on
-# the same header parse alike
-_ANYCAST = {kind: kind in (MessageKind.ANYCAST_DATA_YPP,
-                           MessageKind.ANYCAST_DATA_YSYNC)
-            for kind in MessageKind}
 
-# what `transmit` reads of one message for its copies: the message, the
-# wire fields of its SEND and RECV lines (the kind and, on data that
-# parsed, the serial), and its parsed data metadata (serial, q), None on
-# control and on data that did not parse
+# what every copy of one `transmit` call lands with: the message, the wire
+# fields of its SEND and RECV lines (the kind and, on data sent with its
+# metadata, the serial), and that data metadata (serial, q), or None
 _Wire = tuple[YodelMessage, tuple[tuple[str, object], ...],
               Optional[tuple[int, Optional[int]]]]
-# the record `Simulation._landed` starts from, whose message is no message
-_NO_WIRE: _Wire = (None, (), None)
 
 # what `Simulation._port` resolves a destination to: the node, the record of
 # the wire to it, whether both ends are infrastructure, and the `to` field
@@ -96,9 +86,6 @@ class Simulation:
         # edge or one of its hosts
         self._fault_ticks: dict[str, list[int]] = {}
         self._swept = 0                         # tick of the last twin sweep
-        # the wire record of the copy landed last: the one its receiver is
-        # handling while it sends on
-        self._landed: _Wire = _NO_WIRE
         self._build()
 
     # -- environment services (the NodeEnv contract) ---------------------------
@@ -130,17 +117,16 @@ class Simulation:
 
     def transmit(self, src: Node,
                  copies: list[tuple[Yni, YodelMessage, Optional[PathTree]]],
-                 mcast: bool = False) -> None:
+                 mcast: bool = False,
+                 meta: Optional[tuple[int, Optional[int]]] = None) -> None:
         """Send each (destination, message, tree) copy: a SEND line, then a
         RECV line and the receiver's `on_message(msg, meta, tree)` one link
         latency later, or a DROP line.
 
-        Each message's wire fields are read once into one `(msg, wire,
-        meta)` record that every copy's arrival carries. A message the
-        sender is handling, one that landed and is sent on, reuses the
-        record it landed with; a push or sync built on that message's
-        header reuses its parsed metadata, when it parsed. So a data
-        header is parsed once per host send, not once per hop.
+        Every copy of one call carries the same message, and `meta` is its
+        data metadata (serial, q) as its sender holds it: None on control.
+        The SEND and RECV lines show the serial from `meta`, so all copies
+        share one `(msg, wire, meta)` record.
 
         An overlay data copy sent alone counts on its link's `unicast`
         counter, and a multicast batch of data once for the sender's
@@ -148,15 +134,18 @@ class Simulation:
         report's transmissions are summed from these."""
         if not copies:
             return
+        msg = copies[0][1]
+        data = msg.kind is not _CONTROL
+        k = ("k", _KIND_NAMES[msg.kind])
+        rec = (msg, (k,) if meta is None else (k, ("serial", meta[0])), meta)
         now, label, emit = self._now, src.label, self.trace.emit
-        if mcast and copies[0][1].kind is not _CONTROL:
+        if mcast and data:
             # one underlay transmission covers the whole batch
             batches = self.metrics.multicast_batches
             batches[src.domain] = batches.get(src.domain, 0) + 1
         ports = self._ports[label]
         crashed = label in self._crashed
-        rec = landed = self._landed
-        for dst_yni, msg, tree in copies:
+        for dst_yni, _, tree in copies:
             port = ports.get(dst_yni) or self._port(src, dst_yni)
             if port is None:
                 emit(now, label, "DROP", ("reason", "unknown_destination"),
@@ -164,23 +153,8 @@ class Simulation:
                 self.metrics.dropped(label, "unknown_destination")
                 continue
             dst, link, overlay, to, _ = port
-            kind = msg.kind
-            if overlay and not mcast and kind is not _CONTROL:
+            if overlay and not mcast and data:
                 link.unicast += 1
-            if msg is not rec[0]:
-                # data on the landed message's header keeps its parse
-                meta = landed[2]
-                if kind is _CONTROL:
-                    meta = None
-                elif (meta is None or msg.floating is not landed[0].floating
-                        or _ANYCAST[kind] is not _ANYCAST[landed[0].kind]):
-                    try:
-                        meta = parse_data_metadata(kind, msg.floating.metadata)
-                    except YodelError:
-                        meta = None
-                k = ("k", _KIND_NAMES[kind])
-                rec = (msg, (k,) if meta is None else (k, ("serial", meta[0])),
-                       meta)
             emit(now, label, "SEND", to, *rec[1])
             link.sent += 1
             if not link.up or crashed:
@@ -219,15 +193,13 @@ class Simulation:
         """Land one copy `transmit` sent through `port`: count it on the
         link, then a RECV line and the receiver's `on_message` with the
         record's message and metadata and the copy's tree, or a DROP line
-        when the link went down or the receiver crashed meanwhile. The
-        record is kept while the receiver runs, for `transmit` to reuse."""
+        when the link went down or the receiver crashed meanwhile."""
         dst, link, _, _, from_src = port
         link.in_flight -= 1
         if not link.up or dst.label in self._crashed:
             self._lose(link, dst, from_src)
             return
         link.received += 1
-        self._landed = rec
         msg, wire, meta = rec
         self.trace.emit(self._now, dst.label, "RECV", from_src, *wire)
         dst.on_message(msg, meta, tree)

@@ -41,6 +41,9 @@ from .ynid import Yni, generate_yni
 
 __all__ = ["TwinRecord", "TwinManager"]
 
+# a data copy's metadata read, (serial, q), as `dataplane` passes it on
+_Meta = tuple[int, Optional[int]]
+
 
 @dataclass
 class TwinRecord:
@@ -49,7 +52,7 @@ class TwinRecord:
     expire_at: int
     missed: int = 0
     active: bool = False
-    buffer: list[YodelMessage] = field(default_factory=list)
+    buffer: list[tuple[YodelMessage, _Meta]] = field(default_factory=list)
 
 
 class TwinManager:
@@ -194,9 +197,10 @@ class TwinManager:
         self._trace_swap(rec.host, "in")
         self.edge.fail_over_host(rec.host)
 
-    def buffer_message(self, host: Yni, msg: YodelMessage) -> None:
+    def buffer_message(self, host: Yni, msg: YodelMessage,
+                       meta: _Meta) -> None:
         rec = self.records[host]
-        rec.buffer.append(msg)
+        rec.buffer.append((msg, meta))
         buffer_max = self.env.config.twin_buffer_max
         if buffer_max is not None and len(rec.buffer) > buffer_max:
             rec.buffer.pop(0)
@@ -218,14 +222,14 @@ class TwinManager:
         """A community changed channel while a host was away; buffered
         messages must carry the id the corrected host will know. A buffered
         message may be shared with other buffers and with copies already
-        sent, so each slot gets a rekeyed copy and the message stays as it
-        is."""
+        sent, so each slot gets a rekeyed copy, with the same metadata
+        read, and the message stays as it is."""
         for rec in self.records.values():
-            for i, msg in enumerate(rec.buffer):
+            for i, (msg, meta) in enumerate(rec.buffer):
                 f = msg.floating
                 if f.valley_id == valley_id and f.channel_id == old_channel:
                     rec.buffer[i] = replace(
-                        msg, floating=replace(f, channel_id=new_channel))
+                        msg, floating=replace(f, channel_id=new_channel)), meta
 
     def on_hello(self, host: Yni) -> None:
         rec = self.records.get(host)
@@ -247,9 +251,8 @@ class TwinManager:
         # ack that reopens the host's own sending
         self.edge.resync_host(host)
         flushed, rec.buffer = rec.buffer, []
-        if flushed:
-            self.env.transmit(self.edge,
-                              [(host, msg, None) for msg in flushed])
+        for msg, meta in flushed:
+            self.env.transmit(self.edge, [(host, msg, None)], meta=meta)
         if was_active:
             self.edge.emit("TWIN_FLUSH", ("host", self.env.label_of(host)),
                            ("count", len(flushed)))

@@ -50,6 +50,7 @@ from yodel.errors import (
 from yodel.services import ServiceModel
 from yodel.ynid import Yni
 
+import test_replay_golden as golden
 from textworld import build_text, step
 
 
@@ -536,10 +537,11 @@ class TestHostNode:
         assert sent_to(sim, "h1", "DATA_YPP") == []
         buffered = sim.edges["e1"].twin.records[sim.nodes["h2"].yni].buffer
         assert buffered
-        for msg in buffered:
+        for msg, meta in buffered:
             assert msg.kind is MessageKind.ANYCAST_DATA_YPP
             _, q = parse_data_metadata(msg.kind, msg.floating.metadata)
             assert q == 30000
+            assert meta == (serial_of(msg), q)
 
     def test_incoming_data_delivers_all_unlocked(self):
         sim = world("at 2 join h1 vale chat room producer 1\n"
@@ -941,9 +943,10 @@ class TestEdgeData:
         step(sim, 40)
         buffered = sim.edges["e2"].twin.records[sim.nodes["h2"].yni].buffer
         assert len(buffered) == 3
-        for msg in buffered:
+        for msg, meta in buffered:
             assert msg.kind is MessageKind.DATA_YPP
             assert msg.floating.path_tree is None
+            assert meta == (serial_of(msg), None)
         assert delivered(sim, "h4") == [(1, 1), (1, 2), (1, 3), (1, 4)]
         assert sent_to(sim, "e2", "DATA_YSYNC") == ["e3"] * 4
 
@@ -1201,17 +1204,15 @@ def test_forwarding_builds_no_header_or_message(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["fanout-unicast", "fanout-group", "anycast",
-                                  "mcast-fanout"])
-def test_data_metadata_is_parsed_once_per_host_send(monkeypatch, name):
-    """A data header's metadata is parsed once per host send, not once per
-    hop: a node that sends on the message it landed, and a push or sync
-    built on that message's header, go out with the parse it landed with.
-    The count is taken where `transmit` and `_read_data` resolve the name.
-    These worlds forward over several hops, on plain and anycast kinds,
-    and flush no twin buffer."""
-    import test_replay_golden as golden
+                                  "mcast-fanout", "twin-outage", "twin"])
+def test_a_run_parses_no_data_metadata(monkeypatch, name):
+    """A data copy carries its metadata read, `(serial, q)`, from the host
+    that wrote it to the last hop: no hop, no push or sync built on a
+    copy's header, and no twin buffer flush parses it again. The count is
+    taken where `_read_data` resolves the name, the one caller in the
+    package. These worlds forward over several hops, on plain and anycast
+    kinds; the twin worlds flush buffers."""
     import yodel.dataplane
-    import yodel.sim
     from test_sim import _world_texts
     if name.startswith("fanout-"):
         sim = build_text((golden.WORLDS / f"{name}.topo").read_text(),
@@ -1223,7 +1224,6 @@ def test_data_metadata_is_parsed_once_per_host_send(monkeypatch, name):
     def counted(kind, meta):
         parses.append(kind)
         return parse_data_metadata(kind, meta)
-    monkeypatch.setattr(yodel.sim, "parse_data_metadata", counted)
     monkeypatch.setattr(yodel.dataplane, "parse_data_metadata", counted)
     sim.run()
     trace = sim.trace
@@ -1231,8 +1231,71 @@ def test_data_metadata_is_parsed_once_per_host_send(monkeypatch, name):
     hops = sum(trace.count("RECV", k=kind.name) for kind in MessageKind
                if kind is not MessageKind.CONTROL_YPP)
     assert 0 < sends < hops
-    assert len(parses) == sends
+    if name.startswith("twin"):
+        assert trace.count("TWIN_FLUSH")
+    assert parses == []
     assert sim.metrics.proto_errors == 0
+
+
+@pytest.mark.parametrize("world", [topo for topo, _ in golden.PAIRS]
+                         + list(golden.BENCH_WORKLOADS))
+def test_every_copy_carries_the_parse_of_its_own_metadata(monkeypatch, world):
+    """The metadata read a copy carries is its own: every arrival's `meta`
+    is what `parse_data_metadata` reads from that copy's message (None on
+    control), and so is every twin buffer entry's, against the entry's own
+    message, as it is buffered and as it is flushed. The worlds are the
+    replay gate's, the demos at their first seed and the benchmark worlds
+    at seed 1."""
+    from test_sim import _world_texts
+    from yodel.sim import Simulation
+    from yodel.twin import TwinManager
+
+    def parse(msg):
+        if msg.kind is MessageKind.CONTROL_YPP:
+            return None
+        return parse_data_metadata(msg.kind, msg.floating.metadata)
+
+    checked, wrong = [], []
+
+    def check(where, entries):
+        for msg, meta in entries:
+            checked.append(where)
+            if meta != parse(msg):
+                wrong.append((where, parse(msg), meta))
+
+    arrive = Simulation._arrive
+
+    def arrived(self, port, rec, tree):
+        msg, _, meta = rec
+        check(f"t={self.now()} n={port[0].label}", [(msg, meta)])
+        arrive(self, port, rec, tree)
+
+    buffer_message, on_hello = TwinManager.buffer_message, \
+        TwinManager.on_hello
+
+    def buffered(self, host, msg, meta):
+        buffer_message(self, host, msg, meta)
+        check(f"buffer at {self.edge.label}", self.records[host].buffer)
+
+    def flushed(self, host):
+        rec = self.records.get(host)
+        check(f"flush at {self.edge.label}", rec.buffer if rec else ())
+        on_hello(self, host)
+    monkeypatch.setattr(Simulation, "_arrive", arrived)
+    monkeypatch.setattr(TwinManager, "buffer_message", buffered)
+    monkeypatch.setattr(TwinManager, "on_hello", flushed)
+    scen = dict(golden.PAIRS).get(world)
+    if scen is None:
+        sim = build_text(*_world_texts(world))
+    else:
+        sim = build_text((golden.WORLDS / world).read_text(),
+                         (golden.WORLDS / scen).read_text(), golden.SEEDS[0])
+    sim.run()
+    for edge in sim.edges.values():
+        for rec in edge.twin.records.values():
+            check(f"end at {edge.label}", rec.buffer)
+    assert checked
+    assert wrong == []
 
 
 # ---------------------------------------------------------------------------
@@ -1301,7 +1364,7 @@ class TestTwin:
         sim = world(TRIO + AWAY + "at 21 send h1 vale room 1 m1\n"
                     "at 22 send h1 vale room 1 m2\n", until=25)
         rec = sim.edges["e1"].twin.records[sim.nodes["h2"].yni]
-        assert [m.payload for m in rec.buffer] == [b"m1", b"m2"]
+        assert [m.payload for m, _ in rec.buffer] == [b"m1", b"m2"]
         assert sim.metrics.buffered_total == 2
         assert sim.metrics.buffer_peaks["h2"] == 2
         # the healthy consumer still hears everything
@@ -1311,7 +1374,7 @@ class TestTwin:
         sim = world(TRIO + AWAY + "config twin_buffer_max 2\n"
                     + send_lines(4, 21), until=26)
         rec = sim.edges["e1"].twin.records[sim.nodes["h2"].yni]
-        assert [m.payload for m in rec.buffer] == [b"m2", b"m3"]
+        assert [m.payload for m, _ in rec.buffer] == [b"m2", b"m3"]
         assert sim.metrics.buffer_dropped == 2
 
     @pytest.mark.parametrize("buffer_max, dropped, peaks, flushed", [
@@ -1335,10 +1398,12 @@ class TestTwin:
         assert sim.metrics.buffer_dropped == dropped
         assert sim.metrics.buffer_peaks == peaks
         buffered = sim.edges["e2"].twin.records[sim.nodes["h2"].yni].buffer
-        assert [m.payload for m in buffered] == flushed
-        assert all(m.floating.channel_id == new for m in buffered)
-        serials = [parse_data_metadata(m.kind, m.floating.metadata)[0]
-                   for m in buffered]
+        assert [m.payload for m, _ in buffered] == flushed
+        assert all(m.floating.channel_id == new for m, _ in buffered)
+        serials = [serial_of(m) for m, _ in buffered]
+        # a rekeyed entry keeps its metadata read
+        assert [meta for _, meta in buffered] \
+            == [(serial, None) for serial in serials]
         step(sim, 45)
         assert delivered(sim, "h2") == [(1, serial) for serial in serials]
         assert sim.trace.count("TWIN_FLUSH", host="h2",
@@ -1362,8 +1427,9 @@ class TestTwin:
         step(sim, 29)
         old = row(sim, "e2").channel_id
         records = sim.edges["e2"].twin.records
-        h2_buffer, h5_buffer = (records[sim.nodes[h].yni].buffer
-                                for h in ("h2", "h5"))
+        h2_buffer, h5_buffer = (
+            [m for m, _ in records[sim.nodes[h].yni].buffer]
+            for h in ("h2", "h5"))
         assert len(got["h6"]) == len(h2_buffer) == len(h5_buffer) == 3
         assert all(a is b is c for a, b, c
                    in zip(got["h6"], h2_buffer, h5_buffer))
@@ -1504,10 +1570,9 @@ def anycast_copies(seed, away):
                 seed=seed, until=29)
     sent = {(dict(r.fields)["to"], int(dict(r.fields)["serial"]))
             for r in sim.trace.select("SEND", n="e1", k="ANYCAST_DATA_YPP")}
-    buffered = {(sim.label_of(rec.host),
-                 parse_data_metadata(m.kind, m.floating.metadata)[0])
+    buffered = {(sim.label_of(rec.host), serial_of(m))
                 for rec in sim.edges["e1"].twin.records.values()
-                for m in rec.buffer}
+                for m, _ in rec.buffer}
     return sent | buffered
 
 

@@ -748,22 +748,22 @@ at 20 send h1 vale room 1 still travelling
         c1, e1, e2 = sim.nodes["c1"], sim.nodes["e1"], sim.nodes["e2"]
         stranger = Yni(b"\x0f" * 6, 0)
 
-        def copy(dst, serial):
-            return dst, YodelMessage(
-                MessageKind.DATA_YSYNC, c1.yni, dst,
-                FloatingHeader(valley_id=1, channel_id=9,
-                               metadata=data_metadata(serial))), PathTree(dst)
-        batch = [copy(e1.yni, 41), copy(stranger, 42), copy(e2.yni, 43)]
-        sim.schedule(3, lambda: sim.transmit(c1, batch))
+        # every copy of one call shares its message and metadata read
+        msg = YodelMessage(MessageKind.DATA_YSYNC, c1.yni, c1.yni,
+                           FloatingHeader(valley_id=1, channel_id=9,
+                                          metadata=data_metadata(41)))
+        batch = [(dst, msg, PathTree(dst)) for dst in (e1.yni, stranger,
+                                                       e2.yni)]
+        sim.schedule(3, lambda: sim.transmit(c1, batch, meta=(41, None)))
         sim.run()
         lines = [line for line in sim.trace.lines()
                  if " n=c1 " in line or "from=c1" in line]
         assert lines == [
             "t=3 n=c1 ev=SEND to=e1 k=DATA_YSYNC serial=41",
             f"t=3 n=c1 ev=DROP reason=unknown_destination to={stranger}",
-            "t=3 n=c1 ev=SEND to=e2 k=DATA_YSYNC serial=43",
+            "t=3 n=c1 ev=SEND to=e2 k=DATA_YSYNC serial=41",
             "t=4 n=e1 ev=RECV from=c1 k=DATA_YSYNC serial=41",
-            "t=5 n=e2 ev=RECV from=c1 k=DATA_YSYNC serial=43",
+            "t=5 n=e2 ev=RECV from=c1 k=DATA_YSYNC serial=41",
         ]
         assert sim.metrics.drops["c1"] == {"unknown_destination": 1}
         links = sim.metrics.conservation["links"]
