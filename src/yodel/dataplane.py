@@ -1,14 +1,14 @@
 """Data-plane node state machines: hosts, edge nodes, connector nodes.
 
-Hosts own registration rows (producer and consumer tables) and deliver to
-their apps; each delivery is one DELIVER trace line. Edge nodes keep one
-row per community, found by its (valley, namespace, community) or by the
-(valley, channel) a data copy carries, plus the installed path table, and
-translate between point-to-point and transit message kinds. Each edge
-also owns one twin table (`twin.TwinManager`), built with the edge, that
-stands in for its silent hosts. Connectors know nothing but their
-neighbors: they pop the root of the tree a copy carries and pick
-forwarding strategies.
+Hosts and edge nodes keep one record per community, found by its (valley,
+namespace, community) or by the (valley, channel) a data copy carries. A
+host's record holds its apps' producer and consumer rows, and the host
+delivers to its apps; each delivery is one DELIVER trace line. Edges also
+keep the installed path table, and translate between point-to-point and
+transit message kinds. Each edge also owns one twin table
+(`twin.TwinManager`), built with the edge, that stands in for its silent
+hosts. Connectors know nothing but their neighbors: they pop the root of
+the tree a copy carries and pick forwarding strategies.
 
 A copy is a message plus, on the sync kinds, the receiver's subtree of the
 delivery tree riding beside it; `on_message(msg, meta, tree)` gets both,
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Protocol, Sequence
 
@@ -59,7 +59,7 @@ from .codec import (
 from .control import (ActivateProducerEdge, ChannelIdUpdate, JoinReply,
                       JoinRequest, PathAdvertisement, PathWithdraw, RemoveRole)
 from .errors import (CodecError, MalformedFloating, RootMismatch,
-                     UncoverableNeighbor)
+                     UncoverableNeighbor, UnknownFlow)
 from .services import (
     AnycastMode,
     ServiceModel,
@@ -97,8 +97,9 @@ OP_WITHDRAW = 0x03           # role(1) community
 OP_UNLOCK_PRODUCER = 0x05    # community       (app id in the floating header)
 OP_HELLO = 0x06              # no fields
 OP_HELLO_ACK = 0x07          # no fields
-OP_CHANNEL_UPDATE = 0x08     # old_channel(8) community  (new id in floating)
+OP_CHANNEL_UPDATE = 0x08     # community       (new id in the floating header)
 OP_HOST_CONSUMER_LOCK = 0x09  # locked(1) community
+# an op naming a community carries its valley and namespace in the header
 
 _FLAG_LOCK_HOST = 0x01
 _FLAG_RANDOMIZED = 0x02
@@ -139,8 +140,8 @@ def op_hello_ack() -> bytes:
     return struct.pack(">B", OP_HELLO_ACK)
 
 
-def op_channel_update(old_channel: int, community: str) -> bytes:
-    return struct.pack(">BQ", OP_CHANNEL_UPDATE, old_channel) + community.encode()
+def op_channel_update(community: str) -> bytes:
+    return struct.pack(">B", OP_CHANNEL_UPDATE) + community.encode()
 
 
 def op_host_consumer_lock(community: str, *, locked: bool) -> bytes:
@@ -169,13 +170,10 @@ def parse_op(data: bytes) -> dict:
             _, role = struct.unpack(">BB", data[:2])
             return {"op": op, "role": _BYTE_ROLE[role],
                     "community": data[2:].decode()}
-        if op == OP_UNLOCK_PRODUCER:
+        if op in (OP_UNLOCK_PRODUCER, OP_CHANNEL_UPDATE):
             return {"op": op, "community": data[1:].decode()}
         if op in (OP_HELLO, OP_HELLO_ACK):
             return {"op": op}
-        if op == OP_CHANNEL_UPDATE:
-            _, old = struct.unpack(">BQ", data[:9])
-            return {"op": op, "old_channel": old, "community": data[9:].decode()}
         if op == OP_HOST_CONSUMER_LOCK:
             _, locked = struct.unpack(">BB", data[:2])
             return {"op": op, "locked": bool(locked),
@@ -451,39 +449,43 @@ class Node:
 
 @dataclass
 class HostRow:
-    valley_id: int
-    namespace_id: int
-    community: str
+    """One app's row in one table of a community record."""
     app_id: int
-    channel_id: int
-    model: ServiceModel
-    randomized: bool
-    q: int
     locked: bool = False
     timer: Optional[int] = None  # absolute expiry tick
 
 
-_RowKey = tuple[int, str, int]  # (valley, community, app)
-_APP_ORDER = attrgetter("app_id")
+@dataclass(eq=False)
+class HostCommunity:
+    """A community a host takes part in: its channel, and its namespace's
+    service model and anycast share, which never change; its apps' rows by
+    app, the consumer rows in app order, as delivery reads them. A record
+    outlives its last row, as the edge may still send on its channel."""
+    valley_id: int
+    namespace_id: int
+    name: str
+    channel_id: int
+    model: ServiceModel
+    randomized: bool
+    q: int
+    producers: dict[int, HostRow] = field(default_factory=dict)
+    consumers: dict[int, HostRow] = field(default_factory=dict)
 
 
 class HostNode(Node):
-    """A user host: registration tables and delivery to its apps."""
+    """A user host: its community records and delivery to its apps."""
 
     def __init__(self, label: str, yni: Yni, env: NodeEnv, user: str):
         super().__init__(label, yni, "", env)
         self.user = user
         self.edge: Optional[Yni] = None
-        self.prt: dict[_RowKey, HostRow] = {}
-        self.crt: dict[_RowKey, HostRow] = {}
-        # (valley, community) -> its rows of `crt` sorted by app; dropped
-        # whenever `crt` gains or loses one of its rows, and rebuilt when
-        # next asked for
-        self._consumers: dict[tuple[int, str], list[HostRow]] = {}
-        self.by_channel: dict[tuple[int, int], str] = {}
+        self.communities: dict[tuple[int, int, str], HostCommunity] = {}
+        # (valley, channel) -> the record a data copy on that channel is for
+        self.by_channel: dict[tuple[int, int], HostCommunity] = {}
         self.gated = False          # between hello and hello-ack
         self._held_sends: list[tuple[int, str, int, bytes]] = []
-        self._pending_ttl: dict[tuple[int, str, str, int], Optional[int]] = {}
+        # (valley, namespace, community, role, app) of a join -> its ttl
+        self._pending_ttl: dict[tuple, Optional[int]] = {}
 
     # -- wiring ---------------------------------------------------------------
 
@@ -495,36 +497,45 @@ class HostNode(Node):
 
     def request_join(self, valley_id: int, namespace_id: int, community: str,
                      role: str, app_id: int, ttl: Optional[int] = None) -> None:
-        self._pending_ttl[(valley_id, community, role, app_id)] = ttl
+        self._pending_ttl[(valley_id, namespace_id, community, role,
+                           app_id)] = ttl
         self.send_op(self.edge, op_join_request(role, community, ttl),
                      valley_id=valley_id, namespace_id=namespace_id,
                      app_id=app_id)
 
     def withdraw(self, valley_id: int, namespace_id: int, community: str,
                  role: str, app_id: int) -> None:
-        key = (valley_id, community, app_id)
-        for r in role_rows(role):
-            if r == "producer":
-                self.prt.pop(key, None)
-            elif self.crt.pop(key, None) is not None:
-                self._consumers.pop((valley_id, community), None)
+        rec = self.communities.get((valley_id, namespace_id, community))
+        if rec is not None:
+            for r in role_rows(role):
+                (rec.producers if r == "producer" else rec.consumers).pop(
+                    app_id, None)
         self.send_op(self.edge, op_withdraw(role, community),
                      valley_id=valley_id, namespace_id=namespace_id,
                      app_id=app_id)
+
+    def _joined(self, valley_id: int, community: str, app_id: int,
+                producer: bool) -> Optional[HostCommunity]:
+        """The record of `community` in the valley in which `app_id` has a
+        producer row, or a consumer row: `send`, `lock` and `unlock` name no
+        namespace, and `validate` lets an app join a name in one only."""
+        for rec in self.communities.values():
+            if (rec.valley_id == valley_id and rec.name == community
+                    and app_id in (rec.producers if producer
+                                   else rec.consumers)):
+                return rec
+        return None
 
     def send_data(self, valley_id: int, community: str, app_id: int,
                   payload: bytes) -> None:
         if self.gated:
             self._held_sends.append((valley_id, community, app_id, payload))
             return
-        row = self.prt.get((valley_id, community, app_id))
-        if row is None:
+        rec = self._joined(valley_id, community, app_id, producer=True)
+        if rec is None or self._expired(rec, rec.producers, app_id):
             self.drop("no_registration", ("community", community))
             return
-        if self._expired(self.prt, row):
-            self.drop("no_registration", ("community", community))
-            return
-        if row.locked:
+        if rec.producers[app_id].locked:
             self.drop("producer_locked", ("community", community))
             return
         serial = self.env.next_serial()
@@ -533,29 +544,32 @@ class HostNode(Node):
                   ("app", app_id), ("serial", serial))
         # co-located consumer apps get the message without touching the wire;
         # the sending app never hears its own echo
-        self._deliver_in_host(row, serial, exclude_app=app_id)
-        q = row.q if row.randomized else None
-        kind = MessageKind.ANYCAST_DATA_YPP if row.randomized else MessageKind.DATA_YPP
+        q = rec.q if rec.randomized else None
+        self._deliver(rec, serial, None if q is None else _mode_from_q(q),
+                      exclude_app=app_id)
+        kind = MessageKind.ANYCAST_DATA_YPP if rec.randomized else MessageKind.DATA_YPP
         msg = YodelMessage(kind, self.yni, self.edge,
                            FloatingHeader(valley_id=valley_id,
-                                          channel_id=row.channel_id,
+                                          channel_id=rec.channel_id,
                                           metadata=data_metadata(serial, q)),
                            payload)
         self.env.transmit(self, [(self.edge, msg, None)], meta=(serial, q))
 
     def set_consumer_lock(self, valley_id: int, community: str, app_id: int,
                           locked: bool) -> None:
-        row = self.crt[(valley_id, community, app_id)]
-        check_self_lock_allowed(row.model)
-        row.locked = locked
+        rec = self._joined(valley_id, community, app_id, producer=False)
+        if rec is None:
+            raise UnknownFlow(
+                f"{self.label} has no consumer registration for {community!r}")
+        check_self_lock_allowed(rec.model)
+        rec.consumers[app_id].locked = locked
         self.emit("LOCK" if locked else "UNLOCK", ("table", "crt"),
                   ("community", community), ("app", app_id))
-        rows = [r for (v, c, _), r in self.crt.items()
-                if v == valley_id and c == community]
-        all_locked = all(r.locked for r in rows)
+        all_locked = all(r.locked for r in rec.consumers.values())
         self.send_op(self.edge,
                      op_host_consumer_lock(community, locked=all_locked),
-                     valley_id=valley_id, channel_id=row.channel_id)
+                     valley_id=valley_id, channel_id=rec.channel_id,
+                     namespace_id=rec.namespace_id)
 
     # -- reconnect ------------------------------------------------------------
 
@@ -571,66 +585,57 @@ class HostNode(Node):
                    tree: Optional[PathTree] = None) -> None:
         if msg.kind is _CONTROL:
             self._handle_op(msg)
-            return
-        if msg.kind in _SYNC_OF_PUSH:
+        elif msg.kind in _SYNC_OF_PUSH:
             self._handle_data(msg, meta)
-            return
-        self.drop("unhandled_kind", ("k", msg.kind.name))
+        else:
+            self.drop("unhandled_kind", ("k", msg.kind.name))
 
     def _handle_data(self, msg: YodelMessage, meta: Optional[_Meta]) -> None:
-        valley = msg.floating.valley_id
         channel = msg.floating.channel_id
-        community = self.by_channel.get((valley, channel))
-        if community is None:
+        rec = self.by_channel.get((msg.floating.valley_id, channel))
+        if rec is None:
             self.drop("unknown_channel", ("channel", channel))
             return
         read = self._read_data(msg, meta)
         if read is None:
             return
         (serial, _), mode, _ = read
-        rows = self._live_consumer_rows(valley, community)
-        if mode is not None:
-            rows = anycast_filter("host", rows, mode, self.env.rng(self.label))
-        for row in rows:
-            self._deliver_app(row.app_id, serial, community)
+        self._deliver(rec, serial, mode)
 
-    def _live_consumer_rows(self, valley_id: int, community: str) -> list[HostRow]:
-        """The community's unlocked consumer rows in app order; a row past
-        its ttl is dropped here, with its EXPIRE line."""
-        key = (valley_id, community)
-        rows = self._consumers.get(key)
-        if rows is None:
-            rows = self._consumers[key] = sorted(
-                [row for (v, c, _), row in self.crt.items()
-                 if v == valley_id and c == community], key=_APP_ORDER)
-        crt = self.crt
-        return [row for row in rows
-                if (row.timer is None or not self._expired(crt, row))
-                and not row.locked]
+    def _live_consumer_rows(self, rec: HostCommunity,
+                            exclude_app: Optional[int] = None
+                            ) -> list[HostRow]:
+        """The record's unlocked consumer rows in app order but that of
+        `exclude_app`; a row past its ttl is dropped, with its EXPIRE line."""
+        consumers = rec.consumers
+        return [row for row in tuple(consumers.values())
+                if (row.timer is None
+                    or not self._expired(rec, consumers, row.app_id))
+                and not row.locked and row.app_id != exclude_app]
 
-    def _deliver_in_host(self, prow: HostRow, serial: int,
-                         exclude_app: Optional[int]) -> None:
-        rows = [r for r in self._live_consumer_rows(prow.valley_id, prow.community)
-                if r.app_id != exclude_app]
-        if prow.randomized:
-            rows = anycast_filter("host", rows, _mode_from_q(prow.q),
-                                  self.env.rng(self.label))
-        for row in rows:
-            self._deliver_app(row.app_id, serial, prow.community)
-
-    def _deliver_app(self, app_id: int, serial: int, community: str) -> None:
+    def _deliver(self, rec: HostCommunity, serial: int,
+                 mode: Optional[AnycastMode],
+                 exclude_app: Optional[int] = None) -> None:
+        """Deliver `serial` to the record's live consumer apps but
+        `exclude_app`, or, on anycast, to those the draw keeps."""
+        rows = self._live_consumer_rows(rec, exclude_app)
         env = self.env
+        if mode is not None:
+            rows = anycast_filter("host", rows, mode, env.rng(self.label))
         now = env.now()
-        env.trace.emit(now, self.label, "DELIVER", ("app", app_id),
-                       ("community", community), ("serial", serial))
-        env.metrics.delivered(self.label, serial, now)
+        for row in rows:
+            env.trace.emit(now, self.label, "DELIVER", ("app", row.app_id),
+                           ("community", rec.name), ("serial", serial))
+            env.metrics.delivered(self.label, serial, now)
 
-    def _expired(self, table: dict, row: HostRow) -> bool:
-        if row.timer is not None and self.env.now() > row.timer:
-            table.pop((row.valley_id, row.community, row.app_id), None)
-            if table is self.crt:
-                self._consumers.pop((row.valley_id, row.community), None)
-            self.emit("EXPIRE", ("community", row.community), ("app", row.app_id))
+    def _expired(self, rec: HostCommunity, rows: dict[int, HostRow],
+                 app_id: int) -> bool:
+        """Whether the app's row of `rows`, a table of `rec`, is past its
+        ttl; such a row is dropped, with its EXPIRE line."""
+        timer = rows[app_id].timer
+        if timer is not None and self.env.now() > timer:
+            del rows[app_id]
+            self.emit("EXPIRE", ("community", rec.name), ("app", app_id))
             return True
         return False
 
@@ -644,15 +649,17 @@ class HostNode(Node):
         f = msg.floating
         if code == OP_JOIN_REPLY:
             self._install_rows(f, op)
-        elif code == OP_UNLOCK_PRODUCER:
-            row = self.prt.get((f.valley_id, op["community"], f.application_id))
-            if row is not None:
-                row.locked = False
-                self.emit("UNLOCK", ("table", "prt"), ("community", op["community"]),
+        elif code in (OP_UNLOCK_PRODUCER, OP_CHANNEL_UPDATE):
+            rec = self.communities.get((f.valley_id, f.namespace_id,
+                                        op["community"]))
+            if rec is None:
+                return
+            if code == OP_CHANNEL_UPDATE:
+                self._move(rec, f.channel_id)
+            elif f.application_id in rec.producers:
+                rec.producers[f.application_id].locked = False
+                self.emit("UNLOCK", ("table", "prt"), ("community", rec.name),
                           ("app", f.application_id))
-        elif code == OP_CHANNEL_UPDATE:
-            self._rekey_channel(f.valley_id, op["old_channel"], f.channel_id,
-                                op["community"])
         elif code == OP_HELLO_ACK:
             self.gated = False
             held, self._held_sends = self._held_sends, []
@@ -662,69 +669,56 @@ class HostNode(Node):
             self.drop("unhandled_op", ("op", code))
 
     def _install_rows(self, f: FloatingHeader, op: dict) -> None:
-        """Install or refresh the rows a join reply names. A reply that
-        answers a pending join sets the rows' expiry from that join's ttl,
-        as a re-join refreshes soft state; a resync reply answers no join
-        and leaves the expiry alone."""
-        join = (f.valley_id, op["community"], op["role"], f.application_id)
+        """Install or refresh the rows a join reply names, in the record the
+        first reply makes. A reply that answers a pending join sets the
+        rows' expiry from that join's ttl, as a re-join refreshes soft
+        state; a resync reply answers no join and leaves the expiry alone."""
+        key = (f.valley_id, f.namespace_id, op["community"])
+        app_id, role = f.application_id, op["role"]
+        join = (*key, role, app_id)
         answers_join = join in self._pending_ttl
         ttl = self._pending_ttl.pop(join, None)
         timer = None if ttl is None else self.env.now() + ttl
-        channel = (f.valley_id, f.channel_id)
-        for r in role_rows(op["role"]):
-            table = self.prt if r == "producer" else self.crt
-            key = (f.valley_id, op["community"], f.application_id)
-            existing = table.get(key)
-            locked = op["lock_host"] if r == "producer" else False
-            if existing is not None:
-                # the row moved to a new channel, say after an update was
-                # lost while the host was away: the old id is dead
-                old = (f.valley_id, existing.channel_id)
-                if (old != channel
-                        and self.by_channel.get(old) == op["community"]):
-                    del self.by_channel[old]
-                existing.channel_id = f.channel_id
-                if r == "producer":
-                    # the edge owns producer locks; consumer self-locks are
-                    # this host's business and survive refreshes
-                    existing.locked = locked
-                existing.model = op["model"]
-                existing.randomized = op["randomized"]
-                existing.q = op["q"]
-                if answers_join:
-                    existing.timer = timer
-            else:
-                table[key] = HostRow(f.valley_id, f.namespace_id or 0,
-                                     op["community"], f.application_id,
-                                     f.channel_id, op["model"],
-                                     op["randomized"], op["q"],
-                                     locked=locked, timer=timer)
-                if table is self.crt:
-                    self._consumers.pop(key[:2], None)
-        self.by_channel[channel] = op["community"]
+        rec = self.communities.get(key)
+        if rec is None:
+            rec = self.communities[key] = HostCommunity(
+                *key, f.channel_id, op["model"], op["randomized"], op["q"])
+        # the community may have moved to a new channel, say after an
+        # update was lost while the host was away: the old id is dead
+        self._move(rec, f.channel_id)
+        for r in role_rows(role):
+            producer = r == "producer"
+            rows = rec.producers if producer else rec.consumers
+            row = rows.get(app_id)
+            if row is None:
+                rows[app_id] = HostRow(
+                    app_id, locked=producer and op["lock_host"], timer=timer)
+                if not producer:
+                    rec.consumers = dict(sorted(rows.items()))
+                continue
+            if producer:
+                # the edge owns producer locks; consumer self-locks are
+                # this host's business and survive refreshes
+                row.locked = op["lock_host"]
+            if answers_join:
+                row.timer = timer
 
-    def _rekey_channel(self, valley_id: int, old: int, new: int,
-                       community: str) -> None:
-        self.by_channel.pop((valley_id, old), None)
-        self.by_channel[(valley_id, new)] = community
-        for table in (self.prt, self.crt):
-            for (v, c, _), row in table.items():
-                if v == valley_id and c == community:
-                    row.channel_id = new
+    def _move(self, rec: HostCommunity, channel: int) -> None:
+        """Key the record by `channel`; its old channel id is dead."""
+        old = (rec.valley_id, rec.channel_id)
+        if self.by_channel.get(old) is rec:
+            del self.by_channel[old]
+        rec.channel_id = channel
+        self.by_channel[(rec.valley_id, channel)] = rec
 
     # -- table dump -----------------------------------------------------------
 
     def state_dump(self) -> bytes:
-        """The host's registration tables as JSON. No caller in the
-        package; bench/layers.py traces it by name, so it stays until that
-        entry goes."""
-        def rows(table):
-            return [{"valley": r.valley_id, "community": r.community,
-                     "app": r.app_id, "channel": r.channel_id,
-                     "locked": r.locked, "timer": r.timer}
-                    for _, r in sorted(table.items())]
-        return json.dumps({"prt": rows(self.prt), "crt": rows(self.crt)},
-                          sort_keys=True).encode()
+        """The host's community records as JSON. No caller in the package;
+        bench/layers.py traces it by name, so it stays until that entry
+        goes."""
+        return json.dumps([asdict(rec) for _, rec in sorted(
+            self.communities.items())], default=str, sort_keys=True).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -817,8 +811,8 @@ class EdgeNode(Node):
         elif code == OP_HELLO:
             self.twin.on_hello(host)
         elif code == OP_HOST_CONSUMER_LOCK:
-            self._set_host_consumer_lock(host, f.valley_id, op["community"],
-                                         op["locked"])
+            self._set_host_consumer_lock(host, f.valley_id, f.namespace_id,
+                                         op["community"], op["locked"])
         else:
             self.drop("unhandled_op", ("op", code))
 
@@ -933,10 +927,9 @@ class EdgeNode(Node):
         hosts = sorted({h for h, _ in row.producer_apps}
                        | {h for h, _ in row.consumer_apps})
         for host in hosts:
-            self.send_op(host, op_channel_update(upd.old_channel_id,
-                                                 row.community),
-                         valley_id=upd.valley_id,
-                         channel_id=upd.new_channel_id)
+            self.send_op(host, op_channel_update(row.community),
+                         valley_id=row.valley_id, channel_id=row.channel_id,
+                         namespace_id=row.namespace_id)
 
     # -- role withdrawal and failover -----------------------------------------
 
@@ -974,7 +967,7 @@ class EdgeNode(Node):
                   ("host", host), ("app", app_id))
         self.send_op(host, op_unlock_producer(row.community),
                      valley_id=row.valley_id, channel_id=row.channel_id,
-                     app_id=app_id)
+                     namespace_id=row.namespace_id, app_id=app_id)
 
     def _maybe_release_roles(self, row: FibRow) -> None:
         """Drop edge-level registrations whose last host app is gone, telling
@@ -1001,16 +994,19 @@ class EdgeNode(Node):
             self.channels.pop((row.valley_id, row.channel_id), None)
 
     def _set_host_consumer_lock(self, host: Yni, valley_id: int,
-                                community: str, locked: bool) -> None:
-        for row in self.rows.values():
-            if row.valley_id != valley_id or row.community != community:
-                continue
-            if locked:
-                row.locked_hosts.add(host)
-            else:
-                row.locked_hosts.discard(host)
-            self.emit("LOCK" if locked else "UNLOCK", ("table", "pct"),
-                      ("community", community), ("host", host))
+                                namespace_id: int, community: str,
+                                locked: bool) -> None:
+        """The op names the row by namespace, not by its channel, which a
+        `ChannelIdUpdate` on its way to the host may have moved."""
+        row = self.rows.get((valley_id, namespace_id, community))
+        if row is None:
+            return
+        if locked:
+            row.locked_hosts.add(host)
+        else:
+            row.locked_hosts.discard(host)
+        self.emit("LOCK" if locked else "UNLOCK", ("table", "pct"),
+                  ("community", community), ("host", host))
 
     # -- data path -------------------------------------------------------------
 

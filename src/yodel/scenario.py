@@ -493,12 +493,24 @@ def cross_check(topo: TopologySpec, scen: ScenarioSpec,
     if not any(n.role == "edge" for n in topo.nodes) and topo.hosts:
         errors.append(ScenarioError(topo_path, 0, "hosts but no edge nodes"))
 
+    # (host, valley, community, app) -> (namespace, line) of its first join
+    joined: dict[tuple[str, str, str, int], tuple[str, int]] = {}
     for cmd in scen.commands:
         def cerr(reason):
             errors.append(ScenarioError(scen_path, cmd.line, reason))
         if cmd.verb in ("join", "withdraw", "send", "lock", "unlock"):
             if cmd.args[0] not in hosts:
                 cerr(f"unknown host {cmd.args[0]!r}")
+            if cmd.verb != "join":
+                continue
+            host, valley, ns, community, _, app = cmd.args[:6]
+            first, line = joined.setdefault((host, valley, community, app),
+                                            (ns, cmd.line))
+            if first != ns:
+                # send, lock and unlock name no namespace
+                cerr(f"app {app} of {host!r} joined {community!r} in "
+                     f"namespace {first!r} of {valley!r} at line {line}; "
+                     "send, lock and unlock could not tell the two apart")
         elif cmd.verb == "fault":
             mode = cmd.args[0]
             if mode in ("link-down", "link-up"):

@@ -38,7 +38,7 @@ from .services import roles_for_join
 from .trace import Link, Metrics, Trace
 from .ynid import Yni, generate_yni
 
-__all__ = ["SimConfig", "Simulation", "build", "run_world"]
+__all__ = ["SimConfig", "Simulation"]
 
 # Enum.name is a Python-level property; SEND and RECV lines read a plain dict
 _KIND_NAMES = {kind: kind.name for kind in MessageKind}
@@ -86,6 +86,8 @@ class Simulation:
         # edge or one of its hosts
         self._fault_ticks: dict[str, list[int]] = {}
         self._swept = 0                         # tick of the last twin sweep
+        # the wire record of the copy its receiver is handling
+        self._landed: _Wire = (None, (), None)
         self._build()
 
     # -- environment services (the NodeEnv contract) ---------------------------
@@ -126,7 +128,8 @@ class Simulation:
         Every copy of one call carries the same message, and `meta` is its
         data metadata (serial, q) as its sender holds it: None on control.
         The SEND and RECV lines show the serial from `meta`, so all copies
-        share one `(msg, wire, meta)` record.
+        share one `(msg, wire, meta)` record, and a node that sends on
+        the `meta` it is handling, that copy's serial field.
 
         An overlay data copy sent alone counts on its link's `unicast`
         counter, and a multicast batch of data once for the sender's
@@ -137,7 +140,10 @@ class Simulation:
         msg = copies[0][1]
         data = msg.kind is not _CONTROL
         k = ("k", _KIND_NAMES[msg.kind])
-        rec = (msg, (k,) if meta is None else (k, ("serial", meta[0])), meta)
+        landed = self._landed
+        serial = None if meta is None else (
+            landed[1][1] if meta is landed[2] else ("serial", meta[0]))
+        rec = (msg, (k,) if serial is None else (k, serial), meta)
         now, label, emit = self._now, src.label, self.trace.emit
         if mcast and data:
             # one underlay transmission covers the whole batch
@@ -200,6 +206,7 @@ class Simulation:
             self._lose(link, dst, from_src)
             return
         link.received += 1
+        self._landed = rec
         msg, wire, meta = rec
         self.trace.emit(self._now, dst.label, "RECV", from_src, *wire)
         dst.on_message(msg, meta, tree)
@@ -470,24 +477,16 @@ class Simulation:
             self.directory.set_visibility(*a)
         elif verb == "join":
             self._issue_join(a)
-        elif verb == "withdraw":
+        elif verb in ("withdraw", "send", "lock", "unlock"):
             host = self.hosts[a[0]]
-            valley = self.directory.valley(a[1])
-            ns = self.directory.namespace(a[1], a[2])
-            host.withdraw(valley.id, ns.id, a[3], a[4], a[5])
-        elif verb == "send":
-            host = self.hosts[a[0]]
-            valley = self.directory.valley(a[1])
-            host.send_data(valley.id, a[2], a[3], a[4])
-        elif verb in ("lock", "unlock"):
-            host = self.hosts[a[0]]
-            valley = self.directory.valley(a[1])
-            try:
-                host.set_consumer_lock(valley.id, a[2], a[3], verb == "lock")
-            except KeyError:
-                raise UnknownFlow(
-                    f"{a[0]} has no consumer registration for {a[2]!r}") \
-                    from None
+            valley = self.directory.valley(a[1]).id
+            if verb == "withdraw":
+                ns = self.directory.namespace(a[1], a[2])
+                host.withdraw(valley, ns.id, *a[3:])
+            elif verb == "send":
+                host.send_data(valley, *a[2:])
+            else:
+                host.set_consumer_lock(valley, *a[2:], verb == "lock")
         elif verb == "fault":
             self._fault(a)
         elif verb == "partition-now":
@@ -573,12 +572,3 @@ def _shared_domain(a: Node, b: Node) -> Optional[str]:
     """The domain of both infrastructure nodes, or None when they are in
     two domains: the group their link's transmissions count in."""
     return a.domain if a.domain == b.domain else None
-
-
-def build(topo: TopologySpec, scen: ScenarioSpec,
-          seed: int) -> Simulation:
-    return Simulation(topo, scen, SimConfig.from_scenario(scen, seed))
-
-
-def run_world(topo: TopologySpec, scen: ScenarioSpec, seed: int) -> Simulation:
-    return build(topo, scen, seed).run()

@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from yodel.cli import main
+from yodel.errors import InvariantViolation
+from yodel.sim import Simulation
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -197,6 +199,33 @@ class TestRun:
         assert code == 2
         assert not out.exists()
         assert "tick must be non-negative" in capsys.readouterr().err
+
+    def test_a_world_that_cannot_run_exits_2(self, tmp_path, capsys,
+                                             monkeypatch):
+        # a valid world whose run stops on a typed error, as the controller
+        # does on a tree too large to advertise
+        def stop(sim):
+            raise InvariantViolation("floating header above 64KiB")
+        monkeypatch.setattr(Simulation, "run", stop)
+        code, out, rep = run_cli(tmp_path)
+        assert code == 2
+        assert not out.exists() and not rep.exists()
+        assert capsys.readouterr().err \
+            == "cannot run world: floating header above 64KiB\n"
+
+    def test_an_output_that_cannot_be_written_exits_3(self, tmp_path,
+                                                      capsys):
+        # the report goes to a directory that does not exist; the trace,
+        # written first, is there
+        t, s = write_world(tmp_path)
+        out = tmp_path / "trace.txt"
+        rep = tmp_path / "absent" / "report.json"
+        code = main(["run", "--topology", t, "--scenario", s,
+                     "--out", str(out), "--report", str(rep)])
+        assert code == 3
+        assert " ev=DELIVER " in out.read_text()
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ") and str(rep) in err
 
 
 class TestDiff:

@@ -11,6 +11,7 @@ functions.
 """
 
 import inspect
+from enum import IntEnum
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from yodel.codec import (FloatingHeader, MessageKind, PathTree, YodelMessage,
                          encode)
-from yodel.control import ChannelIdUpdate, PathAdvertisement
+from yodel.control import ChannelIdUpdate, PathAdvertisement, RemoveRole
 from yodel.dataplane import (
     AcTable,
     ConnectorNode,
@@ -130,9 +131,24 @@ at 30 partition-now vale chat room
 ROOM = (1, 1, "room")   # an edge's row key: (valley, namespace, community)
 
 
-def key(app):
-    """A host's row key: (valley, community, app)."""
-    return (1, "room", app)
+def record(sim, host, community="room"):
+    """The host's record of `community` in namespace chat of vale."""
+    return sim.hosts[host].communities[(1, 1, community)]
+
+
+def producer(sim, host, app):
+    return record(sim, host).producers[app]
+
+
+def consumer(sim, host, app):
+    return record(sim, host).consumers[app]
+
+
+def consumer_apps(host):
+    """Each of the host's records by community name: its consumer apps, in
+    the record's order."""
+    return {name: list(rec.consumers)
+            for (_, _, name), rec in host.communities.items()}
 
 
 def world(body, model="ssm", topo=ONE_EDGE, seed=1, until=None):
@@ -246,9 +262,8 @@ class TestOps:
         assert parse_op(op_hello_ack())["op"] == OP_HELLO_ACK
 
     def test_channel_update_round_trip(self):
-        got = parse_op(op_channel_update(77, "room"))
-        assert got == {"op": OP_CHANNEL_UPDATE, "old_channel": 77,
-                       "community": "room"}
+        got = parse_op(op_channel_update("room"))
+        assert got == {"op": OP_CHANNEL_UPDATE, "community": "room"}
 
     def test_host_consumer_lock(self):
         got = parse_op(op_host_consumer_lock("room", locked=True))
@@ -484,22 +499,22 @@ class TestHostNode:
             "role": "producer", "host": str(h1), "app": "4"}
         assert (h1, 4) in row(sim).producer_apps
         # the reply lands at 6: the row lives 9 ticks from there
-        assert sim.hosts["h1"].prt[key(4)].timer == 6 + 9
+        assert producer(sim, "h1", 4).timer == 6 + 9
 
     def test_join_reply_installs_rows(self):
         # h3's producer join is answered from e1's cache with a host lock
         sim = world(JOINED + "at 8 join h3 vale chat room producer 1\n",
                     until=12)
-        h3 = sim.hosts["h3"]
         channel = row(sim).channel_id
-        assert h3.prt[key(1)].locked and h3.prt[key(1)].channel_id == channel
-        assert h3.by_channel == {(1, channel): "room"}
+        rec = record(sim, "h3")
+        assert rec.producers[1].locked and rec.channel_id == channel
+        assert sim.hosts["h3"].by_channel == {(1, channel): rec}
 
     def test_member_reply_fills_both_tables(self):
         sim = world("at 2 join h1 vale chat room member 1\n", model="mmm",
                     until=6)
-        assert key(1) in sim.hosts["h1"].prt
-        assert key(1) in sim.hosts["h1"].crt
+        rec = record(sim, "h1")
+        assert list(rec.producers) == list(rec.consumers) == [1]
 
     def test_send_without_registration_drops(self):
         sim = world("at 2 send h1 vale room 1 x\n", until=4)
@@ -593,7 +608,7 @@ class TestHostNode:
         sim = world("at 2 join h1 vale chat room producer 1 ttl=5\n"
                     "at 11 send h1 vale room 1 x\n"
                     "at 12 send h1 vale room 1 x\n", until=14)
-        assert sim.hosts["h1"].prt == {}
+        assert record(sim, "h1").producers == {}
         assert [line for line in sim.trace.lines()
                 if line.startswith(("t=11 n=h1", "t=12 n=h1"))] == [
             "t=11 n=h1 ev=SEND k=data community=room app=1 serial=1",
@@ -615,7 +630,7 @@ class TestHostNode:
                     "at 20 send h1 vale room 1 x\n"
                     "at 30 send h2 vale hall 9 y\n", until=25)
         h2 = sim.hosts["h2"]
-        assert sorted(h2.crt) == [(1, "hall", 4), (1, "room", 2)]
+        assert consumer_apps(h2) == {"room": [2], "hall": [4]}
         step(sim, 35)
         assert [line for line in sim.trace.lines()
                 if line.startswith(("t=22 n=h2", "t=30 n=h2"))] == [
@@ -626,7 +641,7 @@ class TestHostNode:
             "t=30 n=h2 ev=SEND k=data community=hall app=9 serial=2",
             "t=30 n=h2 ev=EXPIRE community=hall app=4",
             "t=30 n=h2 ev=SEND to=e1 k=DATA_YPP serial=2"]
-        assert sorted(h2.crt) == [(1, "room", 2)]
+        assert consumer_apps(h2) == {"room": [2], "hall": []}
 
     def test_rejoin_renews_the_registration_ttl(self):
         # a re-join answered at 10 renews h2's row to 110 and clears h3's
@@ -642,8 +657,8 @@ class TestHostNode:
                     "at 31 fault host-up h2\n", until=40)
         assert sim.trace.count("EXPIRE") == 0
         assert delivered(sim, "h2") == delivered(sim, "h3") == [(1, 1)]
-        assert sim.hosts["h2"].crt[key(1)].timer == 110
-        assert sim.hosts["h3"].crt[key(1)].timer is None
+        assert consumer(sim, "h2", 1).timer == 110
+        assert consumer(sim, "h3", 1).timer is None
 
     def test_channel_update_rekeys(self):
         sim = world(SPLIT, model="slsm partition=manual", topo=LINE,
@@ -652,9 +667,9 @@ class TestHostNode:
         step(sim, 34)
         new = row(sim, "e2").channel_id
         assert new != old
-        h2 = sim.hosts["h2"]
-        assert h2.by_channel == {(1, new): "room"}
-        assert h2.crt[key(1)].channel_id == new
+        rec = record(sim, "h2")
+        assert sim.hosts["h2"].by_channel == {(1, new): rec}
+        assert rec.channel_id == new
 
     def test_resync_replaces_a_channel_missed_while_away(self):
         # h2 is away when the split at 30 moves room to channel 2, so the
@@ -662,9 +677,9 @@ class TestHostNode:
         sim = world(SPLIT + AWAY + "at 40 fault host-up h2\n",
                     model="slsm partition=manual", topo=LINE, until=50)
         assert row(sim, "e2").channel_id == 2
-        h2 = sim.hosts["h2"]
-        assert h2.by_channel == {(1, 2): "room"}
-        assert h2.crt[key(1)].channel_id == 2
+        rec = record(sim, "h2")
+        assert sim.hosts["h2"].by_channel == {(1, 2): rec}
+        assert rec.channel_id == 2
 
     def test_gate_holds_sends_until_ack(self):
         # h1 returns at 9 and says hello; its send of that tick waits for
@@ -696,13 +711,12 @@ class TestHostNode:
 # edge behavior
 
 
-def fresh_consumer_rows(host, valley_id, community):
-    """The host's consumer rows of one community, scanned afresh from
-    `crt` and sorted by app: the reference for the lists the host keeps."""
-    return sorted([row for (v, c, _), row in host.crt.items()
-                   if v == valley_id and c == community],
-                  key=lambda row: row.app_id)
-
+# the apps of h2 that consume in each namespace: no app joins one community
+# name in two namespaces, which `validate` rejects
+CONSUMER_APPS = {"chat": (1, 2), "talk": (3, 4)}
+NAMESPACE_OF = {app: ns for ns, apps in CONSUMER_APPS.items() for app in apps}
+# each sender (host, app) and the namespace it produces in
+SENDERS = {("h1", 1): "chat", ("h1", 2): "talk", ("h2", 9): "chat"}
 
 # (ticks after the op before, op); a join's reply lands 4 ticks after it
 CONSUMER_OPS = st.lists(st.tuples(st.integers(1, 6), st.one_of(
@@ -711,55 +725,72 @@ CONSUMER_OPS = st.lists(st.tuples(st.integers(1, 6), st.one_of(
     st.tuples(st.sampled_from(["withdraw", "lock", "unlock"]),
               st.sampled_from(["room", "hall"]), st.integers(1, 4)),
     st.tuples(st.just("send"), st.sampled_from(["h1 vale room 1",
-                                                "h1 vale hall 1",
+                                                "h1 vale room 2",
+                                                "h1 vale hall 2",
                                                 "h2 vale hall 9"])))),
     max_size=16)
 
 
 @given(CONSUMER_OPS)
 @settings(max_examples=150, deadline=None)
-def test_kept_consumer_rows_equal_a_fresh_scan(ops):
-    """h2's consumer apps join (with and without a ttl, and again),
-    withdraw, lapse, lock and unlock in two communities while h1 and h2
-    send. After every tick, each list h2 keeps equals a fresh scan of its
-    `crt`, and its live rows are the scan's unexpired unlocked rows, in
-    app order, with the same rows left behind."""
-    lines = ["at 2 join h1 vale chat room producer 1\n",
+def test_consumer_rows_live_in_their_namespace_record(ops):
+    """Namespaces chat and talk both hold communities room and hall. h2's
+    consumer apps, 1 and 2 in chat and 3 and 4 in talk, join (with and
+    without a ttl, and again), withdraw, lapse, lock and unlock while h1
+    sends in both namespaces and h2 in one. After every tick, each of h2's
+    records keeps its consumer rows in app order, holds only apps of its
+    own namespace and is the one its channel maps to; its live rows are
+    its unexpired unlocked rows, with the same rows left behind. At the
+    end, every delivery at h2 is to an app of the send's namespace."""
+    lines = ["at 1 namespace alice vale talk ac\n",
+             "at 2 join h1 vale chat room producer 1\n",
              "at 2 join h1 vale chat hall producer 1\n",
+             "at 2 join h1 vale talk room producer 2\n",
+             "at 2 join h1 vale talk hall producer 2\n",
              "at 2 join h2 vale chat hall producer 9\n"]
     tick = 2
     for gap, op in ops:
         tick += gap
         at = f"at {tick} "
+        if op[0] == "send":
+            lines.append(f"{at}send {op[1]} x\n")
+            continue
+        ns = NAMESPACE_OF[op[2]]
         if op[0] == "join":
             _, community, app, ttl = op
-            lines.append(f"{at}join h2 vale chat {community} consumer {app}"
+            lines.append(f"{at}join h2 vale {ns} {community} consumer {app}"
                          + (f" ttl={ttl}" if ttl else "") + "\n")
         elif op[0] == "withdraw":
-            lines.append(f"{at}withdraw h2 vale chat {op[1]} consumer "
+            lines.append(f"{at}withdraw h2 vale {ns} {op[1]} consumer "
                          f"{op[2]}\n")
-        elif op[0] == "send":
-            lines.append(f"{at}send {op[1]} x\n")
         else:
             lines.append(f"{at}{op[0]} h2 vale {op[1]} {op[2]}\n")
     sim = world("".join(lines), model="ac")
     h2 = sim.hosts["h2"]
+    namespaces = {1: "chat", 2: "talk"}
 
     def ids(rows):
         return [id(row) for row in rows]
     for until in range(tick + 12):
         now = step(sim, until).now()
-        for community in ("room", "hall"):
-            rows = fresh_consumer_rows(h2, 1, community)
-            kept = h2._consumers.get((1, community))
-            assert kept is None or ids(kept) == ids(rows)
+        for (_, ns, _), rec in list(h2.communities.items()):
+            assert h2.by_channel[(1, rec.channel_id)] is rec
+            apps = list(rec.consumers)
+            assert apps == sorted(apps)
+            assert {NAMESPACE_OF[app] for app in apps} <= {namespaces[ns]}
+            rows = list(rec.consumers.values())
             left = [row for row in rows
                     if row.timer is None or now <= row.timer]
             live = [row for row in left if not row.locked]
-            assert ids(h2._live_consumer_rows(1, community)) == ids(live)
-            assert ids(fresh_consumer_rows(h2, 1, community)) == ids(left)
-            kept = h2._consumers.get((1, community))
-            assert kept is None or ids(kept) == ids(left)
+            assert ids(h2._live_consumer_rows(rec)) == ids(live)
+            assert ids(rec.consumers.values()) == ids(left)
+    sends = {f["serial"]: (f["community"], SENDERS[(r.node, int(f["app"]))])
+             for r in sim.trace.select("SEND", k="data")
+             for f in (dict(r.fields),)}
+    for r in sim.trace.select("DELIVER", n="h2"):
+        f = dict(r.fields)
+        assert sends[f["serial"]] == (f["community"],
+                                      NAMESPACE_OF[int(f["app"])])
 
 
 class TestEdgeJoins:
@@ -779,14 +810,14 @@ class TestEdgeJoins:
         assert r.active and not r.edge_locked
         assert (h1, 1) in r.producer_apps
         assert (h2, 1) in r.consumer_apps
-        assert key(1) in sim.hosts["h1"].prt
-        assert key(1) in sim.hosts["h2"].crt
+        assert list(record(sim, "h1").producers) == [1]
+        assert list(record(sim, "h2").consumers) == [1]
 
     def test_cached_join_skips_controller(self):
         sim = world(JOINED + "at 8 join h3 vale chat room consumer 1\n",
                     until=12)
         assert sim.trace.count("JOIN") == 2
-        assert key(1) in sim.hosts["h3"].crt
+        assert list(record(sim, "h3").consumers) == [1]
         assert (sim.nodes["h3"].yni, 1) in row(sim).consumer_apps
 
     def test_cached_producer_join_gets_host_lock(self):
@@ -797,7 +828,7 @@ class TestEdgeJoins:
         assert row(sim).producer_apps[(h3, 1)] is True
         assert f"t=9 n=e1 ev=LOCK table=ppt community=room host={h3} app=1" \
             in sim.trace.lines()
-        assert sim.hosts["h3"].prt[key(1)].locked
+        assert producer(sim, "h3", 1).locked
 
     def test_concurrent_joins_share_one_request(self):
         sim = world("at 2 join h1 vale chat room consumer 1\n"
@@ -817,7 +848,7 @@ class TestEdgeJoins:
         assert r.producer_apps[(h2, 1)] is True
         assert "t=11 n=e2 ev=LOCK table=ppt scope=edge community=room" \
             in sim.trace.lines()
-        assert sim.hosts["h2"].prt[key(1)].locked
+        assert producer(sim, "h2", 1).locked
 
     def test_activate_unlocks_edge_and_next_producer(self):
         # h1 leaves at 20: the controller activates e2 at 22, e2 unlocks
@@ -835,7 +866,7 @@ class TestEdgeJoins:
             "t=23 n=e2 ev=UNLOCK table=ppt scope=edge community=room",
             f"t=23 n=e2 ev=UNLOCK table=ppt community=room host={h2} app=1",
             "t=24 n=h2 ev=UNLOCK table=prt community=room app=1"]
-        assert not sim.hosts["h2"].prt[key(1)].locked
+        assert not producer(sim, "h2", 1).locked
 
     def test_withdraw_last_consumer_releases_role(self):
         sim = world(JOINED + "at 8 withdraw h2 vale chat room consumer 1\n",
@@ -858,11 +889,11 @@ class TestEdgeJoins:
     def test_unlocked_producer_withdraw_fails_over_locally(self):
         sim = world(JOINED + "at 8 join h3 vale chat room producer 1\n"
                     "at 12 withdraw h1 vale chat room producer 1\n", until=11)
-        assert sim.hosts["h3"].prt[key(1)].locked
+        assert producer(sim, "h3", 1).locked
         step(sim, 16)
         h3 = sim.nodes["h3"].yni
         assert row(sim).producer_apps == {(h3, 1): False}
-        assert not sim.hosts["h3"].prt[key(1)].locked
+        assert not producer(sim, "h3", 1).locked
         assert roles_removed(sim) == []
 
     def test_row_deleted_when_both_sides_empty(self):
@@ -983,9 +1014,9 @@ class TestEdgeData:
         assert row(sim).channel_id == 250
         assert e1.channels == {(1, 250): e1.rows[ROOM]}
         assert "t=10 n=e1 ev=SEND to=h1 k=CONTROL_YPP" in sim.trace.lines()
-        h1 = sim.hosts["h1"]
-        assert h1.prt[key(1)].channel_id == 250
-        assert h1.by_channel == {(1, 250): "room"}
+        rec = record(sim, "h1")
+        assert rec.channel_id == 250
+        assert sim.hosts["h1"].by_channel == {(1, 250): rec}
 
     def test_path_advertisement_installs_tree(self):
         sim = world(JOINED, topo=LINE, until=6)
@@ -1080,6 +1111,78 @@ class TestConnectorNode:
                     model="ac randomized=on q=1", topo=FORK, until=16)
         assert sorted(sent_to(sim, "c1", "ANYCAST_DATA_YSYNC")) \
             == ["e2", "e3"]
+
+
+# ---------------------------------------------------------------------------
+# what a node has no handler for
+
+
+class Foreign(IntEnum):
+    """A message kind the codec does not define, as a kind added to it but
+    not to a node would be."""
+    PROBE = 0x7F
+
+
+class TestUnhandled:
+    """Each kind, op or controller payload a node has no handler for is one
+    DROP line naming it."""
+
+    def drops(self, sim, before):
+        """The DROP lines since `before`. In JOINED run to 8 the clock
+        stands at 7, the last event's tick: a copy handed to a node is
+        handled at 7, and one sent over the wire lands at 8."""
+        return [line for line in sim.trace.lines()[before:]
+                if " ev=DROP " in line]
+
+    def test_host_drops_a_sync_copy(self):
+        sim = world(JOINED, until=8)
+        h1 = sim.nodes["h1"].yni
+        before = len(sim.trace)
+        sim.hosts["h1"].on_message(data(
+            MessageKind.DATA_YSYNC, sim.nodes["e1"].yni, h1,
+            row(sim).channel_id, data_metadata(1)), tree=PathTree(h1))
+        assert self.drops(sim, before) == [
+            "t=7 n=h1 ev=DROP reason=unhandled_kind k=DATA_YSYNC"]
+
+    def test_host_drops_an_op_only_edges_read(self):
+        # e1 sends h1 a withdraw, which hosts send and never receive
+        sim = world(JOINED, until=8)
+        before = len(sim.trace)
+        sim.edges["e1"].send_op(sim.nodes["h1"].yni,
+                                op_withdraw("consumer", "room"),
+                                valley_id=1, namespace_id=1, app_id=1)
+        step(sim, 10)
+        assert self.drops(sim, before) == [
+            "t=8 n=h1 ev=DROP reason=unhandled_op op=3"]
+        assert list(record(sim, "h1").producers) == [1]
+
+    def test_edge_drops_a_kind_the_codec_does_not_define(self):
+        sim = world(JOINED, until=8)
+        before = len(sim.trace)
+        sim.edges["e1"].on_message(data(
+            Foreign.PROBE, sim.nodes["h1"].yni, sim.nodes["e1"].yni,
+            row(sim).channel_id, data_metadata(1)))
+        assert self.drops(sim, before) == [
+            "t=7 n=e1 ev=DROP reason=unhandled_kind k=PROBE"]
+
+    def test_edge_drops_an_op_only_hosts_read(self):
+        # h2 sends e1 a hello-ack, which edges send and never receive
+        sim = world(JOINED, until=8)
+        before = len(sim.trace)
+        sim.hosts["h2"].send_op(sim.nodes["e1"].yni, op_hello_ack())
+        step(sim, 10)
+        assert self.drops(sim, before) == [
+            "t=8 n=e1 ev=DROP reason=unhandled_op op=7"]
+        assert sim.trace.count("TWIN_FLUSH") == 0
+
+    def test_edge_drops_a_payload_only_the_controller_reads(self):
+        sim = world(JOINED, until=8)
+        before = len(sim.trace)
+        sim.edges["e1"].on_controller(
+            RemoveRole(sim.nodes["e1"].yni, 1, 1, "room", "consumer"))
+        assert self.drops(sim, before) == [
+            "t=7 n=e1 ev=DROP reason=unhandled_rpc k=RemoveRole"]
+        assert row(sim).roles == {"producer", "consumer"}
 
 
 # ---------------------------------------------------------------------------
@@ -1449,17 +1552,17 @@ class TestTwin:
         sim = world(TRIO + "at 2 join h3 vale chat room producer 2\n"
                     "at 8 fault host-down h1\n"
                     "at 25 fault host-up h1\n", until=19)
-        assert sim.hosts["h3"].prt[key(2)].locked
+        assert producer(sim, "h3", 2).locked
         step(sim, 22)
         h1, h3 = sim.nodes["h1"].yni, sim.nodes["h3"].yni
         assert row(sim).producer_apps[(h1, 1)] is True
         assert row(sim).producer_apps[(h3, 2)] is False
-        assert not sim.hosts["h3"].prt[key(2)].locked
+        assert not producer(sim, "h3", 2).locked
         assert roles_removed(sim) == []
         # h1 comes back to the lock the edge gave it while it was away
-        assert not sim.hosts["h1"].prt[key(1)].locked
+        assert not producer(sim, "h1", 1).locked
         step(sim, 29)
-        assert sim.hosts["h1"].prt[key(1)].locked
+        assert producer(sim, "h1", 1).locked
 
     def test_producer_loss_without_candidate_resigns(self):
         sim = world(TRIO + "at 8 fault host-down h1\n", until=22)
@@ -1487,7 +1590,7 @@ class TestTwin:
                     "at 40 fault host-up h2\n",
                     model="slsm partition=manual", topo=LINE, until=45)
         assert delivered(sim, "h2") == [(1, 1)]
-        assert sim.hosts["h2"].crt[key(1)].channel_id \
+        assert record(sim, "h2").channel_id \
             == row(sim, "e2").channel_id != 1
 
     def test_quick_return_without_activation_just_resyncs(self):

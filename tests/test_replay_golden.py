@@ -36,6 +36,7 @@ PAIRS = [
     ("anycast.topo", "anycast.scen"),
     ("twin-late-join.topo", "twin-late-join.scen"),
     ("two-valleys.topo", "two-valleys.scen"),
+    ("two-namespaces.topo", "two-namespaces.scen"),
 ]
 SEEDS = (0, 7)
 

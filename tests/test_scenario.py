@@ -313,6 +313,24 @@ class TestLoadWorld:
         assert reasons(errors) == ["node role must be edge or connector, "
                                    "got 'hub'"]
 
+    def test_an_app_joins_a_community_name_in_one_namespace(self):
+        # h1's app 1 joins draw in red and then in blue of v, as consumer
+        # and as producer: send, lock and unlock could not tell the two
+        # apart. A second join in red, another app or host in blue, and the
+        # same app in another valley are all fine
+        scen_text = ("at 0 join h1 v red draw consumer 1\n"
+                     "at 1 join h1 v red draw consumer 1\n"
+                     "at 2 join h1 v blue draw consumer 1\n"
+                     "at 3 join h1 v blue draw consumer 2\n"
+                     "at 4 join h2 v blue draw consumer 1\n"
+                     "at 5 join h1 v blue draw producer 1\n"
+                     "at 6 join h1 w blue draw consumer 1\n")
+        _, _, errors = load_world(GOOD_TOPO, scen_text, scen_path="b.scen")
+        reason = ("app 1 of 'h1' joined 'draw' in namespace 'red' of 'v' at "
+                  "line 1; send, lock and unlock could not tell the two apart")
+        assert [str(e) for e in errors] == [f"b.scen:3: {reason}",
+                                            f"b.scen:6: {reason}"]
+
     def test_paths_flow_into_diagnostics(self):
         _, _, errors = load_world("domain d\ndomain d\n", "at -1 report\n",
                                   topo_path="a.topo", scen_path="b.scen")

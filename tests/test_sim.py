@@ -584,6 +584,41 @@ at 2 join h2 vale chat room consumer 1
         assert "may not join" in dict(errs[0].fields)["reason"]
 
 
+    def test_grant_opens_a_protected_namespace_to_one_user(self):
+        # bob is a member of vale but chat is protected: his first join is
+        # refused, the one after alice's grant is admitted, and a grant by
+        # bob, who does not administer chat, is refused
+        body = """\
+at 1 visibility alice vale chat protected
+at 2 join h2 vale chat room consumer 1
+at 3 grant alice vale chat bob
+at 4 join h2 vale chat room consumer 2
+at 5 grant bob vale chat carol
+"""
+        sim = run_text(TWO_DOMAINS, scen(body=body))
+        assert [r.line() for r in sim.trace.select("SCENARIO_ERROR")] == [
+            "t=2 n=scenario ev=SCENARIO_ERROR line=6 verb=join "
+            "reason='bob' may not join vale/chat",
+            "t=5 n=scenario ev=SCENARIO_ERROR line=9 verb=grant "
+            "reason='bob' does not administer namespace 'chat'"]
+        assert [dict(r.fields)["app"] for r in sim.trace.select("JOIN")] \
+            == ["2"]
+
+    def test_community_needs_namespace_access(self):
+        # alice may create room in her protected namespace; bob, a member
+        # of vale without a grant, may not create hall there
+        body = """\
+at 1 visibility alice vale chat protected
+at 2 community alice vale chat room
+at 2 community bob vale chat hall
+"""
+        sim = run_text(TWO_DOMAINS, scen(body=body))
+        assert [r.line() for r in sim.trace.select("SCENARIO_ERROR")] == [
+            "t=2 n=scenario ev=SCENARIO_ERROR line=7 verb=community "
+            "reason='bob' may not touch vale/chat"]
+        assert sorted(sim.controller.flows) == [(1, 1, "room")]
+
+
 class TestAnycast:
     def test_host_stage_picks_one_app(self):
         body = """\
@@ -629,8 +664,6 @@ at 45 send h1 vale room 1 after
         assert sim.trace.count("RECV", n="h2", k="DATA_YPP") == 2
 
 
-@pytest.mark.xfail(strict=True, reason="hosts and edges key consumer state "
-                   "by (valley, community) without the namespace")
 def test_same_community_name_in_two_namespaces_stays_apart():
     import test_replay_golden as golden
     text = """\
@@ -653,6 +686,27 @@ at 22 send hp vale draw 2 second
     # each app hears only the send of its own namespace
     assert [(d["app"], d["serial"]) for d in delivers] \
         == [(s["app"], s["serial"]) for s in sends]
+
+
+def test_two_namespaces_demo_keeps_each_send_in_its_namespace():
+    """demos/worlds/two-namespaces: red's sends (app 1 of hp) reach hr's
+    app 1 only, blue's (app 2 of hp) hr's app 2 and hq's app 1. hr's lock
+    of its red app locks red's row at e3 and no other, with one line."""
+    sim = run_text((WORLDS / "two-namespaces.topo").read_text(),
+                   (WORLDS / "two-namespaces.scen").read_text(), seed=0)
+    # the app hp sent each serial with, 1 in red and 2 in blue
+    sender = {f["serial"]: f["app"] for f in
+              (dict(r.fields) for r in sim.trace.select("SEND", n="hp",
+                                                         k="data"))}
+    heard = {(r.node, f["app"], sender[f["serial"]]) for r in
+             sim.trace.select("DELIVER") for f in (dict(r.fields),)}
+    assert heard == {("hr", "1", "1"), ("hr", "2", "2"), ("hq", "1", "2")}
+    hr = sim.nodes["hr"].yni
+    assert [r.line() for r in sim.trace.records
+            if ("table", "pct") in r.fields] == [
+        f"t=31 n=e3 ev=LOCK table=pct community=draw host={hr}",
+        f"t=41 n=e3 ev=UNLOCK table=pct community=draw host={hr}"]
+    assert sim.metrics.deliveries == {"hr": 5, "hq": 3}
 
 
 class TestFaults:
