@@ -16,22 +16,22 @@ appearing at most once:
 Namespace and application ids ride only on control messages; a path tree rides
 on control messages and the sync kinds, never on the data push kinds. A path
 tree serializes preorder as yni(10) | child_count(1) | children, so it is a
-run of 11-byte records.
+run of 11-byte records, and a `PathTree` is those records.
 
 The fixed header is read and written with `struct`, with no object of its
 own; the floating header's elements are framed with `struct` at their
-offsets. A path tree is read in one pass over its records and built by
-`PathTree.from_preorder`, with no recursion, so a tree's depth is bounded
-only by the 64 KiB floating header. decode() is total over arbitrary bytes:
-it either returns a message or raises a CodecError subclass, and a
-successful decode re-encodes to the same bytes.
+offsets. A path tree is checked in one pass over its records and kept as
+them, with no node built, so a tree's depth is bounded only by the 64 KiB
+floating header. decode() is total over arbitrary bytes: it either returns
+a message or raises a CodecError subclass, and a successful decode
+re-encodes to the same bytes.
 
 In a node, a sync copy is not one message per receiver: it is the message
 that arrived, shared by every copy sent on from it, with the receiver's
 subtree riding beside it. `pop_path_root` checks a subtree's root and hands
-back its children; it builds nothing. A tree sits inside a `FloatingHeader`
-only where bytes are made or read: in the controller's path advertisement,
-and in `encode`/`decode`.
+back its children, built on the tree's first pop. A tree sits inside a
+`FloatingHeader` only where bytes are made or read: in the controller's
+path advertisement, and in `encode`/`decode`.
 """
 
 from __future__ import annotations
@@ -93,81 +93,86 @@ class MessageKind(IntEnum):
 
 
 class PathTree:
-    """Delivery tree node; serialized preorder, children in stored order.
+    """A delivery tree held as its wire form: `records`, the preorder
+    records yni(10) | child_count(1) of its nodes, and its root's `yni`.
 
-    Immutable, compared and hashed by `yni` and `children`, the only state
-    a node holds. Each hop pops the root, so every subtree is a tree of its
-    own. Every tree the package builds, each one the controller computes
-    and each one a node decodes, comes from `from_preorder`, one loop over
-    preorder ids and child counts. `PathTree(yni, children)` builds one
-    node over subtrees already built, checking the whole tree for repeats
-    and the node for fan-out; it is for trees written out by hand.
-    Comparison, hashing, `repr`, copy and pickle, `walk`, `edges` and
-    `serialize` are loops, so a tree of any depth works with all of them.
+    The first read of `children` builds every node below, each over the
+    slice of records its subtree fills, and keeps them. So a tree the
+    controller computes, compares and encodes, or an edge decodes and
+    installs, is one object over one bytes value; only a tree a data copy
+    pops is built out. It stays a class, not bare bytes, so that each hop
+    reads a subtree's root and children from slots and a tree never
+    equals other bytes. Immutable; compared and hashed by `records`.
+
+    `from_preorder` builds a tree from the preorder ids and child counts
+    that `preorder` gives back, as `compute_path` does; `PathTree(yni,
+    children)` builds a node over subtrees already built, for trees
+    written out by hand. Both check fan-out and repeats. `repr`, `walk`
+    and `edges` are loops, so a tree of any depth works with them all.
     """
 
-    __slots__ = ("yni", "children")
+    __slots__ = ("yni", "records", "_kids")
 
     def __init__(self, yni: Yni, children: tuple["PathTree", ...] = ()):
+        if len(children) > MAX_FANOUT:
+            raise InvariantViolation(f"path-tree fan-out above {MAX_FANOUT}")
         _set_yni(self, yni)
-        _set_children(self, children)
+        _set_records(self, b"".join([yni, _BYTES[len(children)],
+                                     *[kid.records for kid in children]]))
+        _set_kids(self, tuple(children))
         if children:
-            if len(children) > MAX_FANOUT:
-                raise InvariantViolation(
-                    f"path-tree fan-out above {MAX_FANOUT}")
-            _check_repeats([node.yni for node in self.walk()])
+            _check_repeats(self.preorder()[0])
 
     @classmethod
     def from_preorder(cls, ids: list[Yni], counts) -> "PathTree":
         """The tree whose nodes in preorder are `ids`, node i having
-        `counts[i]` children; the counts must describe one whole tree.
-
-        Built bottom-up in one loop: the stack holds the subtrees built so
-        far, the next one in preorder on top. Raises InvariantViolation on
-        a fan-out above 255, or on a repeated id, naming the first one in
-        preorder that repeats an earlier one.
-        """
-        nodes: list[PathTree] = []
-        for i in range(len(ids) - 1, -1, -1):
-            node = _new_tree(cls)
-            _set_yni(node, ids[i])
-            count = counts[i]
-            if count:
-                if count > MAX_FANOUT:
-                    raise InvariantViolation(
-                        f"path-tree fan-out above {MAX_FANOUT}")
-                kids = nodes[-count:]
-                del nodes[-count:]
-                kids.reverse()
-                _set_children(node, tuple(kids))
-            else:
-                _set_children(node, ())
-            nodes.append(node)
+        `counts[i]` children, which must describe one whole tree. Raises
+        InvariantViolation on a fan-out above 255, or on a repeated id,
+        naming the first one in preorder that repeats an earlier one."""
+        if max(counts) > MAX_FANOUT:
+            raise InvariantViolation(f"path-tree fan-out above {MAX_FANOUT}")
         _check_repeats(ids)
-        return nodes[0]
+        parts = [b""] * (2 * len(ids))
+        parts[::2] = ids
+        parts[1::2] = map(_BYTES.__getitem__, counts)
+        return _from_records(b"".join(parts))
+
+    @property
+    def children(self) -> tuple["PathTree", ...]:
+        # the first read builds every node below, in one loop from the last
+        # record back: the stack holds the subtrees built so far, the next
+        # one in preorder on top, and where each one's records end
+        if self._kids is not None:
+            return self._kids
+        records = self.records
+        trees, ends = [], []
+        for k in range(len(records) - 11, 0, -11):
+            node = _new_tree(PathTree)
+            _set_yni(node, _new_yni(Yni, records[k:k + 10]))
+            count = records[k + 10]
+            if count:
+                end = ends[-count]
+                kids = trees[-count:]
+                del trees[-count:], ends[-count:]
+                kids.reverse()
+                _set_kids(node, tuple(kids))
+            else:
+                end = k + 11
+                _set_kids(node, ())
+            _set_records(node, records[k:end])
+            trees.append(node)
+            ends.append(end)
+        trees.reverse()
+        _set_kids(self, tuple(trees))
+        return self._kids
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # both trees in step, stopping at the first difference; a shared
-        # subtree is equal without a look inside
-        stack = [(self, other)]
-        while stack:
-            one, two = stack.pop()
-            if one is two:
-                continue
-            if (one.yni != two.yni
-                    or len(one.children) != len(two.children)):
-                return False
-            stack += zip(one.children, two.children)
-        return True
+        return self.records == other.records
 
     def __hash__(self):
-        # the preorder (yni, child count) sequence determines the tree
-        flat = []
-        for node in self.walk():
-            flat += (node.yni, len(node.children))
-        return hash(tuple(flat))
+        return hash(self.records)
 
     def __repr__(self):
         # the text of the nested reprs, `children` a tuple's repr, built
@@ -187,11 +192,8 @@ class PathTree:
         return "".join(parts)
 
     def __reduce__(self):
-        # copy and pickle would restore the slots through __setattr__, and
-        # rebuilding node by node would recurse once per level
-        nodes = list(self.walk())
-        return PathTree.from_preorder, ([node.yni for node in nodes],
-                                        [len(node.children) for node in nodes])
+        # copy and pickle would restore the slots through __setattr__
+        return _from_records, (self.records,)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -200,7 +202,7 @@ class PathTree:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def walk(self) -> Iterator["PathTree"]:
-        """Preorder traversal."""
+        """Preorder traversal; builds every node's children."""
         stack = [self]
         while stack:
             node = stack.pop()
@@ -218,27 +220,19 @@ class PathTree:
         return out
 
     def size(self) -> int:
-        count = 0
-        stack = [self]
-        while stack:
-            count += 1
-            stack += stack.pop().children
-        return count
+        return len(self.records) // 11
 
-    def serialize(self) -> bytes:
-        parts = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            children = node.children
-            parts += (node.yni, _BYTES[len(children)])
-            stack += reversed(children)
-        return b"".join(parts)
+    def preorder(self) -> tuple[list[bytes], bytes]:
+        """The ten id bytes and the child count of each node, in preorder:
+        the arguments `from_preorder` builds this tree from."""
+        rec = self.records
+        return [rec[k:k + 10] for k in range(0, len(rec), 11)], rec[10::11]
 
 
 # the slots' own setters, which `PathTree.__setattr__` cannot block
 _set_yni = PathTree.yni.__set__
-_set_children = PathTree.children.__set__
+_set_records = PathTree.records.__set__
+_set_kids = PathTree._kids.__set__
 _new_tree = object.__new__
 # a node id over ten bytes of a buffer, without `Yni.from_bytes`'s length check
 _new_yni = bytes.__new__
@@ -246,53 +240,56 @@ _new_yni = bytes.__new__
 _BYTES = [bytes((n,)) for n in range(256)]
 
 
-def _check_repeats(ids: list[Yni]) -> None:
-    """Raise InvariantViolation naming the first of a tree's preorder ids
-    that repeats an earlier one."""
+def _from_records(records: bytes) -> PathTree:
+    """The tree over one whole tree's preorder records, unchecked."""
+    tree = _new_tree(PathTree)
+    _set_yni(tree, _new_yni(Yni, records[:10]))
+    _set_records(tree, records)
+    _set_kids(tree, None)
+    return tree
+
+
+def _check_repeats(ids: list[bytes], error=InvariantViolation) -> None:
+    """Raise `error` naming the first of a tree's preorder ids that
+    repeats an earlier one."""
     if len(set(ids)) != len(ids):
         seen = set()
         for yni in ids:
             if yni in seen:
-                raise InvariantViolation(f"repeated node in path tree: {yni}")
+                raise error(f"repeated node in path tree: {_new_yni(Yni, yni)}")
             seen.add(yni)
 
 
 def _read_tree(raw: bytes, off: int, end: int) -> PathTree:
-    """The path tree that fills raw[off:end], read in one pass over its
-    11-byte preorder records, yni(10) | child_count(1).
+    """The path tree that fills raw[off:end], its 11-byte preorder records
+    yni(10) | child_count(1) checked in one pass and kept as they are.
 
     Raises MalformedFloating for a repeated node, TruncatedMessage when the
     records end before the tree does, and LengthMismatch when bytes follow
     it, in that order of precedence.
     """
     counts = raw[off + 10:end:11]  # the count byte of each whole record
-    ids = [_new_yni(Yni, raw[k:k + 10])
-           for k in range(off, off + 11 * len(counts), 11)]
     owed = 1  # records the tree still needs: the root, then each child
     for n, count in enumerate(counts, 1):
         owed += count - 1
         if not owed:
+            spans = [(0, n)]
             break
     else:
         # cut short. A subtree that ends before the cut is checked for
         # repeats first, as a reader that checks each subtree as it ends
         # would before it reads on.
-        for start, stop in _finished_subtrees(counts):
-            _assemble(ids[start:stop], counts[start:stop])
+        spans = _finished_subtrees(counts)
+    for start, stop in spans:
+        # a repeat in received bytes is a malformed header
+        _check_repeats([raw[k:k + 10] for k in range(off + 11 * start,
+                                                     off + 11 * stop, 11)],
+                       MalformedFloating)
+    if owed:
         raise TruncatedMessage("path tree cut short")
-    tree = _assemble(ids[:n], counts)
     if off + 11 * n != end:
         raise LengthMismatch("trailing bytes after path tree")
-    return tree
-
-
-def _assemble(ids: list[Yni], counts) -> PathTree:
-    try:
-        return PathTree.from_preorder(ids, counts)
-    except InvariantViolation as exc:
-        # A repeated node in received bytes is a malformed header, not a
-        # locally constructed contract violation.
-        raise MalformedFloating(str(exc)) from exc
+    return _from_records(raw[off:end])
 
 
 def _finished_subtrees(counts) -> list[tuple[int, int]]:
@@ -358,7 +355,7 @@ class FloatingHeader:
         if self.metadata is not None:
             parts += (_tlv_head(_TAG_METADATA, self.metadata), self.metadata)
         if self.path_tree is not None:
-            tree = self.path_tree.serialize()
+            tree = self.path_tree.records
             parts += (_tlv_head(_TAG_PATH_TREE, tree), tree)
         return b"".join(parts)
 
@@ -530,4 +527,5 @@ def pop_path_root(tree: Optional[PathTree],
         raise RootMismatch(f"no path tree to pop at {self_yni}")
     if tree.yni != self_yni:
         raise RootMismatch(f"path root is {tree.yni}, not {self_yni}")
-    return tree.children
+    kids = tree._kids  # a slot read once the tree is split
+    return tree.children if kids is None else kids

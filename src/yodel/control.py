@@ -252,15 +252,17 @@ class TopologyGraph:
         """
         root = tree.yni
         hub, _, parent = self.search_serving(root)
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            kids = node.children
-            for c in kids:
-                child = c.yni
-                if (root if child == hub else parent.get(child)) != node.yni:
-                    return False
-            stack += kids
+        ids, counts = tree.preorder()
+        above = [[root, counts[0]]]  # [node, children still to read]
+        for child, count in zip(ids[1:], counts[1:]):
+            top = above[-1]
+            if (root if child == hub else parent.get(child)) != top[0]:
+                return False
+            top[1] -= 1
+            if not top[1]:
+                above.pop()
+            if count:
+                above.append([child, count])
         return True
 
 
@@ -861,12 +863,12 @@ class Controller:
             consumers: set[Yni] = set()
             connectors: set[Yni] = set()
             for _, tree in groups[channel_id]:
-                for node in tree.walk():
-                    info = self.graph.nodes.get(node.yni)
+                for yni in map(Yni.from_bytes, tree.preorder()[0]):
+                    info = self.graph.nodes.get(yni)
                     if info is not None and info.role == "connector":
-                        connectors.add(node.yni)
-                    elif node.yni in flow.consumer_edges:
-                        consumers.add(node.yni)
+                        connectors.add(yni)
+                    elif yni in flow.consumer_edges:
+                        consumers.add(yni)
             out.append(ChannelObject(channel_id, source_type, tuple(producers),
                                      tuple(sorted(consumers)),
                                      tuple(sorted(connectors))))

@@ -3,16 +3,18 @@
 import copy
 import pathlib
 import pickle
+import random
 import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yodel.codec import (
     FIXED_HEADER_LEN,
+    MAX_FANOUT,
     FloatingHeader,
     MessageKind,
     PathTree,
@@ -229,7 +231,7 @@ def test_decoded_tree_repeating_its_root_is_malformed():
 
 def test_tree_serialization_round_trip():
     tree = PathTree(A, (PathTree(B, (PathTree(E),)), PathTree(C)))
-    raw = tree.serialize()
+    raw = tree.records
     assert _read_tree(raw, 0, len(raw)) == tree
     assert tree.edges() == [(A, B), (B, E), (A, C)]
 
@@ -254,7 +256,7 @@ def test_a_deep_tree_decodes_and_re_encodes_without_recursion():
     with pytest.raises(TruncatedMessage):
         decode(raw[:-1])
     # the tree element itself cut inside its last record
-    tree_raw = tree.serialize()[:-1]
+    tree_raw = tree.records[:-1]
     floating = (bytes([0x06]) + len(tree_raw).to_bytes(2, "big") + tree_raw)
     with pytest.raises(TruncatedMessage, match="^path tree cut short$"):
         decode(_with_floating(MessageKind.DATA_YSYNC, floating.hex()))
@@ -524,6 +526,190 @@ def test_one_pass_reader_agrees_with_the_recursive_reader(records, tail):
     assert got == want
     pairs = list(zip(got.walk(), want.walk()))
     assert len(pairs) == want.size()
+
+
+class NodeTree:
+    """The node-built path tree that the records-backed `PathTree` replaced,
+    kept as its reference: one object per node holding its `yni` and the
+    tuple of its children, built bottom-up from preorder ids and child
+    counts, compared node by node and serialized by a walk. Its repr names
+    `PathTree`, the class it stands for."""
+
+    __slots__ = ("yni", "children")
+
+    def __init__(self, yni, children=()):
+        self.yni = yni
+        self.children = children
+
+    @classmethod
+    def from_preorder(cls, ids, counts):
+        nodes = []
+        for i in range(len(ids) - 1, -1, -1):
+            kids = nodes[len(nodes) - counts[i]:]
+            del nodes[len(nodes) - counts[i]:]
+            nodes.append(cls(ids[i], tuple(reversed(kids))))
+        return nodes[0]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            one, two = stack.pop()
+            if (one.yni != two.yni
+                    or len(one.children) != len(two.children)):
+                return False
+            stack += zip(one.children, two.children)
+        return True
+
+    def __hash__(self):
+        return hash(tuple(x for node in self.walk()
+                          for x in (node.yni, len(node.children))))
+
+    def __repr__(self):
+        parts = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                parts.append(item)
+                continue
+            parts.append(f"PathTree(yni={item.yni!r}, children=(")
+            kids = item.children
+            stack.append(",))" if len(kids) == 1 else "))")
+            stack += [x for kid in reversed(kids) for x in (kid, ", ")][:-1]
+        return "".join(parts)
+
+    def walk(self):
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
+
+    def edges(self):
+        out = []
+        stack = [(self.yni, c) for c in reversed(self.children)]
+        while stack:
+            parent, node = stack.pop()
+            out.append((parent, node.yni))
+            stack += [(node.yni, c) for c in reversed(node.children)]
+        return out
+
+    def size(self):
+        return sum(1 for _ in self.walk())
+
+    def serialize(self):
+        return b"".join(node.yni + bytes((len(node.children),))
+                        for node in self.walk())
+
+
+def random_preorder(n, weights, seed):
+    """Preorder ids and child counts of a random tree of n nodes. Node i
+    hangs under node i - 1 (a chain), under the parent of node i - 1 (a
+    sibling) or under one of the first four nodes (a hub), by `weights`,
+    and under node i - 1 when the one drawn has 255 children already; so
+    trees run thousands deep, 255 wide, or both."""
+    rng = random.Random(seed)
+    chances = [w + (not any(weights)) for w in weights]  # all 0: even
+    parent, kids = [None], [[]]
+    for i in range(1, n):
+        how = rng.choices(("chain", "sibling", "hub"), chances)[0]
+        if how == "hub":
+            p = rng.randrange(min(i, 4))
+        elif how == "sibling" and parent[i - 1] is not None:
+            p = parent[i - 1]
+        else:
+            p = i - 1
+        if len(kids[p]) == MAX_FANOUT:
+            p = i - 1
+        parent.append(p)
+        kids.append([])
+        kids[p].append(i)
+    names = [Yni(x.to_bytes(6, "big"), 0) for x in rng.sample(range(2**48), n)]
+    ids, counts, stack = [], [], [0]
+    while stack:
+        i = stack.pop()
+        ids.append(names[i])
+        counts.append(len(kids[i]))
+        stack += reversed(kids[i])
+    return ids, counts
+
+
+def _by_hand(ids, counts):
+    """The tree built node by node with `PathTree(yni, children)`."""
+    nodes = []
+    for i in range(len(ids) - 1, -1, -1):
+        kids = nodes[len(nodes) - counts[i]:]
+        del nodes[len(nodes) - counts[i]:]
+        nodes.append(PathTree(ids[i], tuple(reversed(kids))))
+    return nodes[0]
+
+
+def _decoded(ids, counts):
+    msg = YodelMessage(MessageKind.DATA_YSYNC, SND, RCV, FloatingHeader(
+        valley_id=1, channel_id=2,
+        path_tree=PathTree.from_preorder(ids, counts)), b"p")
+    return decode(encode(msg)).floating.path_tree
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2000),
+       st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+       st.integers(0, 2**32))
+@example(2000, (1, 0, 0), 0)  # a chain 2 000 deep
+@example(1100, (0, 0, 1), 1)  # four hubs of 255 children, then a chain
+@example(1, (1, 1, 1), 2)  # a lone root
+def test_records_backed_trees_equal_the_node_built_reference(n, weights, seed):
+    """Trees built by `PathTree(yni, children)`, by `from_preorder` (as
+    `compute_path` builds) and by `decode` each equal the node-built
+    reference in their bytes, `preorder`, `size`, `edges`, `repr`, every
+    node's `yni`, children and records along `walk`, `==` and `hash`, and
+    across copy and pickle."""
+    ids, counts = random_preorder(n, weights, seed)
+    ref = NodeTree.from_preorder(ids, counts)
+    raw = ref.serialize()
+    # each node's subtree size, read from the counts back to front
+    sizes, owed = [0] * n, []
+    for i in range(n - 1, -1, -1):
+        sizes[i] = 1 + sum(owed.pop() for _ in range(counts[i]))
+        owed.append(sizes[i])
+    other_ids = ids[:-1] + [Yni(b"\xff" * 6, 1)]  # the last id changed
+    other = PathTree.from_preorder(other_ids, counts)
+    assert (other == PathTree.from_preorder(ids, counts)) \
+        == (NodeTree.from_preorder(other_ids, counts) == ref)
+    trees = set()
+    for build in (_by_hand, PathTree.from_preorder, _decoded):
+        tree = build(ids, counts)
+        assert type(tree) is PathTree
+        assert tree.records == raw
+        assert tree.preorder() == (ids, bytes(counts))
+        assert FloatingHeader(path_tree=tree).encode()[3:] == raw
+        assert tree.size() == ref.size() == n
+        assert tree.edges() == ref.edges()
+        assert repr(tree) == repr(ref)
+        assert tree == PathTree.from_preorder(ids, counts)
+        assert hash(tree) == hash(PathTree.from_preorder(ids, counts))
+        assert tree != other and tree != ref and tree != raw
+        trees.add(tree)
+        walked = list(tree.walk())
+        assert len(walked) == n
+        for i, (node, want) in enumerate(zip(walked, ref.walk())):
+            assert type(node.yni) is Yni and node.yni == want.yni
+            assert [c.yni for c in node.children] \
+                == [c.yni for c in want.children]
+            assert node.children is node.children
+            assert node.records == raw[11 * i:11 * (i + sizes[i])]
+            assert node.size() == sizes[i]
+        for clone in (copy.copy, copy.deepcopy,
+                      lambda x: pickle.loads(pickle.dumps(x))):
+            got = clone(tree)
+            assert type(got) is PathTree and got == tree
+            assert got.records == raw and repr(got) == repr(ref)
+            assert type(got.yni) is Yni
+        del tree, walked
+    assert len(trees) == 1
+    assert hash(ref) == hash(NodeTree.from_preorder(ids, counts))
 
 
 @pytest.mark.parametrize("clone", [

@@ -319,7 +319,7 @@ class TestComputePath:
                 g.register(y, nodes[y][0], nodes[y][1], neigh[y])
             tree, cut = compute_path(g, E1, [E2, E3])
             assert cut == ()
-            trees.add(tree.serialize())
+            trees.add(tree.records)
         assert len(trees) == 1
 
     def test_union_shares_common_prefix(self):
@@ -423,6 +423,46 @@ def test_compute_path_matches_parent_walk(case):
         g.register(y, "edge", "d", neigh[y])
     got = compute_path(g, ids[source], [ids[c] for c in consumers])
     assert got == reference_path(g, ids[source], [ids[c] for c in consumers])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 2**16), min_size=n, max_size=n, unique=True),
+    st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    st.integers(1, 3), max_size=n + 2),
+    st.integers(0, n - 1),
+    st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n),
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+              st.integers(0, 3)))))
+def test_builds_again_is_exactly_whether_compute_path_builds_the_tree(case):
+    """A tree `compute_path` built that reached all its consumers is built
+    again over the same links, and after one link is added, re-latencied
+    or removed (latency 0), `builds_again` holds exactly when
+    `compute_path` builds the same tree."""
+    labels, pairs, source, consumers, (a, b, lat) = case
+    ids = [nid(label) for label in labels]
+    neigh = {y: {} for y in ids}
+    for (x, y), weight in pairs.items():
+        if x != y:
+            neigh[ids[x]][ids[y]] = neigh[ids[y]][ids[x]] = weight
+    g = TopologyGraph()
+    for y in ids:
+        g.register(y, "edge", "d", neigh[y])
+    targets = [ids[c] for c in consumers]
+    tree, cut = compute_path(g, ids[source], targets)
+    if tree is None or cut:
+        return
+    assert g.builds_again(tree)
+    if a == b:
+        return
+    a, b = ids[a], ids[b]
+    neigh[a].pop(b, None), neigh[b].pop(a, None)
+    if lat:
+        neigh[a][b] = neigh[b][a] = lat
+    g.register(a, "edge", "d", neigh[a])
+    g.register(b, "edge", "d", neigh[b])
+    assert g.builds_again(tree) == (compute_path(g, ids[source], targets)
+                                    == (tree, ()))
 
 
 @settings(max_examples=300, deadline=None)

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from yodel.codec import (FloatingHeader, MessageKind, PathTree, YodelMessage,
                          encode)
-from yodel.control import ChannelIdUpdate, PathAdvertisement, RemoveRole
+from yodel.control import (CONTROLLER_YNI, ChannelIdUpdate, PathAdvertisement,
+                           RemoveRole)
 from yodel.dataplane import (
     AcTable,
     ConnectorNode,
@@ -1036,6 +1037,45 @@ class TestEdgeData:
                            path_tree=PathTree(STRANGER))))))
         assert sim.metrics.proto_errors == 1
         assert sim.edges["e1"].aft == {}
+
+
+    @pytest.mark.parametrize("case", ["cut_short", "repeat", "trailing",
+                                      "rooted_elsewhere"])
+    def test_corrupted_advertisement_is_one_proto_error(self, case):
+        """An advertisement whose tree element is cut short inside the tree,
+        repeats a node, has bytes after the tree or is rooted at another
+        node gives one PROTO_ERROR, with the text each case has always had,
+        and leaves the installed path table as it was."""
+        sim = world(JOINED, topo=LINE, until=6)
+        edge = sim.edges["e1"]
+        e1, c1, e2 = (sim.nodes[n].yni for n in ("e1", "c1", "e2"))
+        channel = row(sim).channel_id
+        installed = dict(edge.aft)
+        assert installed == {
+            (1, channel): PathTree(e1, (PathTree(c1, (PathTree(e2),)),))}
+        tree, reason = {
+            "cut_short": (e1 + b"\x01" + c1 + b"\x01",
+                          "bad path advertisement: path tree cut short"),
+            "repeat": (e1 + b"\x01" + c1 + b"\x01" + e1 + b"\x00",
+                       "bad path advertisement: repeated node in path "
+                       f"tree: {e1}"),
+            "trailing": (e1 + b"\x01" + c1 + b"\x01" + e2 + b"\x00\x00",
+                         "bad path advertisement: trailing bytes after path "
+                         "tree"),
+            "rooted_elsewhere": (c1 + b"\x01" + e2 + b"\x00",
+                                 "path advertisement rooted elsewhere"),
+        }[case]
+        floating = (FloatingHeader(valley_id=1, channel_id=channel).encode()
+                    + b"\x06" + len(tree).to_bytes(2, "big") + tree)
+        raw = (bytes((MessageKind.CONTROL_YPP,)) + CONTROLLER_YNI + e1
+               + len(floating).to_bytes(2, "big") + bytes(4) + floating)
+        before = len(sim.trace.select("PROTO_ERROR"))
+        edge.on_controller(PathAdvertisement(raw))
+        errors = sim.trace.select("PROTO_ERROR")[before:]
+        assert [(r.node, dict(r.fields)["reason"]) for r in errors] \
+            == [("e1", reason)]
+        assert sim.metrics.proto_errors == 1
+        assert edge.aft == installed
 
 
 # ---------------------------------------------------------------------------

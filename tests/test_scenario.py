@@ -276,6 +276,30 @@ class TestCrossCheck:
         errors = cross_check(topo, self.scen("at 0 report\n"))
         assert reasons(errors) == ["mcastgroup member 'b' is outside 'd1'"]
 
+    def test_group_in_unknown_domain(self):
+        topo = self.topo("domain d\nnode a edge d\nnode b edge d\n"
+                         "mcastgroup elsewhere a b\n")
+        errors = cross_check(topo, self.scen("at 0 report\n"))
+        assert [(e.path, e.line, e.reason) for e in errors] == [
+            ("<topology>", 0, "mcastgroup in unknown domain 'elsewhere'"),
+            ("<topology>", 0, "mcastgroup member 'a' is outside 'elsewhere'"),
+            ("<topology>", 0, "mcastgroup member 'b' is outside 'elsewhere'")]
+
+    def test_group_member_not_a_node(self):
+        topo = self.topo("domain d\nnode a edge d\nhost h u\n"
+                         "mcastgroup d a ghost h\n")
+        errors = cross_check(topo, self.scen("at 0 report\n"))
+        assert [(e.path, e.line, e.reason) for e in errors] == [
+            ("<topology>", 0, "mcastgroup member 'ghost' is not a node"),
+            ("<topology>", 0, "mcastgroup member 'h' is not a node")]
+
+    def test_host_prefers_unknown_domain(self):
+        topo = self.topo("domain d\nnode e edge d\n"
+                         "host h u domain=elsewhere\n")
+        errors = cross_check(topo, self.scen("at 0 report\n"), "w.topo")
+        assert [(e.path, e.line, e.reason) for e in errors] == [
+            ("w.topo", 0, "host 'h' prefers unknown domain 'elsewhere'")]
+
     def test_hosts_but_no_edges(self):
         topo = self.topo("domain d\nhost h u\n")
         errors = cross_check(topo, self.scen("at 0 report\n"))
