@@ -96,32 +96,42 @@ class PathTree:
     """A delivery tree held as its wire form: `records`, the preorder
     records yni(10) | child_count(1) of its nodes, and its root's `yni`.
 
-    The first read of `children` builds every node below, each over the
-    slice of records its subtree fills, and keeps them. So a tree the
-    controller computes, compares and encodes, or an edge decodes and
-    installs, is one object over one bytes value; only a tree a data copy
-    pops is built out. It stays a class, not bare bytes, so that each hop
-    reads a subtree's root and children from slots and a tree never
-    equals other bytes. Immutable; compared and hashed by `records`.
+    The first read of `children` builds every node below and keeps them.
+    So a tree the controller computes, compares and encodes, or an edge
+    decodes and installs, is one object over one bytes value; only a tree
+    a data copy pops is built out. The nodes below hold only their id and
+    children, so a tree of any depth is built out in memory linear in its
+    size; a node's `records` are written out from its nodes each time they
+    are read. It stays a class, not bare bytes, so that each hop reads a
+    subtree's root and children from slots and a tree never equals other
+    bytes. Immutable; compared and hashed by `records`.
 
     `from_preorder` builds a tree from the preorder ids and child counts
     that `preorder` gives back, as `compute_path` does; `PathTree(yni,
-    children)` builds a node over subtrees already built, for trees
-    written out by hand. Both check fan-out and repeats. `repr`, `walk`
-    and `edges` are loops, so a tree of any depth works with them all.
+    children)` joins the records of a node over subtrees already built,
+    for trees written out by hand, and keeps none of those subtrees. Both
+    check fan-out and repeats. `repr`, `walk` and `edges` are loops, so a
+    tree of any depth works with them all.
     """
 
-    __slots__ = ("yni", "records", "_kids")
+    # `_rec`: the records of a tree built whole, None on a node a split
+    # built; the methods read `_rec or records`, so that a whole tree's
+    # bytes cost no call (a `__getattr__` in place of the property would
+    # slow every slot read on the class). `_kids`: None until a root is
+    # split.
+    __slots__ = ("yni", "_rec", "_kids")
 
     def __init__(self, yni: Yni, children: tuple["PathTree", ...] = ()):
         if len(children) > MAX_FANOUT:
             raise InvariantViolation(f"path-tree fan-out above {MAX_FANOUT}")
-        _set_yni(self, yni)
-        _set_records(self, b"".join([yni, _BYTES[len(children)],
-                                     *[kid.records for kid in children]]))
-        _set_kids(self, tuple(children))
+        records = b"".join([yni, _BYTES[len(children)],
+                            *[kid.records for kid in children]])
         if children:
-            _check_repeats(self.preorder()[0])
+            _check_repeats([records[k:k + 10]
+                            for k in range(0, len(records), 11)])
+        _set_yni(self, yni)
+        _set_rec(self, records)
+        _set_kids(self, None)
 
     @classmethod
     def from_preorder(cls, ids: list[Yni], counts) -> "PathTree":
@@ -138,30 +148,36 @@ class PathTree:
         return _from_records(b"".join(parts))
 
     @property
+    def records(self) -> bytes:
+        """The preorder records; a node a split built writes them out from
+        its nodes on each read, so that no node keeps a copy of its
+        subtree's bytes."""
+        return self._rec or b"".join([
+            x for node in self.walk()
+            for x in (node.yni, _BYTES[len(node.children)])])
+
+    @property
     def children(self) -> tuple["PathTree", ...]:
         # the first read builds every node below, in one loop from the last
         # record back: the stack holds the subtrees built so far, the next
-        # one in preorder on top, and where each one's records end
+        # one in preorder on top
         if self._kids is not None:
             return self._kids
-        records = self.records
-        trees, ends = [], []
+        records = self._rec
+        trees = []
         for k in range(len(records) - 11, 0, -11):
             node = _new_tree(PathTree)
             _set_yni(node, _new_yni(Yni, records[k:k + 10]))
+            _set_rec(node, None)
             count = records[k + 10]
             if count:
-                end = ends[-count]
                 kids = trees[-count:]
-                del trees[-count:], ends[-count:]
+                del trees[-count:]
                 kids.reverse()
                 _set_kids(node, tuple(kids))
             else:
-                end = k + 11
                 _set_kids(node, ())
-            _set_records(node, records[k:end])
             trees.append(node)
-            ends.append(end)
         trees.reverse()
         _set_kids(self, tuple(trees))
         return self._kids
@@ -169,10 +185,10 @@ class PathTree:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.records == other.records
+        return (self._rec or self.records) == (other._rec or other.records)
 
     def __hash__(self):
-        return hash(self.records)
+        return hash(self._rec or self.records)
 
     def __repr__(self):
         # the text of the nested reprs, `children` a tuple's repr, built
@@ -220,18 +236,18 @@ class PathTree:
         return out
 
     def size(self) -> int:
-        return len(self.records) // 11
+        return len(self._rec or self.records) // 11
 
     def preorder(self) -> tuple[list[bytes], bytes]:
         """The ten id bytes and the child count of each node, in preorder:
         the arguments `from_preorder` builds this tree from."""
-        rec = self.records
+        rec = self._rec or self.records
         return [rec[k:k + 10] for k in range(0, len(rec), 11)], rec[10::11]
 
 
 # the slots' own setters, which `PathTree.__setattr__` cannot block
 _set_yni = PathTree.yni.__set__
-_set_records = PathTree.records.__set__
+_set_rec = PathTree._rec.__set__
 _set_kids = PathTree._kids.__set__
 _new_tree = object.__new__
 # a node id over ten bytes of a buffer, without `Yni.from_bytes`'s length check
@@ -244,7 +260,7 @@ def _from_records(records: bytes) -> PathTree:
     """The tree over one whole tree's preorder records, unchecked."""
     tree = _new_tree(PathTree)
     _set_yni(tree, _new_yni(Yni, records[:10]))
-    _set_records(tree, records)
+    _set_rec(tree, records)
     _set_kids(tree, None)
     return tree
 
@@ -354,9 +370,10 @@ class FloatingHeader:
                 parts.append(element.pack(tag, size, value))
         if self.metadata is not None:
             parts += (_tlv_head(_TAG_METADATA, self.metadata), self.metadata)
-        if self.path_tree is not None:
-            tree = self.path_tree.records
-            parts += (_tlv_head(_TAG_PATH_TREE, tree), tree)
+        tree = self.path_tree
+        if tree is not None:
+            raw = tree._rec or tree.records
+            parts += (_tlv_head(_TAG_PATH_TREE, raw), raw)
         return b"".join(parts)
 
 
