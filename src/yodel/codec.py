@@ -96,42 +96,32 @@ class PathTree:
     """A delivery tree held as its wire form: `records`, the preorder
     records yni(10) | child_count(1) of its nodes, and its root's `yni`.
 
-    The first read of `children` builds every node below and keeps them.
-    So a tree the controller computes, compares and encodes, or an edge
-    decodes and installs, is one object over one bytes value; only a tree
-    a data copy pops is built out. The nodes below hold only their id and
-    children, so a tree of any depth is built out in memory linear in its
-    size; a node's `records` are written out from its nodes each time they
-    are read. It stays a class, not bare bytes, so that each hop reads a
-    subtree's root and children from slots and a tree never equals other
-    bytes. Immutable; compared and hashed by `records`.
+    The first read of `children` builds and keeps every node below, each
+    with only its id and children. A tree the controller computes and
+    encodes, or an edge decodes and installs, is one object over one bytes
+    value; only a tree a data copy pops is built out. It stays a class, not
+    bare bytes, so each hop reads a subtree's root and children from slots,
+    and it equals and hashes as its `records` but never equals bytes.
 
     `from_preorder` builds a tree from the preorder ids and child counts
-    that `preorder` gives back, as `compute_path` does; `PathTree(yni,
-    children)` joins the records of a node over subtrees already built,
-    for trees written out by hand, and keeps none of those subtrees. Both
-    check fan-out and repeats. `repr`, `walk` and `edges` are loops, so a
-    tree of any depth works with them all.
+    `preorder` gives back, as `compute_path` does; `PathTree(yni,
+    children)`, for trees written by hand, joins its subtrees' records and
+    keeps none of them. Both check fan-out and repeats. `repr`, `walk` and
+    `edges` are loops, so they work on a tree of any depth.
     """
 
-    # `_rec`: the records of a tree built whole, None on a node a split
-    # built; the methods read `_rec or records`, so that a whole tree's
-    # bytes cost no call (a `__getattr__` in place of the property would
-    # slow every slot read on the class). `_kids`: None until a root is
-    # split.
+    # `_rec` is None on a split node; methods read `_rec or records` to
+    # spare a whole tree a call (a `__getattr__` would slow slot reads)
     __slots__ = ("yni", "_rec", "_kids")
 
     def __init__(self, yni: Yni, children: tuple["PathTree", ...] = ()):
         if len(children) > MAX_FANOUT:
             raise InvariantViolation(f"path-tree fan-out above {MAX_FANOUT}")
-        records = b"".join([yni, _BYTES[len(children)],
-                            *[kid.records for kid in children]])
-        if children:
-            _check_repeats([records[k:k + 10]
-                            for k in range(0, len(records), 11)])
         _set_yni(self, yni)
-        _set_rec(self, records)
+        _set_rec(self, b"".join([yni, _BYTES[len(children)],
+                                 *[kid.records for kid in children]]))
         _set_kids(self, None)
+        _check_repeats(self.preorder()[0])
 
     @classmethod
     def from_preorder(cls, ids: list[Yni], counts) -> "PathTree":
@@ -149,18 +139,14 @@ class PathTree:
 
     @property
     def records(self) -> bytes:
-        """The preorder records; a node a split built writes them out from
-        its nodes on each read, so that no node keeps a copy of its
-        subtree's bytes."""
-        return self._rec or b"".join([
-            x for node in self.walk()
-            for x in (node.yni, _BYTES[len(node.children)])])
+        """The preorder records; a split node writes them on each read."""
+        return self._rec or b"".join([x for node in self.walk() for x in (
+            node.yni, _BYTES[len(node.children)])])
 
     @property
     def children(self) -> tuple["PathTree", ...]:
-        # the first read builds every node below, in one loop from the last
-        # record back: the stack holds the subtrees built so far, the next
-        # one in preorder on top
+        # the first read builds every node below in one loop from the last
+        # record back; the stack holds built subtrees, the next one on top
         if self._kids is not None:
             return self._kids
         records = self._rec
@@ -239,8 +225,7 @@ class PathTree:
         return len(self._rec or self.records) // 11
 
     def preorder(self) -> tuple[list[bytes], bytes]:
-        """The ten id bytes and the child count of each node, in preorder:
-        the arguments `from_preorder` builds this tree from."""
+        """Each node's ten id bytes, and the child counts, in preorder."""
         rec = self._rec or self.records
         return [rec[k:k + 10] for k in range(0, len(rec), 11)], rec[10::11]
 
@@ -266,8 +251,7 @@ def _from_records(records: bytes) -> PathTree:
 
 
 def _check_repeats(ids: list[bytes], error=InvariantViolation) -> None:
-    """Raise `error` naming the first of a tree's preorder ids that
-    repeats an earlier one."""
+    """Raise `error` naming the first preorder id that repeats one before."""
     if len(set(ids)) != len(ids):
         seen = set()
         for yni in ids:
@@ -370,9 +354,8 @@ class FloatingHeader:
                 parts.append(element.pack(tag, size, value))
         if self.metadata is not None:
             parts += (_tlv_head(_TAG_METADATA, self.metadata), self.metadata)
-        tree = self.path_tree
-        if tree is not None:
-            raw = tree._rec or tree.records
+        if self.path_tree is not None:
+            raw = self.path_tree._rec or self.path_tree.records
             parts += (_tlv_head(_TAG_PATH_TREE, raw), raw)
         return b"".join(parts)
 
