@@ -1,9 +1,12 @@
 """The split controller.
 
 One half (provisioning) owns users, host placement and the infrastructure
-topology; the other half (flow management) owns the per-valley information
-bases, flows, channels and path computation. They share a process and call
-each other directly; nothing about their split is externally visible.
+topology; the other half (flow management) owns flows, channels and path
+computation. A community is its flow, and `Controller.flows` is the one
+store of flows, keyed by (valley id, namespace id, community name). Channel
+ids come from the per-valley counters in the directory's information bases
+(yodel.model). The halves share a process and call each other directly;
+nothing about their split is externally visible.
 
 Nodes reach the controller through typed request payloads and receive typed
 replies; path advertisements additionally carry a fully encoded control
@@ -346,7 +349,6 @@ class FlowObject:
     partitions: Optional[list[Partition]] = None
     advertised: dict[tuple[Yni, int], PathTree] = field(default_factory=dict)
     precomputed: dict[Yni, PathTree] = field(default_factory=dict)
-    retired_channel_ids: set[int] = field(default_factory=set)
     # the last reconcile, its precompute included, left a consumer cut off
     cut_off: bool = False
 
@@ -563,16 +565,16 @@ class Controller:
 
     def create_community(self, valley_id: int, namespace_id: int,
                          community: str) -> FlowObject:
-        """Fetch-or-create the community record plus its flow; the flow's
-        first channel id is allocated immediately, channels or not."""
-        record = self.directory.ensure_community(valley_id, namespace_id, community)
-        if record.flow is None:
+        """Fetch-or-create the community's flow; a new flow's first channel
+        id is allocated immediately, channels or not."""
+        key = (valley_id, namespace_id, community)
+        flow = self.flows.get(key)
+        if flow is None:
             ns = self.directory.namespace_by_id(valley_id, namespace_id)
             cid = self.directory.vib(valley_id).allocate_channel_id()
-            record.flow = FlowObject(valley_id, namespace_id, community,
-                                     ns.service_model, cid)
-            self.flows[(valley_id, namespace_id, community)] = record.flow
-        return record.flow
+            flow = self.flows[key] = FlowObject(valley_id, namespace_id,
+                                                community, ns.service_model, cid)
+        return flow
 
     def handle_edge_join(self, req: JoinRequest) -> None:
         ns = self.directory.namespace_by_id(req.valley_id, req.namespace_id)
@@ -645,9 +647,11 @@ class Controller:
         partition of the already-active edge keeps the flow's current id;
         every new partition draws a fresh monotone id. Consumers are
         rebalanced wholesale and moved edges follow their new partition's id.
+        Raises UnknownFlow for a model that does not partition; a split
+        reconciles the flow once.
         """
         if not flow.model.attributes.partitioning:
-            raise UnknownFlow(f"{flow.model.value} flows do not partition")
+            raise UnknownFlow(f"{flow.model.value} communities do not partition")
         if not flow.producer_edges:
             return
         vib = self.directory.vib(flow.valley_id)
@@ -703,7 +707,6 @@ class Controller:
                 self.transport(e, ChannelIdUpdate(flow.valley_id,
                                                   dying.channel_id,
                                                   survivor.channel_id))
-            flow.retired_channel_ids.add(dying.channel_id)
             self._emit("MERGE", ("valley", flow.valley_id),
                        ("community", flow.community),
                        ("from_channel", dying.channel_id),

@@ -24,7 +24,6 @@ __all__ = [
     "UnknownUser",
     "UnknownValley",
     "UnknownNamespace",
-    "UnknownCommunity",
     "ControlError",
     "UnknownNode",
     "NoEligibleEdge",
@@ -100,10 +99,6 @@ class UnknownValley(ModelError):
 
 
 class UnknownNamespace(ModelError):
-    pass
-
-
-class UnknownCommunity(ModelError):
     pass
 
 

@@ -1,33 +1,30 @@
-"""Tenancy records: valleys, namespaces, communities, and the per-valley
-information base that allocates channel ids.
+"""Tenancy records: valleys, namespaces, and the per-valley information
+base that allocates namespace and channel ids.
 
 Names are unique at exactly three scopes: valley names globally, namespace
-names within a valley, community names within a namespace. Channel ids come
-from a per-valley monotone counter and are never reused; neither are valley
-ids. Credentials are opaque strings checked by directory lookup.
+names within a valley, community names within a namespace. A community has
+no record here: it is its flow, kept in `Controller.flows` (yodel.control).
+Channel ids come from a per-valley monotone counter here and are never
+reused; neither are valley ids. Credentials are opaque strings checked by
+directory lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
 
 from .errors import (
     AccessDenied,
     DuplicateName,
-    UnknownCommunity,
     UnknownNamespace,
     UnknownUser,
     UnknownValley,
 )
 from .services import AnycastMode, ServiceModel
 
-if TYPE_CHECKING:  # pragma: no cover - annotation only, lives in control
-    from .control import FlowObject
-
-__all__ = ["Visibility", "Valley", "NamespaceRecord", "CommunityRecord",
-           "ValleyInformationBase", "Directory"]
+__all__ = ["Visibility", "Valley", "NamespaceRecord", "ValleyInformationBase",
+           "Directory"]
 
 
 class Visibility(Enum):
@@ -59,21 +56,12 @@ class NamespaceRecord:
     auto_partition: bool = True
 
 
-@dataclass
-class CommunityRecord:
-    name: str
-    namespace_id: int
-    flow: Optional["FlowObject"] = None
-
-
 class ValleyInformationBase:
-    """Per-valley state the controller owns: namespaces, communities, counters."""
+    """Per-valley state the controller owns: namespaces and id counters."""
 
-    def __init__(self, valley: Valley):
-        self.valley = valley
+    def __init__(self):
         self.namespaces: dict[str, NamespaceRecord] = {}
         self.namespaces_by_id: dict[int, NamespaceRecord] = {}
-        self.communities: dict[tuple[int, str], CommunityRecord] = {}
         self._next_namespace_id = 1
         self._next_channel_id = 1
 
@@ -120,7 +108,7 @@ class Directory:
         valley = Valley(self._next_valley_id, name, admin)
         self._next_valley_id += 1
         self.valleys[name] = valley
-        self.vibs[valley.id] = ValleyInformationBase(valley)
+        self.vibs[valley.id] = ValleyInformationBase()
         return valley
 
     def valley(self, name: str) -> Valley:
@@ -203,23 +191,3 @@ class Directory:
         if ns.visibility is Visibility.OPEN:
             return True
         return user == ns.admin or user in ns.authorized_users
-
-    # -- communities ---------------------------------------------------------
-
-    def ensure_community(self, valley_id: int, namespace_id: int,
-                         name: str) -> CommunityRecord:
-        """Fetch-or-create: community records appear on first contact."""
-        vib = self.vib(valley_id)
-        if namespace_id not in vib.namespaces_by_id:
-            raise UnknownNamespace(f"unknown namespace id {namespace_id}")
-        key = (namespace_id, name)
-        if key not in vib.communities:
-            vib.communities[key] = CommunityRecord(name, namespace_id)
-        return vib.communities[key]
-
-    def community(self, valley_id: int, namespace_id: int, name: str) -> CommunityRecord:
-        vib = self.vib(valley_id)
-        try:
-            return vib.communities[(namespace_id, name)]
-        except KeyError:
-            raise UnknownCommunity(f"unknown community {name!r}") from None

@@ -5,6 +5,9 @@ in a FIFO list per tick, under a heap of the distinct ticks; one scheduled for
 the tick being run starts a new list there, which the heap hands out next.
 Per-purpose generators are derived by hashing the seed with a stable label, so
 adding a consumer of randomness in one place never shifts the draws of another.
+An event is a bound method or a `functools.partial` of one, never a closure,
+so a paused `Simulation` pickles and resumes in another process to the bytes
+of one run (`test_a_run_resumed_in_a_fresh_process_gives_the_bytes_of_one_run`).
 
 `Simulation.run()` pauses the cycle collector for its event loop and puts
 back the caller's setting when it returns or raises. A run keeps its trace
@@ -30,7 +33,7 @@ from typing import Callable, Iterable, Optional
 from .codec import MessageKind, PathTree, YodelMessage
 from .control import Controller, HostPrefs
 from .dataplane import ConnectorNode, EdgeNode, HostNode, Node
-from .errors import AccessDenied, UnknownFlow, YodelError
+from .errors import AccessDenied, YodelError
 from .model import Directory
 from .scenario import (CommandSpec, NodeSpec, ScenarioSpec, SimConfig,
                        TopologySpec)
@@ -275,18 +278,23 @@ class Simulation:
         for link in links:
             link.sent += 1
             link.in_flight += 1
+        self.schedule(self._now + self.config.host_link_latency,
+                      partial(self._land_batch, batch, links, land))
 
-        def arrive():
-            landed = []
-            for (src, dst), link in zip(batch, links):
-                link.in_flight -= 1
-                if not link.up or dst.label in self._crashed:
-                    self._lose(link, dst, ("from", src.label))
-                else:
-                    link.received += 1
-                    landed.append((src, dst))
-            land(landed)
-        self.schedule(self._now + self.config.host_link_latency, arrive)
+    def _land_batch(self, batch: list[tuple[Node, Node]],
+                    links: tuple[Link, ...],
+                    land: Callable[[list[tuple[Node, Node]]], None]) -> None:
+        """Land the copies `_send_batch` sent over `links`, one per pair of
+        `batch`, and hand the pairs that arrived to `land`."""
+        landed = []
+        for (src, dst), link in zip(batch, links):
+            link.in_flight -= 1
+            if not link.up or dst.label in self._crashed:
+                self._lose(link, dst, ("from", src.label))
+            else:
+                link.received += 1
+                landed.append((src, dst))
+        land(landed)
 
     def _answer_sync(self, queried: list[tuple[Node, Node]]) -> None:
         if queried:
@@ -312,15 +320,18 @@ class Simulation:
         if src.label in self._crashed:
             return
         self.schedule(self._now + self.config.rpc_latency,
-                      lambda: self.controller.handle(payload))
+                      partial(self.controller.handle, payload))
 
     def _controller_transport(self, dest: Yni, payload: object) -> None:
-        def deliver():
-            node = self.by_yni.get(dest)
-            if node is None or node.label in self._crashed:
-                return
-            node.on_controller(payload)
-        self.schedule(self._now + self.config.rpc_latency, deliver)
+        self.schedule(self._now + self.config.rpc_latency,
+                      partial(self._deliver, dest, payload))
+
+    def _deliver(self, dest: Yni, payload: object) -> None:
+        """Hand a controller reply to `dest`, unless it is gone or crashed."""
+        node = self.by_yni.get(dest)
+        if node is None or node.label in self._crashed:
+            return
+        node.on_controller(payload)
 
     # -- construction ----------------------------------------------------------
 
@@ -492,12 +503,8 @@ class Simulation:
         elif verb == "partition-now":
             valley = self.directory.valley(a[0])
             ns = self.directory.namespace(a[0], a[1])
-            flow = self.controller.flow(valley.id, ns.id, a[2])
-            if not flow.model.attributes.partitioning:
-                raise UnknownFlow(
-                    f"{flow.model.value} communities do not partition")
-            self.controller.partition_flow(flow)
-            self.controller.reconcile(flow)
+            self.controller.partition_flow(
+                self.controller.flow(valley.id, ns.id, a[2]))
         elif verb == "report":
             self.trace.emit(self._now, "scenario", "REPORT",
                             ("delivered", sum(self.metrics.deliveries.values())),

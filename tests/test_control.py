@@ -25,7 +25,13 @@ from yodel.control import (
     _search,
     compute_path,
 )
-from yodel.errors import InvariantViolation, NoEligibleEdge, UnknownNode
+from yodel.errors import (
+    InvariantViolation,
+    NoEligibleEdge,
+    UnknownNamespace,
+    UnknownNode,
+    UnknownValley,
+)
 from yodel.model import Directory, Visibility
 from yodel.services import ServiceModel
 from yodel.trace import Metrics, Trace
@@ -632,6 +638,24 @@ def replies(sent, dest=None, kind=JoinReply):
             and (dest is None or d == dest)]
 
 
+def test_communities_appear_on_first_contact():
+    """A community is its flow, made on first contact with one channel id;
+    the flow store holds nothing for an unknown namespace."""
+    ctrl, directory, valley, trace, sent = build_controller()
+    ns = make_namespace(directory, valley, ServiceModel.SSM)
+    f1 = ctrl.create_community(valley.id, ns.id, "weather")
+    f2 = ctrl.create_community(valley.id, ns.id, "weather")
+    assert f1 is f2 is ctrl.flow(valley.id, ns.id, "weather")
+    assert f1.current_channel_id == 1
+    with pytest.raises(UnknownNamespace, match="^unknown namespace id 99$"):
+        ctrl.create_community(valley.id, 99, "weather")
+    with pytest.raises(UnknownValley, match="^unknown valley id 9$"):
+        ctrl.create_community(9, ns.id, "weather")
+    assert list(ctrl.flows) == [(valley.id, ns.id, "weather")]
+    # one id drawn for the flow, none for the rejected calls
+    assert directory.vib(valley.id).allocate_channel_id() == 2
+
+
 STAR_NODES = {E1: ("edge", "d1"), E2: ("edge", "d1"), E3: ("edge", "d2"),
               C1: ("connector", "d1")}
 STAR_LINKS = {(E1, C1): 1, (E2, C1): 1, (E3, C1): 2}
@@ -850,7 +874,6 @@ class TestPartitioning:
         flow = ctrl.flow(ns.valley_id, ns.id, "room")
         dying_cid = {p.producer_edge: p for p in flow.partitions}[E3].channel_id
         ctrl.handle(RemoveRole(E3, ns.valley_id, ns.id, "room", "producer"))
-        assert dying_cid in flow.retired_channel_ids
         join(ctrl, ns, E4, "producer", host=H2)
         seen = {p.channel_id for p in flow.partitions}
         assert dying_cid not in seen

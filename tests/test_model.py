@@ -108,19 +108,6 @@ def test_namespace_ids_allocated_per_valley(directory):
     assert directory.namespace_by_id(a.valley_id, 2) is b
 
 
-def test_communities_appear_on_first_contact(directory):
-    directory.create_valley("alice", "farm")
-    ns = directory.create_namespace("alice", "farm", "news", Visibility.OPEN,
-                                    ServiceModel.SSM)
-    valley_id = directory.valley("farm").id
-    c1 = directory.ensure_community(valley_id, ns.id, "weather")
-    c2 = directory.ensure_community(valley_id, ns.id, "weather")
-    assert c1 is c2
-    assert directory.community(valley_id, ns.id, "weather") is c1
-    with pytest.raises(UnknownNamespace):
-        directory.ensure_community(valley_id, 99, "weather")
-
-
 def test_unknown_lookups_raise(directory):
     with pytest.raises(UnknownValley):
         directory.valley("nowhere")

@@ -2,7 +2,11 @@
 
 import contextlib
 import gc
+import os
 import pathlib
+import pickle
+import subprocess
+import sys
 from enum import IntEnum
 from functools import partial
 
@@ -481,6 +485,59 @@ def test_stepped_run_equals_one_run(name):
         assert one.metrics.conservation["links"][wire]["received"] > \
             (before["received"] if before else 0)
     assert outputs(run_in_steps(build_text(*texts))) == outputs(one)
+
+
+def _resume_worlds():
+    """Each replay-gate demo pair at its first seed, and one benchmark
+    world, as (topology file, scenario file, seed)."""
+    import test_replay_golden as golden
+    return [pytest.param(topo, scen, golden.SEEDS[0], id=topo[:-5])
+            for topo, scen in golden.PAIRS] + [
+        pytest.param(*golden.bench_names("twin-outage"), 1, id="twin-outage")]
+
+
+# resumes each pickled run in turn and prints the trace and report bytes
+# of every one, as a pickled list of pairs
+_RESUME = """\
+import pickle, sys
+snapshots, until = pickle.load(sys.stdin.buffer)
+outputs = []
+for blob in snapshots:
+    sim = pickle.loads(blob)
+    sim.config.until = until
+    sim.run()
+    outputs.append((sim.trace.text(), sim.metrics.to_json()))
+pickle.dump(outputs, sys.stdout.buffer)
+"""
+
+
+@pytest.mark.parametrize("topo_name,scen_name,seed", _resume_worlds())
+def test_a_run_resumed_in_a_fresh_process_gives_the_bytes_of_one_run(
+        topo_name, scen_name, seed):
+    """A run paused at a third and at half of its horizon, pickled, and
+    resumed in a fresh process under another hash seed gives the bytes of
+    one run: no state a run reads lives outside the `Simulation`, and no
+    output follows the iteration order of a set or dict of str keys."""
+    import test_replay_golden as golden
+    if topo_name[:-5] in golden.BENCH_WORKLOADS:
+        world = golden._bench_worlds().generate(topo_name[:-5], seed)
+        texts = world.topology, world.scenario, seed
+    else:
+        texts = ((golden.WORLDS / topo_name).read_text(),
+                 (golden.WORLDS / scen_name).read_text(), seed)
+    one = build_text(*texts).run()
+    until = one.config.until
+    sim = build_text(*texts)
+    snapshots = [pickle.dumps(step(sim, tick)) for tick in (until // 3,
+                                                            until // 2)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(golden.ROOT / "src"), os.environ.get("PYTHONPATH")])),
+        PYTHONHASHSEED="1" if os.environ.get("PYTHONHASHSEED") == "0" else "0")
+    done = subprocess.run([sys.executable, "-c", _RESUME], env=env,
+                          input=pickle.dumps((snapshots, until)),
+                          capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+    assert pickle.loads(done.stdout) == [outputs(one)] * len(snapshots)
 
 
 class TestDeterminism:
@@ -1229,6 +1286,42 @@ at 70 send h2 vale room 1 back
         assert sim.metrics.deliveries == {"h3": 1}
 
 
+    # e3's only link is down, so the partition that takes its consumer
+    # cuts it off
+    CUT_TOPOLOGY = """\
+domain d1
+domain d2
+domain d3
+node e1 edge d1
+node e2 edge d2
+node e3 edge d3
+node c1 connector d1
+link e1 c1 1
+link e2 c1 1
+link e3 c1 1
+host h1 alice domain=d1
+host h2 bob domain=d2
+host h3 bob domain=d3
+"""
+
+    def test_partition_now_reports_each_cut_tree_once(self):
+        body = """\
+at 2 join h1 vale chat room producer 1
+at 2 join h2 vale chat room producer 1
+at 2 join h3 vale chat room consumer 1
+at 20 fault link-down e3 c1
+at 30 partition-now vale chat room
+"""
+        sim = run_text(self.CUT_TOPOLOGY, scen(model="slsm", body=body).replace(
+            "chat slsm", "chat slsm partition=manual"))
+        assert [r.tick for r in sim.trace.select("PARTITION")] == [30]
+        cut = [r.line() for r in sim.trace.select("UNREACHABLE")
+               if r.tick == 30]
+        e2, e3 = (str(sim.nodes[label].yni) for label in ("e2", "e3"))
+        assert cut == [f"t=30 n=controller ev=UNREACHABLE valley=1 "
+                       f"community=room edge={e2} cut={e3}"]
+
+
 class TestScenarioErrors:
     def test_unknown_reference_is_traced_not_fatal(self):
         body = "at 5 send h1 nowhere room 1 hi\nat 6 report\n"
@@ -1245,6 +1338,24 @@ class TestScenarioErrors:
         errs = sim.trace.select("SCENARIO_ERROR", verb="partition-now")
         assert len(errs) == 1
         assert "do not partition" in dict(errs[0].fields)["reason"]
+        assert errs[0].line() == (
+            "t=10 n=scenario ev=SCENARIO_ERROR line=6 verb=partition-now "
+            "reason=SSM communities do not partition")
+
+    def test_an_unresolved_reference_is_traced_not_fatal(self):
+        # `cross_check` rejects a host no topology declares, so the world
+        # is built from the parsed files without it
+        body = "at 2 send hx vale room 1 hi\nat 6 report\n"
+        topo, errors = parse_topology(TWO_DOMAINS)
+        scen_spec, more = parse_scenario(scen(body=body))
+        assert errors + more == []
+        sim = Simulation(topo, scen_spec,
+                         SimConfig.from_scenario(scen_spec, 1)).run()
+        errs = sim.trace.select("SCENARIO_ERROR")
+        assert [r.line() for r in errs] == [
+            "t=2 n=scenario ev=SCENARIO_ERROR line=5 verb=send "
+            "reason=unresolved reference 'hx'"]
+        assert [r.tick for r in sim.trace.select("REPORT")] == [6]
 
     def test_unknown_config_key_rejected(self):
         _, _, errors = load_world(TWO_DOMAINS, "at 0 report\nconfig warp 9\n")
