@@ -3,6 +3,12 @@
 Everything observable is a function of (topology, scenario, seed). Events wait
 in a FIFO list per tick, under a heap of the distinct ticks; one scheduled for
 the tick being run starts a new list there, which the heap hands out next.
+Copies land in runs: a copy `transmit` sends joins the open batch of its
+landing tick, the event at the tail of that tick's list, which lands the
+batch copy by copy. Any other event scheduled for that tick closes the
+batch, and so does the start of the tick, so a copy sent at latency 0 opens
+one in the tick's next list. Copies thus land in the order one event per
+copy would land them.
 Per-purpose generators are derived by hashing the seed with a stable label, so
 adding a consumer of randomness in one place never shifts the draws of another.
 An event is a bound method or a `functools.partial` of one, never a closure,
@@ -58,6 +64,9 @@ _Wire = tuple[YodelMessage, tuple[tuple[str, object], ...],
 # of SEND lines and the `from` field of RECV lines
 _Port = tuple[Node, Link, bool, tuple[str, str], tuple[str, str]]
 
+# one copy in flight: where it lands, its call's record, and its tree
+_Copy = tuple[_Port, _Wire, Optional[PathTree]]
+
 
 class Simulation:
     """One world. Construct with parsed specs, then call run()."""
@@ -73,6 +82,8 @@ class Simulation:
         self._now = 0
         self._events: dict[int, list[Callable[[], None]]] = {}
         self._ticks: list[int] = []             # each key of _events once
+        # tick -> the copies of the batch event at the tail of its list
+        self._landing: dict[int, list[_Copy]] = {}
         self._serial = 0
         self._rngs: dict[str, random.Random] = {}
         self.nodes: dict[str, Node] = {}        # label -> node (infra + hosts)
@@ -115,10 +126,14 @@ class Simulation:
         return self._serial
 
     def schedule(self, tick: int, fn: Callable[[], None]) -> None:
-        if tick not in self._events:
-            self._events[tick] = []
+        """Run `fn` at `tick`, after every event already there. It closes
+        the tick's open batch of copies: copies sent later land after it."""
+        self._landing.pop(tick, None)
+        queue = self._events.get(tick)
+        if queue is None:
+            queue = self._events[tick] = []
             heapq.heappush(self._ticks, tick)
-        self._events[tick].append(fn)
+        queue.append(fn)
 
     def transmit(self, src: Node,
                  copies: list[tuple[Yni, YodelMessage, Optional[PathTree]]],
@@ -126,7 +141,9 @@ class Simulation:
                  meta: Optional[tuple[int, Optional[int]]] = None) -> None:
         """Send each (destination, message, tree) copy: a SEND line, then a
         RECV line and the receiver's `on_message(msg, meta, tree)` one link
-        latency later, or a DROP line.
+        latency later, or a DROP line. A copy joins the open batch of its
+        landing tick, or schedules a new one there; either way it lands
+        after every event scheduled for that tick before it.
 
         Every copy of one call carries the same message, and `meta` is its
         data metadata (serial, q) as its sender holds it: None on control.
@@ -152,7 +169,7 @@ class Simulation:
             # one underlay transmission covers the whole batch
             batches = self.metrics.multicast_batches
             batches[src.domain] = batches.get(src.domain, 0) + 1
-        ports = self._ports[label]
+        ports, landing = self._ports[label], self._landing
         crashed = label in self._crashed
         for dst_yni, _, tree in copies:
             port = ports.get(dst_yni) or self._port(src, dst_yni)
@@ -172,8 +189,13 @@ class Simulation:
                 self.metrics.dropped(label, "link_down")
                 continue
             link.in_flight += 1
-            self.schedule(now + link.latency,
-                          partial(self._arrive, port, rec, tree))
+            tick = now + link.latency
+            batch = landing.get(tick)
+            if batch is None:
+                batch = []
+                self.schedule(tick, partial(self._land_copies, batch))
+                landing[tick] = batch
+            batch.append((port, rec, tree))
 
     def _port(self, src: Node, dst_yni: Yni) -> Optional[_Port]:
         """The node `dst_yni` names, the record of the wire from `src` to
@@ -197,22 +219,23 @@ class Simulation:
             dst, link, overlay, ("to", dst.label), ("from", src.label))
         return port
 
-    def _arrive(self, port: _Port, rec: _Wire,
-                tree: Optional[PathTree]) -> None:
-        """Land one copy `transmit` sent through `port`: count it on the
-        link, then a RECV line and the receiver's `on_message` with the
-        record's message and metadata and the copy's tree, or a DROP line
-        when the link went down or the receiver crashed meanwhile."""
-        dst, link, _, _, from_src = port
-        link.in_flight -= 1
-        if not link.up or dst.label in self._crashed:
-            self._lose(link, dst, from_src)
-            return
-        link.received += 1
-        self._landed = rec
-        msg, wire, meta = rec
-        self.trace.emit(self._now, dst.label, "RECV", from_src, *wire)
-        dst.on_message(msg, meta, tree)
+    def _land_copies(self, batch: list[_Copy]) -> None:
+        """Land each copy of `batch`, in order: count it on its link, then
+        a RECV line and the receiver's `on_message` with the record's
+        message and metadata and the copy's tree, or a DROP line when the
+        link went down or the receiver crashed meanwhile."""
+        crashed, emit, now = self._crashed, self.trace.emit, self._now
+        for port, rec, tree in batch:
+            dst, link, _, _, from_src = port
+            link.in_flight -= 1
+            if not link.up or dst.label in crashed:
+                self._lose(link, dst, from_src)
+                continue
+            link.received += 1
+            self._landed = rec
+            msg, wire, meta = rec
+            emit(now, dst.label, "RECV", from_src, *wire)
+            dst.on_message(msg, meta, tree)
 
     def _lose(self, link: Link, dst: Node,
               from_src: tuple[str, str]) -> None:
@@ -429,11 +452,14 @@ class Simulation:
         cycle, or the cycle lives until the next collection after it: see the
         module docstring for the tests that pin this."""
         events, ticks, until = self._events, self._ticks, self.config.until
+        landing = self._landing
         enabled = gc.isenabled()
         gc.disable()
         try:
             while ticks and ticks[0] <= until:
                 self._now = tick = heapq.heappop(ticks)
+                # copies sent at latency 0 land in the tick's next list
+                landing.pop(tick, None)
                 for fn in events.pop(tick):
                     fn()
             # sleeping twin tables stay asleep; their passed rounds count

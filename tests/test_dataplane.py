@@ -1406,12 +1406,13 @@ def test_every_copy_carries_the_parse_of_its_own_metadata(monkeypatch, world):
             if meta != parse(msg):
                 wrong.append((where, parse(msg), meta))
 
-    arrive = Simulation._arrive
+    land_copies = Simulation._land_copies
 
-    def arrived(self, port, rec, tree):
-        msg, _, meta = rec
-        check(f"t={self.now()} n={port[0].label}", [(msg, meta)])
-        arrive(self, port, rec, tree)
+    def landed(self, batch):
+        for port, rec, tree in batch:
+            msg, _, meta = rec
+            check(f"t={self.now()} n={port[0].label}", [(msg, meta)])
+        land_copies(self, batch)
 
     buffer_message, on_hello = TwinManager.buffer_message, \
         TwinManager.on_hello
@@ -1424,7 +1425,7 @@ def test_every_copy_carries_the_parse_of_its_own_metadata(monkeypatch, world):
         rec = self.records.get(host)
         check(f"flush at {self.edge.label}", rec.buffer if rec else ())
         on_hello(self, host)
-    monkeypatch.setattr(Simulation, "_arrive", arrived)
+    monkeypatch.setattr(Simulation, "_land_copies", landed)
     monkeypatch.setattr(TwinManager, "buffer_message", buffered)
     monkeypatch.setattr(TwinManager, "on_hello", flushed)
     scen = dict(golden.PAIRS).get(world)

@@ -1,5 +1,7 @@
 """World-file parsing: happy paths, per-line diagnostics, cross-checks."""
 
+import pytest
+
 from yodel.scenario import (
     MODEL_NAMES,
     cross_check,
@@ -140,6 +142,35 @@ class TestParseTopology:
         text = "domain d\ndomain d\nnode n hub d\nlink a a 1\n"
         _, errors = parse_topology(text)
         assert [e.line for e in errors] == [2, 3, 4]
+
+
+@pytest.mark.parametrize("file,line,reason", [
+    ("topo", "domain d1 d2", "domain takes exactly one name"),
+    ("topo", "node e1 edge", "node needs <name> <role> <domain>"),
+    ("topo", "node e1 hub d",
+     "node role must be edge or connector, got 'hub'"),
+    ("topo", "node e1 edge d cpu", "expected key=value stat, got 'cpu'"),
+    ("topo", "link e1 c1", "link needs <a> <b> <latency>"),
+    ("topo", "mcastgroup d e1",
+     "mcastgroup needs <domain> and at least two nodes"),
+    ("topo", "mcastgroup d e1 c1 e1", "mcastgroup members must be distinct"),
+    ("topo", "host h1", "host needs <name> <user>"),
+    ("topo", "host h1 alice d1", "expected key=value, got 'd1'"),
+    ("topo", "host h1 alice max_latency=9.5",
+     "max_latency is not an integer"),
+    ("scen", "at 5", "at needs <tick> <command>"),
+    ("scen", "at 1 namespace alice vale chat ssm open",
+     "expected key=value option, got 'open'"),
+])
+def test_a_bad_line_is_named_by_file_line_and_reason(file, line, reason):
+    """Each of these diagnostics names the file and line of the one bad
+    line, after a good first line."""
+    if file == "topo":
+        _, errors = parse_topology(f"domain d\n{line}\n", path="w.topo")
+    else:
+        _, errors = parse_scenario(f"config until 9\n{line}\n",
+                                   path="w.scen")
+    assert [str(e) for e in errors] == [f"w.{file}:2: {reason}"]
 
 
 class TestParseScenario:

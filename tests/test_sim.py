@@ -496,19 +496,53 @@ def _resume_worlds():
         pytest.param(*golden.bench_names("twin-outage"), 1, id="twin-outage")]
 
 
-# resumes each pickled run in turn and prints the trace and report bytes
-# of every one, as a pickled list of pairs
+# reads the horizon and the outputs of one run, then pickled runs until
+# its input ends; resumes each to the horizon and prints, per run, the tick
+# it paused at, its open batches of copies, whether each is still the list
+# its landing event holds, and whether it ends with the bytes of one run
 _RESUME = """\
 import pickle, sys
-snapshots, until = pickle.load(sys.stdin.buffer)
-outputs = []
-for blob in snapshots:
-    sim = pickle.loads(blob)
+stdin = sys.stdin.buffer
+until, one = pickle.load(stdin)
+rows = []
+while True:
+    try:
+        sim = pickle.load(stdin)
+    except EOFError:
+        break
+    shared = all(sim._events[tick][-1].args[0] is batch
+                 for tick, batch in sim._landing.items())
+    row = (sim.config.until, len(sim._landing), shared)
     sim.config.until = until
     sim.run()
-    outputs.append((sim.trace.text(), sim.metrics.to_json()))
-pickle.dump(outputs, sys.stdout.buffer)
+    rows.append(row + ((sim.trace.text(), sim.metrics.to_json()) == one,))
+pickle.dump(rows, sys.stdout.buffer)
 """
+
+
+def _resumed(texts, pauses):
+    """Pickle the world of `texts` at each tick of `pauses`, and resume
+    every pickle to the horizon in one fresh process under another hash
+    seed; the rows `_RESUME` prints. Each pickle is piped to that process
+    as it is made."""
+    import test_replay_golden as golden
+    one = build_text(*texts).run()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(golden.ROOT / "src"), os.environ.get("PYTHONPATH")])),
+        PYTHONHASHSEED="1" if os.environ.get("PYTHONHASHSEED") == "0" else "0")
+    child = subprocess.Popen([sys.executable, "-c", _RESUME], env=env,
+                             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE)
+    sim = build_text(*texts)
+    try:
+        pickle.dump((one.config.until, outputs(one)), child.stdin)
+        for tick in pauses:
+            pickle.dump(step(sim, tick), child.stdin)
+    except BrokenPipeError:
+        pass                            # its stderr says why
+    out, err = child.communicate()
+    assert child.returncode == 0, err.decode()
+    return pickle.loads(out)
 
 
 @pytest.mark.parametrize("topo_name,scen_name,seed", _resume_worlds())
@@ -525,19 +559,24 @@ def test_a_run_resumed_in_a_fresh_process_gives_the_bytes_of_one_run(
     else:
         texts = ((golden.WORLDS / topo_name).read_text(),
                  (golden.WORLDS / scen_name).read_text(), seed)
-    one = build_text(*texts).run()
-    until = one.config.until
-    sim = build_text(*texts)
-    snapshots = [pickle.dumps(step(sim, tick)) for tick in (until // 3,
-                                                            until // 2)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(golden.ROOT / "src"), os.environ.get("PYTHONPATH")])),
-        PYTHONHASHSEED="1" if os.environ.get("PYTHONHASHSEED") == "0" else "0")
-    done = subprocess.run([sys.executable, "-c", _RESUME], env=env,
-                          input=pickle.dumps((snapshots, until)),
-                          capture_output=True)
-    assert done.returncode == 0, done.stderr.decode()
-    assert pickle.loads(done.stdout) == [outputs(one)] * len(snapshots)
+    until = build_text(*texts).config.until
+    rows = _resumed(texts, (until // 3, until // 2))
+    assert [(paused, same) for paused, _, _, same in rows] == [
+        (until // 3, True), (until // 2, True)]
+
+
+@pytest.mark.parametrize("name", ["mcast-fanout", "twin-outage"])
+def test_a_run_resumed_at_every_tenth_tick_gives_the_bytes_of_one_run(name):
+    """A benchmark world at seed 1 paused at every tenth tick, each pause
+    pickled and resumed in one fresh process, gives the bytes of one run.
+    The pauses cross open batches of copies, and each batch stays the one
+    list its landing event and `_landing` share."""
+    texts = _world_texts(name)
+    pauses = range(10, build_text(*texts).config.until, 10)
+    rows = _resumed(texts, pauses)
+    assert [row[0] for row in rows] == list(pauses)
+    assert [row for row in rows if not (row[2] and row[3])] == []
+    assert sum(row[1] for row in rows) > 0
 
 
 class TestDeterminism:
@@ -937,6 +976,132 @@ at 50 report
         assert sim.metrics.to_dict()["transmissions"] == {
             "total": 8, "by_domain": {"d1": 6}, "interdomain": 2,
             "unicast_by_link": {"c1>e1": 2, "c1>e2": 2}}
+
+
+def _landings(monkeypatch):
+    """Every batch of copies scheduled to land, in order, as (tick, batch);
+    a batch read after a run holds every copy that joined it."""
+    landings = []
+    schedule = Simulation.schedule
+
+    def seen(self, tick, fn):
+        if getattr(fn, "func", None) == self._land_copies:
+            landings.append((tick, fn.args[0]))
+        schedule(self, tick, fn)
+
+    monkeypatch.setattr(Simulation, "schedule", seen)
+    return landings
+
+
+def _labeled(landings):
+    """`landings` with each copy as "sender>receiver"."""
+    return [(tick, [f"{port[4][1]}>{port[0].label}" for port, _, _ in batch])
+            for tick, batch in landings]
+
+
+class TestLandingRuns:
+    """Copies that land at one tick, with no other event scheduled there
+    between them, land in one event, in the order they were sent."""
+
+    @staticmethod
+    def _world():
+        """TWO_DOMAINS, and a call that has c1 send one data copy with a
+        given serial to e1, one tick away, or to e2, two ticks away."""
+        topo, scen_spec, errors = load_world(TWO_DOMAINS, scen(until=10))
+        assert errors == []
+        sim = Simulation(topo, scen_spec, SimConfig.from_scenario(scen_spec, 1))
+        c1 = sim.nodes["c1"]
+
+        def send(dst, serial):
+            yni = sim.nodes[dst].yni
+            msg = YodelMessage(MessageKind.DATA_YSYNC, c1.yni, c1.yni,
+                               FloatingHeader(valley_id=1, channel_id=9,
+                                              metadata=data_metadata(serial)))
+            sim.transmit(c1, [(yni, msg, PathTree(yni))], meta=(serial, None))
+        return sim, send
+
+    @staticmethod
+    def _landed(sim):
+        return [line for line in sim.trace.lines()
+                if "from=c1" in line or " n=probe " in line]
+
+    def test_copies_of_several_calls_landing_at_one_tick_make_one_event(
+            self, monkeypatch):
+        # the copy to e2 lands at another tick and does not close the batch
+        landings = _landings(monkeypatch)
+        sim, send = self._world()
+        sim.schedule(3, lambda: (send("e1", 41), send("e2", 42),
+                                 send("e1", 43)))
+        sim.run()
+        assert _labeled(landings) == [(4, ["c1>e1", "c1>e1"]),
+                                      (5, ["c1>e2"])]
+        assert self._landed(sim) == [
+            "t=4 n=e1 ev=RECV from=c1 k=DATA_YSYNC serial=41",
+            "t=4 n=e1 ev=RECV from=c1 k=DATA_YSYNC serial=43",
+            "t=5 n=e2 ev=RECV from=c1 k=DATA_YSYNC serial=42",
+        ]
+
+    def test_an_event_scheduled_between_two_calls_splits_their_batch(
+            self, monkeypatch):
+        landings = _landings(monkeypatch)
+        sim, send = self._world()
+
+        def probe():
+            sim.trace.emit(sim.now(), "probe", "PROBE")
+        sim.schedule(3, lambda: (send("e1", 41), sim.schedule(4, probe),
+                                 send("e1", 42)))
+        sim.run()
+        assert _labeled(landings) == [(4, ["c1>e1"]), (4, ["c1>e1"])]
+        assert self._landed(sim) == [
+            "t=4 n=e1 ev=RECV from=c1 k=DATA_YSYNC serial=41",
+            "t=4 n=probe ev=PROBE",
+            "t=4 n=e1 ev=RECV from=c1 k=DATA_YSYNC serial=42",
+        ]
+
+    def test_copies_sent_at_latency_0_land_later_in_their_tick(
+            self, monkeypatch):
+        """Three joins at 2 land in one batch at 2, after the events that
+        sent them; e2 sends the data copy it lands at 23 on to both its
+        hosts in a new batch that lands later at 23."""
+        landings = _landings(monkeypatch)
+        body = TestBasicWorld.BODY + "at 2 join h3 vale chat room consumer 1\n"
+        sim = run_text(SHARED_EDGE, scen(body=body, until=30)
+                       + "config host_link_latency 0\n")
+        assert [(t, copies) for t, copies in _labeled(landings)
+                if t in (2, 23)] == [
+            (2, ["h1>e1", "h2>e2", "h3>e2"]),
+            (23, ["c1>e2"]), (23, ["e2>h2", "e2>h3"])]
+        lines = sim.trace.lines()
+        assert [line for line in lines if line.startswith("t=2 ")][-3:] == [
+            "t=2 n=e1 ev=RECV from=h1 k=CONTROL_YPP",
+            "t=2 n=e2 ev=RECV from=h2 k=CONTROL_YPP",
+            "t=2 n=e2 ev=RECV from=h3 k=CONTROL_YPP",
+        ]
+        assert [line for line in lines if line.startswith("t=23 ")] == [
+            "t=23 n=e2 ev=RECV from=c1 k=DATA_YSYNC serial=1",
+            "t=23 n=e2 ev=SEND to=h2 k=DATA_YPP serial=1",
+            "t=23 n=e2 ev=SEND to=h3 k=DATA_YPP serial=1",
+            "t=23 n=h2 ev=RECV from=e2 k=DATA_YPP serial=1",
+            "t=23 n=h2 ev=DELIVER app=1 community=room serial=1",
+            "t=23 n=h3 ev=RECV from=e2 k=DATA_YPP serial=1",
+            "t=23 n=h3 ev=DELIVER app=1 community=room serial=1",
+        ]
+
+    def test_open_batches_are_only_for_ticks_to_come(self):
+        """Stopped at any tick, a run holds an open batch only for a tick
+        after it and at most one link latency away: one per tick at most,
+        however long the run."""
+        texts = _world_texts("mcast-fanout")
+        sim = build_text(*texts)
+        reach = max([link.latency for link in sim.topo.links]
+                    + [sim.config.host_link_latency])
+        opened = 0
+        for tick in range(sim.config.until + 1):
+            step(sim, tick)
+            assert all(tick < t <= tick + reach for t in sim._landing)
+            opened += len(sim._landing)
+        assert opened > 0
+        assert outputs(sim) == outputs(build_text(*texts).run())
 
 
 class TestTwinOverSim:
@@ -1463,3 +1628,70 @@ def test_every_world_load_world_accepts_runs_to_the_end(model, lines):
                           SimConfig.from_scenario(scen_spec, 1))
     assert cycles_left(world) == 0
     assert outputs(run_in_steps(world())) == outputs(world().run())
+
+
+class _NoOpenBatch(dict):
+    """A `Simulation._landing` that offers no open batch: each copy lands
+    in an event of its own."""
+
+    def get(self, tick, default=None):
+        return default
+
+
+@contextlib.contextmanager
+def _every_copy_alone():
+    """Every copy `transmit` sends lands in an event of its own: the
+    reference the runs of copies landed in one event must match."""
+    init = Simulation.__init__
+
+    def alone(self, *args):
+        init(self, *args)
+        self._landing = _NoOpenBatch()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simulation, "__init__", alone)
+        yield
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=_W["model"], lines=st.lists(_AT_LINE, max_size=8),
+       latency=st.integers(0, 3))
+def test_fuzzed_worlds_land_copies_as_one_event_per_copy_would(
+        model, lines, latency):
+    """On any world `load_world` accepts, at any host link latency, copies
+    landed in runs give the bytes of one event per copy."""
+    text = (scen(model=model, body="".join(lines))
+            + f"config host_link_latency {latency}\n")
+    topo, scen_spec, errors = load_world(TWO_DOMAINS, text)
+    if errors:
+        return
+
+    def run():
+        return Simulation(topo, scen_spec,
+                          SimConfig.from_scenario(scen_spec, 1)).run()
+    batched = outputs(run())
+    with _every_copy_alone():
+        assert outputs(run()) == batched
+
+
+@settings(max_examples=120, deadline=None)
+@given(world=_twin_worlds())
+# at 20 h1's copy to e1 opens the batch for 22, e2's sweep schedules its
+# keepalives there, and e2 lands m15 and sends it on to h2 and h3: those
+# copies land after the keepalives, whose DROP line at h2, down since 21,
+# comes first
+@example(world=(scen(body="at 2 join h1 vale chat room producer 1\n"
+                          "at 2 join h2 vale chat room consumer 1\n"
+                          "at 2 join h3 vale chat room consumer 1\n"
+                          "at 15 send h1 vale room 1 m15\n"
+                          "at 20 send h1 vale room 1 m20\n"
+                          "at 21 fault host-down h2\n", until=40)
+                + "config twin_period 5\nconfig host_link_latency 2\n", None))
+def test_twin_worlds_land_copies_as_one_event_per_copy_would(world):
+    """On faulted twin worlds, at host link latencies 0 to 3 and stopped
+    inside a round, copies landed in runs give the bytes of one event per
+    copy."""
+    text, stop = world
+    batched = _stepped_outputs(text, stop)
+    with _every_copy_alone():
+        assert _stepped_outputs(text, stop) == batched
